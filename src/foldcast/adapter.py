@@ -145,11 +145,16 @@ def lora_project(
     return y, cache
 
 
-def lora_project_backward(g: np.ndarray, W: np.ndarray, cache):
-    """Gradients for the base weight/bias, the factor, and the input."""
-    x = cache["x"]
-    dW = g.T @ x
-    db = g.sum(axis=0)
+def lora_project_backward(g: np.ndarray, W: np.ndarray, cache, base_grads: bool = True):
+    """Gradients for the base weight/bias, the factor, and the input.
+
+    With `base_grads=False` (frozen base) dW and db are not formed and come
+    back as None.
+    """
+    dW = db = None
+    if base_grads:
+        dW = g.T @ cache["x"]
+        db = g.sum(axis=0)
     dx = g @ W
     factor_grads = None
     if cache["xa"] is not None:

@@ -13,6 +13,7 @@ little-endian named-tensor container with bit-exact round trips.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -79,13 +80,6 @@ def desk_config(**overrides) -> BackboneConfig:
     )
     base.update(overrides)
     return BackboneConfig(**base)
-
-
-@dataclass(frozen=True)
-class PatchSequence:
-    tokens: np.ndarray  # [L, patch_dim] pixel patches or [L, D] embeddings
-    grid_shape: tuple[int, int]
-    visible_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +168,20 @@ def _layernorm(x, g, b):
     return g * xhat + b, {"xhat": xhat, "invstd": invstd, "g": g}
 
 
-def _layernorm_backward(gr, cache):
+def _layernorm_backward(gr, cache, grads, prefix):
+    """Input gradient; adds the gain/bias gradients to `grads` unless it is None."""
     xhat, invstd, g = cache["xhat"], cache["invstd"], cache["g"]
-    dg = (gr * xhat).sum(axis=0)
-    db = gr.sum(axis=0)
+    if grads is not None:
+        grads[f"{prefix}.g"] += (gr * xhat).sum(axis=0)
+        grads[f"{prefix}.b"] += gr.sum(axis=0)
     gg = gr * g
     mg = gg.mean(axis=-1, keepdims=True)
     mgx = (gg * xhat).mean(axis=-1, keepdims=True)
-    dx = invstd * (gg - mg - xhat * mgx)
-    return dx, dg, db
+    return invstd * (gg - mg - xhat * mgx)
 
 
 def _gelu(x):
-    u = _GELU_C0 * (x + _GELU_C1 * x**3)
+    u = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
     t = np.tanh(u)
     return 0.5 * x * (1.0 + t), t
 
@@ -260,8 +255,9 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
     p = lambda n: params[f"{prefix}.attn.{n}"]
     if cache["drop_o"] is not None:
         gr = gr * cache["drop_o"]
-    grads[f"{prefix}.attn.wo"] += gr.T @ cache["merged"]
-    grads[f"{prefix}.attn.bo"] += gr.sum(axis=0)
+    if grads is not None:
+        grads[f"{prefix}.attn.wo"] += gr.T @ cache["merged"]
+        grads[f"{prefix}.attn.bo"] += gr.sum(axis=0)
     gmerged = gr @ p("wo")
     gctx = _split_heads(gmerged, cfg.n_heads)
     probs, q, k, v = cache["probs"], cache["qh"], cache["kh"], cache["vh"]
@@ -274,9 +270,12 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
     gx = np.zeros_like(cache["x"])
     for name, gh in (("q", gq), ("k", gk), ("v", gv)):
         gflat = _merge_heads(gh)
-        dW, db, dx, fg = adapter.lora_project_backward(gflat, p("w" + name), cache[name])
-        grads[f"{prefix}.attn.w{name}"] += dW
-        grads[f"{prefix}.attn.b{name}"] += db
+        dW, db, dx, fg = adapter.lora_project_backward(
+            gflat, p("w" + name), cache[name], base_grads=grads is not None
+        )
+        if grads is not None:
+            grads[f"{prefix}.attn.w{name}"] += dW
+            grads[f"{prefix}.attn.b{name}"] += db
         gx += dx
         if fg is not None:
             lg = lora_grads.setdefault(prefix, {}).setdefault(name, {"A": 0.0, "B": 0.0})
@@ -303,14 +302,16 @@ def _mlp_backward(gr, params, prefix, cache, grads):
     w1, w2 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.w2"]
     if cache["drop_y"] is not None:
         gr = gr * cache["drop_y"]
-    grads[f"{prefix}.mlp.w2"] += gr.T @ cache["ad"]
-    grads[f"{prefix}.mlp.b2"] += gr.sum(axis=0)
+    if grads is not None:
+        grads[f"{prefix}.mlp.w2"] += gr.T @ cache["ad"]
+        grads[f"{prefix}.mlp.b2"] += gr.sum(axis=0)
     gad = gr @ w2
     if cache["drop_h"] is not None:
         gad = gad * cache["drop_h"]
     gh = _gelu_backward(gad, cache["h"], cache["tanh_u"])
-    grads[f"{prefix}.mlp.w1"] += gh.T @ cache["x"]
-    grads[f"{prefix}.mlp.b1"] += gh.sum(axis=0)
+    if grads is not None:
+        grads[f"{prefix}.mlp.w1"] += gh.T @ cache["x"]
+        grads[f"{prefix}.mlp.b1"] += gh.sum(axis=0)
     return gh @ w1
 
 
@@ -327,16 +328,12 @@ def _block_forward(x, params, prefix, cfg, lora=None, train=False, rng=None, lor
 
 
 def _block_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
+    """Input gradient of one block.  `grads` receives the block's base-weight
+    gradients; None skips them (frozen backbone).  LoRA gradients always flow."""
     gm = _mlp_backward(gr, params, prefix, cache["mlp"], grads)
-    gx2, dg2, db2 = _layernorm_backward(gm, cache["ln2"])
-    grads[f"{prefix}.ln2.g"] += dg2
-    grads[f"{prefix}.ln2.b"] += db2
-    gx2 = gx2 + gr
+    gx2 = _layernorm_backward(gm, cache["ln2"], grads, f"{prefix}.ln2") + gr
     ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads, lora_grads)
-    gx, dg1, db1 = _layernorm_backward(ga, cache["ln1"])
-    grads[f"{prefix}.ln1.g"] += dg1
-    grads[f"{prefix}.ln1.b"] += db1
-    return gx + gx2
+    return _layernorm_backward(ga, cache["ln1"], grads, f"{prefix}.ln1") + gx2
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +357,8 @@ def encode(tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None
 
 
 def encode_backward(gr, params, cfg, caches, grads, lora_grads):
+    """Gradient wrt the encoder input; base-weight gradients go to `grads`
+    unless it is None, LoRA gradients to `lora_grads`."""
     for i in reversed(range(cfg.e_layers)):
         gr = _block_backward(gr, params, f"enc{i}", cfg, caches[i], grads, lora_grads)
     return gr
@@ -386,19 +385,21 @@ def decode_with_mask_tokens(latent, vis_idx, params, cfg: BackboneConfig, train=
 
 
 def decode_backward(gr, params, cfg, cache, grads, lora_grads):
-    grads["head.w"] += gr.T @ cache["n"]
-    grads["head.b"] += gr.sum(axis=0)
+    """Gradient wrt the visible latents; base-weight gradients go to `grads`
+    unless it is None."""
+    if grads is not None:
+        grads["head.w"] += gr.T @ cache["n"]
+        grads["head.b"] += gr.sum(axis=0)
     gn = gr @ params["head.w"]
-    gx, dg, db = _layernorm_backward(gn, cache["ln"])
-    grads["dec_norm.g"] += dg
-    grads["dec_norm.b"] += db
+    gx = _layernorm_backward(gn, cache["ln"], grads, "dec_norm")
     for i in reversed(range(cfg.d_layers)):
         gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], grads, lora_grads)
-    grads["dec_pos"] += gx
     vis_idx = cache["vis_idx"]
-    masked = np.ones(cache["L"], dtype=bool)
-    masked[vis_idx] = False
-    grads["mask_token"] += gx[masked].sum(axis=0)
+    if grads is not None:
+        grads["dec_pos"] += gx
+        masked = np.ones(cache["L"], dtype=bool)
+        masked[vis_idx] = False
+        grads["mask_token"] += gx[masked].sum(axis=0)
     return gx[vis_idx]
 
 
@@ -421,12 +422,8 @@ def autoencode(
     """Image -> patches -> tokens (-> TGA) -> +pos -> encode -> decode -> image."""
     grid = (cfg.grid_rows, cfg.grid_cols)
     vis_idx = visible_indices(grid, vis_cols)
-    seq = PatchSequence(
-        tokens=patchify(image3, cfg.patch_size),
-        grid_shape=grid,
-        visible_count=vis_idx.size,
-    )
-    tokens = embed(seq.tokens, params)
+    patches = patchify(image3, cfg.patch_size)
+    tokens = embed(patches, params)
     tga_cache = None
     if tga is not None:
         tokens, tga_cache = adapter.tga_forward(tokens, tga, tga_table)
@@ -437,14 +434,14 @@ def autoencode(
     out_patches, dec_cache = decode_with_mask_tokens(
         latent, vis_idx, params, cfg, train, rng
     )
-    image_out = unpatchify(out_patches, seq.grid_shape, cfg.patch_size)
+    image_out = unpatchify(out_patches, grid, cfg.patch_size)
     cache = {
-        "patches": seq.tokens,
+        "patches": patches,
         "tga": tga_cache,
         "vis_idx": vis_idx,
         "enc": enc_caches,
         "dec": dec_cache,
-        "grid": seq.grid_shape,
+        "grid": grid,
     }
     return image_out, cache
 
@@ -452,27 +449,29 @@ def autoencode(
 def autoencode_backward(grad_image3, params, cfg: BackboneConfig, cache, tga=None):
     """Gradients for backbone params, adapters, and the input image.
 
-    Base-weight gradients are zeroed when cfg.frozen (adapters still receive
-    theirs); the returned dicts always carry every key for uniform handling.
+    Returns (base grads, LoRA grads, TGA grads, image grad).  When cfg.frozen
+    the base-weight gradients are never formed and the base dict is empty;
+    the adapters and the image still receive theirs.  Otherwise the base dict
+    carries every parameter name.
     """
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = None if cfg.frozen else {k: np.zeros_like(v) for k, v in params.items()}
     lora_grads: dict = {}
     gp = patchify(grad_image3, cfg.patch_size)
     glat = decode_backward(gp, params, cfg, cache["dec"], grads, lora_grads)
     gvis = encode_backward(glat, params, cfg, cache["enc"], grads, lora_grads)
     gtokens = np.zeros((cfg.n_patches, cfg.d_model))
     gtokens[cache["vis_idx"]] = gvis
-    grads["enc_pos"] += gtokens
+    if grads is not None:
+        grads["enc_pos"] += gtokens
     tga_grads = None
     if cache["tga"] is not None:
         tga_grads, gtokens = adapter.tga_backward(gtokens, cache["tga"], tga)
-    grads["patch_embed.w"] += gtokens.T @ cache["patches"]
-    grads["patch_embed.b"] += gtokens.sum(axis=0)
+    if grads is not None:
+        grads["patch_embed.w"] += gtokens.T @ cache["patches"]
+        grads["patch_embed.b"] += gtokens.sum(axis=0)
     gpatches = gtokens @ params["patch_embed.w"]
     grad_image = unpatchify(gpatches, cache["grid"], cfg.patch_size)
-    if cfg.frozen:
-        grads = {k: np.zeros_like(v) for k, v in grads.items()}
-    return grads, lora_grads, tga_grads, grad_image
+    return ({} if grads is None else grads), lora_grads, tga_grads, grad_image
 
 
 # ---------------------------------------------------------------------------
@@ -502,30 +501,45 @@ def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_weights(path) -> dict[str, np.ndarray]:
-    """Read an NTF1 file back into a name -> array dict."""
+    """Read an NTF1 file back into a name -> array dict.
+
+    A truncated or malformed file raises ValueError naming the path and the
+    byte offset where decoding stopped.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != b"NTF1":
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
     off = 4
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(fmt):
+        nonlocal off
+        try:
+            values = struct.unpack_from(fmt, raw, off)
+        except struct.error:
+            raise ValueError(f"{path}: truncated header at byte {off}") from None
+        off += struct.calcsize(fmt)
+        return values
+
+    (count,) = take("<I")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + nlen].decode("utf-8")
+        (nlen,) = take("<H")
+        if off + nlen > len(raw):
+            raise ValueError(f"{path}: truncated header at byte {off}")
+        try:
+            name = raw[off : off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor name at byte {off} is not UTF-8") from None
         off += nlen
-        code, rank = struct.unpack_from("<BB", raw, off)
-        off += 2
+        code, rank = take("<BB")
         if code not in _DTYPES:
             raise ValueError(f"{path}: tensor {name!r} has unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{rank}I", raw, off) if rank else ()
-        off += 4 * rank
+        shape = take(f"<{rank}I")
         dtype = _DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if off + nbytes > len(raw):
-            raise ValueError(f"{path}: truncated payload for tensor {name!r}")
+            raise ValueError(f"{path}: truncated payload for tensor {name!r} at byte {off}")
         arr = np.frombuffer(raw[off : off + nbytes], dtype=dtype).reshape(shape)
         off += nbytes
         if name in out:

@@ -268,18 +268,25 @@ class ForecastModel:
         return outcome
 
     def loss_and_grads(self, w: TimeSeriesWindow, rng=None, train: bool = True):
-        """Normalized-space MSE loss and gradients for every trainable tensor."""
+        """Normalized-space MSE loss and gradients.
+
+        The gradient dict holds exactly the tensors of `trainable_names()`:
+        no `bb.*` key when the backbone is frozen, no `sma.*`, `tga.*` or
+        `fuse.beta` key when that part is switched off or fixed.
+        """
         outcome, cache = self.forward(w, train=train, rng=rng, want_cache=True)
         target = normalize_target(w)
         yhat = cache["yhat_norm"]
         diff = yhat - target
         loss = float(np.mean(diff**2))
         g_yhat = 2.0 * diff / diff.size
-        grads = {k: np.zeros_like(v) for k, v in self.named_params().items()}
+        params = self.named_params()
+        grads = {k: np.zeros_like(params[k]) for k in self.trainable_names()}
         beta = self.beta
-        grads["fuse.beta"][0] = float(
-            np.sum(g_yhat * (outcome.y_structural - outcome.y_spectral))
-        )
+        if "fuse.beta" in grads:
+            grads["fuse.beta"][0] = float(
+                np.sum(g_yhat * (outcome.y_structural - outcome.y_spectral))
+            )
         for v, c in enumerate(cache["vars"]):
             ri = c["ri"]
             g_st = beta * g_yhat[:, v]

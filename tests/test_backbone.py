@@ -96,6 +96,21 @@ class TestEncode:
             bb.encode(x, params, cfg)
 
 
+class TestGelu:
+    def test_cube_matches_pow_formula(self):
+        x = np.concatenate([np.linspace(-8.0, 8.0, 20001),
+                            np.random.default_rng(30).normal(0.0, 3.0, 2000)])
+        y, t = bb._gelu(x)
+        t_ref = np.tanh(bb._GELU_C0 * (x + bb._GELU_C1 * x**3))
+        y_ref = 0.5 * x * (1.0 + t_ref)
+        assert np.all(np.abs(t - t_ref) <= 1e-12 * np.abs(t_ref))
+        # below x = -3, 1 + tanh(u) cancels in both formulas, so the output
+        # is compared there on the scale of x instead of its own
+        well = x >= -3.0
+        assert np.all(np.abs(y - y_ref)[well] <= 1e-12 * np.abs(y_ref[well]))
+        assert np.all(np.abs(y - y_ref) <= 1e-15 * np.abs(x))
+
+
 class TestDecode:
     def test_all_visible_full_grid(self):
         cfg = toy_config()
@@ -162,14 +177,19 @@ class TestBaselineEquivalence:
 
 
 class TestFrozen:
-    def test_frozen_zeroes_base_grads(self):
+    def test_frozen_returns_no_base_grads(self):
         cfg = toy_config(frozen=True)
-        params = bb.init_backbone(cfg, np.random.default_rng(22))
+        rng = np.random.default_rng(22)
+        params = bb.init_backbone(cfg, rng)
+        lora = {"enc0": {"q": adapter.init_lora(rng, cfg.d_model, 2, 8.0)}}
+        lora["enc0"]["q"].B = rng.normal(0.0, 0.1, size=(cfg.d_model, 2))
         img = np.random.default_rng(23).normal(size=(3, 32, 32))
-        out, cache = bb.autoencode(img, params, cfg, vis_cols=2)
-        grads, _, _, gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache)
-        assert all(np.all(g == 0.0) for g in grads.values())
+        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, lora=lora)
+        grads, lora_grads, _, gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache)
+        assert grads == {}
         assert np.any(gimg != 0.0)  # input gradient still flows
+        fg = lora_grads["enc0"]["q"]
+        assert np.any(fg["A"] != 0.0) and np.any(fg["B"] != 0.0)
 
     def test_zero_upstream_zero_grads(self):
         cfg = toy_config(frozen=False)
@@ -225,6 +245,24 @@ class TestNamedTensorFile:
         params = {"a": np.zeros(3), "b": np.zeros(2)}
         with pytest.raises(ValueError, match="missing"):
             bb.load_weights(path, params)
+
+    def test_every_truncation_raises_value_error(self, tmp_path):
+        path = tmp_path / "w.ntf"
+        bb.save_weights(path, {"a": np.arange(3.0), "scalar": np.array(2.0),
+                               "f32": np.ones((2, 1), dtype=np.float32)})
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ntf"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match="cut.ntf"):
+                bb.read_weights(cut)
+
+    def test_truncated_header_names_offset(self, tmp_path):
+        path = tmp_path / "w.ntf"
+        bb.save_weights(path, {"a": np.zeros(3)})
+        path.write_bytes(path.read_bytes()[:9])
+        with pytest.raises(ValueError, match="truncated header at byte 8"):
+            bb.read_weights(path)
 
     def test_f32_supported(self, tmp_path):
         path = tmp_path / "w.ntf"

@@ -149,6 +149,13 @@ class TestTrainEvalForecast:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_truncated_checkpoint_exit_2(self, tmp_path):
+        ckpt = tmp_path / "cut.ntf"
+        ckpt.write_bytes(b"NTF1\x05\x00\x00\x00\x03")  # cut inside a header
+        rc = main(["forecast", *desk_args(), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         rc = main(["train", "-o", "lrr=1", "--out", str(tmp_path / "x")])
         assert rc == 2

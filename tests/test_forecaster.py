@@ -175,6 +175,44 @@ class TestBetaGradient:
         assert abs(grads["fuse.beta"][0] - closed) < 1e-10
 
 
+class TestFrozenGradients:
+    @staticmethod
+    def dropout_model(frozen):
+        rspec = RenderSpec(periodicity=8, image_height=32, image_width=32,
+                           align_const=1.0, patch_size=8)
+        bcfg = BackboneConfig(image_height=32, image_width=32, patch_size=8,
+                              d_model=16, n_heads=2, e_layers=2, d_layers=1,
+                              d_ff=32, dropout=0.2, frozen=frozen)
+        mcfg = fc.ModelConfig(render=rspec, backbone=bcfg, sma=SmaConfig(lam=0.05),
+                              lora_rank=2, lora_alpha=8.0, lora_dropout=0.2)
+        model = fc.ForecastModel(mcfg, seed=5)
+        rng = np.random.default_rng(6)
+        for factors in model.lora.values():
+            for f in factors.values():
+                f.B[...] = rng.normal(0.0, 0.1, size=f.B.shape)
+        return model
+
+    def test_adapter_grads_bitwise_equal_to_unfrozen(self):
+        w = toy_windows(1, n_vars=2)[0]
+        frozen, full = self.dropout_model(True), self.dropout_model(False)
+        loss_f, g_f, out_f = frozen.loss_and_grads(w, rng=np.random.default_rng(7))
+        loss_u, g_u, out_u = full.loss_and_grads(w, rng=np.random.default_rng(7))
+        assert sorted(g_f) == sorted(frozen.trainable_names())
+        assert not any(k.startswith("bb.") for k in g_f)
+        assert any(k.startswith("bb.") for k in g_u)
+        assert loss_f == loss_u
+        assert np.array_equal(out_f.prediction, out_u.prediction)
+        for name in g_f:
+            assert np.array_equal(g_f[name], g_u[name]), name
+        assert all(np.any(g_f[n] != 0.0) for n in g_f if n.startswith("lora."))
+
+    def test_grads_cover_exactly_trainable_names(self):
+        model = desk_model(frozen=True, use_sma=False, use_tga=False, fixed_beta=0.3)
+        _, grads, _ = model.loss_and_grads(toy_windows(1)[0], train=False)
+        assert sorted(grads) == sorted(model.trainable_names())
+        assert all(k.startswith("lora.") for k in grads)
+
+
 class TestTraining:
     def test_zero_lr_constant_losses(self):
         # use_sma=False: no batch-norm buffers or dropout, so an ineffective
