@@ -8,7 +8,7 @@ learnable clamped scalar.  Includes the full power-spectrum-slope analysis
 pipeline and finite-difference verification of every hand-derived gradient.
 """
 
-from .backbone import BackboneConfig, desk_config
+from .backbone import BackboneConfig
 from .data import Dataset, SplitSpec, TimeSeriesWindow, load_csv, synth_series
 from .forecaster import ForecastModel, ModelConfig, TrainConfig, evaluate, gradcheck, train
 from .rendering import RenderSpec, RenderedImage, render
@@ -28,7 +28,6 @@ __all__ = [
     "SplitSpec",
     "TimeSeriesWindow",
     "TrainConfig",
-    "desk_config",
     "evaluate",
     "gradcheck",
     "load_csv",

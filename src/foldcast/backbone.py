@@ -6,6 +6,13 @@ linear head back to patch pixels.  Low-rank adapters can hook the Q/K/V
 projections of every encoder layer; the temporal grounding adapter slots in
 between patch embedding and the positional embedding.
 
+The model computes on one grayscale channel.  The weights keep the
+pretrained 3-channel layout, `patch_embed.w [D, 3p²]` and `head.w [3p², D]`:
+embedding an image replicated into three channels equals embedding the single
+channel with `patch_embed.w` summed over its channel blocks, and averaging the
+three decoded channels equals decoding with `head.w`/`head.b` averaged over
+theirs, so the copies are never formed.
+
 Parameters live in a flat name -> float64 array dict so that optimization,
 freezing, and serialization stay uniform.  The on-disk format ("NTF1") is a
 little-endian named-tensor container with bit-exact round trips.
@@ -64,44 +71,25 @@ class BackboneConfig:
         return 3 * self.patch_size * self.patch_size
 
 
-def desk_config(**overrides) -> BackboneConfig:
-    """Small configuration sized for CPU tests and finite-difference checks."""
-    base = dict(
-        image_height=64,
-        image_width=64,
-        patch_size=16,
-        d_model=64,
-        n_heads=4,
-        e_layers=2,
-        d_layers=1,
-        d_ff=256,
-        dropout=0.1,
-        frozen=True,
-    )
-    base.update(overrides)
-    return BackboneConfig(**base)
-
-
 # ---------------------------------------------------------------------------
 # patch handling
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """[3, H, W] -> [L, 3*patch*patch] in row-major grid order."""
-    c, H, W = image.shape
+    """[H, W] -> [L, patch*patch] in row-major grid order."""
+    H, W = image.shape
     if H % patch or W % patch:
         raise ValueError(f"image dims {H}x{W} not divisible by patch {patch}")
     gh, gw = H // patch, W // patch
-    x = image.reshape(c, gh, patch, gw, patch)
-    return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch * patch)
+    x = image.reshape(gh, patch, gw, patch)
+    return x.transpose(0, 2, 1, 3).reshape(gh * gw, patch * patch)
 
 
 def unpatchify(patches: np.ndarray, grid_shape: tuple[int, int], patch: int) -> np.ndarray:
     """Exact inverse of patchify."""
     gh, gw = grid_shape
-    c = patches.shape[1] // (patch * patch)
-    x = patches.reshape(gh, gw, c, patch, patch)
-    return x.transpose(2, 0, 3, 1, 4).reshape(c, gh * patch, gw * patch)
+    x = patches.reshape(gh, gw, patch, patch)
+    return x.transpose(0, 2, 1, 3).reshape(gh * patch, gw * patch)
 
 
 def visible_indices(grid_shape: tuple[int, int], vis_cols: int) -> np.ndarray:
@@ -340,9 +328,21 @@ def _block_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
 # encoder / decoder
 
 
+def _embed_weight(params) -> np.ndarray:
+    """`patch_embed.w` [D, 3p²] summed over its channel blocks: [D, p²]."""
+    w = params["patch_embed.w"]
+    return w.reshape(w.shape[0], 3, -1).sum(axis=1)
+
+
+def _head(params) -> tuple[np.ndarray, np.ndarray]:
+    """`head.w` [3p², D] and `head.b` [3p²] averaged over their channel blocks."""
+    w, b = params["head.w"], params["head.b"]
+    return w.reshape(3, -1, w.shape[1]).mean(axis=0), b.reshape(3, -1).mean(axis=0)
+
+
 def embed(patches: np.ndarray, params: dict) -> np.ndarray:
-    """Affine projection of pixel patches to token space."""
-    return patches @ params["patch_embed.w"].T + params["patch_embed.b"]
+    """Affine projection of single-channel pixel patches [L, p²] to token space."""
+    return patches @ _embed_weight(params).T + params["patch_embed.b"]
 
 
 def encode(tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None, lora_drop=0.0):
@@ -366,7 +366,8 @@ def encode_backward(gr, params, cfg, caches, grads, lora_grads):
 
 def decode_with_mask_tokens(latent, vis_idx, params, cfg: BackboneConfig, train=False, rng=None):
     """Scatter visible latents into the full grid, fill the rest with the mask
-    token, add decoder positions, decode, and project to patch pixels."""
+    token, add decoder positions, decode, and project to single-channel patch
+    pixels [L, p²]."""
     L = cfg.n_patches
     if latent.shape[0] != vis_idx.shape[0]:
         raise ValueError(
@@ -380,17 +381,20 @@ def decode_with_mask_tokens(latent, vis_idx, params, cfg: BackboneConfig, train=
         x, c = _block_forward(x, params, f"dec{i}", cfg, None, train, rng)
         caches.append(c)
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
-    out = n @ params["head.w"].T + params["head.b"]
+    head_w, head_b = _head(params)
+    out = n @ head_w.T + head_b
     return out, {"blocks": caches, "ln": ln, "n": n, "vis_idx": vis_idx, "L": L}
 
 
 def decode_backward(gr, params, cfg, cache, grads, lora_grads):
     """Gradient wrt the visible latents; base-weight gradients go to `grads`
     unless it is None."""
+    head_w, _ = _head(params)
     if grads is not None:
-        grads["head.w"] += gr.T @ cache["n"]
-        grads["head.b"] += gr.sum(axis=0)
-    gn = gr @ params["head.w"]
+        # each channel block receives a third of the single-channel gradient
+        grads["head.w"] += np.tile(gr.T @ cache["n"] / 3.0, (3, 1))
+        grads["head.b"] += np.tile(gr.sum(axis=0) / 3.0, 3)
+    gn = gr @ head_w
     gx = _layernorm_backward(gn, cache["ln"], grads, "dec_norm")
     for i in reversed(range(cfg.d_layers)):
         gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], grads, lora_grads)
@@ -408,7 +412,7 @@ def decode_backward(gr, params, cfg, cache, grads, lora_grads):
 
 
 def autoencode(
-    image3: np.ndarray,
+    image: np.ndarray,
     params: dict,
     cfg: BackboneConfig,
     vis_cols: int,
@@ -419,10 +423,11 @@ def autoencode(
     rng=None,
     lora_drop: float = 0.0,
 ):
-    """Image -> patches -> tokens (-> TGA) -> +pos -> encode -> decode -> image."""
+    """Image [H, W] -> patches -> tokens (-> TGA) -> +pos -> encode -> decode
+    -> image [H, W]."""
     grid = (cfg.grid_rows, cfg.grid_cols)
     vis_idx = visible_indices(grid, vis_cols)
-    patches = patchify(image3, cfg.patch_size)
+    patches = patchify(image, cfg.patch_size)
     tokens = embed(patches, params)
     tga_cache = None
     if tga is not None:
@@ -446,7 +451,7 @@ def autoencode(
     return image_out, cache
 
 
-def autoencode_backward(grad_image3, params, cfg: BackboneConfig, cache, tga=None):
+def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, tga=None):
     """Gradients for backbone params, adapters, and the input image.
 
     Returns (base grads, LoRA grads, TGA grads, image grad).  When cfg.frozen
@@ -456,7 +461,7 @@ def autoencode_backward(grad_image3, params, cfg: BackboneConfig, cache, tga=Non
     """
     grads = None if cfg.frozen else {k: np.zeros_like(v) for k, v in params.items()}
     lora_grads: dict = {}
-    gp = patchify(grad_image3, cfg.patch_size)
+    gp = patchify(grad_image, cfg.patch_size)
     glat = decode_backward(gp, params, cfg, cache["dec"], grads, lora_grads)
     gvis = encode_backward(glat, params, cfg, cache["enc"], grads, lora_grads)
     gtokens = np.zeros((cfg.n_patches, cfg.d_model))
@@ -467,9 +472,10 @@ def autoencode_backward(grad_image3, params, cfg: BackboneConfig, cache, tga=Non
     if cache["tga"] is not None:
         tga_grads, gtokens = adapter.tga_backward(gtokens, cache["tga"], tga)
     if grads is not None:
-        grads["patch_embed.w"] += gtokens.T @ cache["patches"]
+        # every channel block saw the same single-channel patches
+        grads["patch_embed.w"] += np.tile(gtokens.T @ cache["patches"], (1, 3))
         grads["patch_embed.b"] += gtokens.sum(axis=0)
-    gpatches = gtokens @ params["patch_embed.w"]
+    gpatches = gtokens @ _embed_weight(params)
     grad_image = unpatchify(gpatches, cache["grid"], cfg.patch_size)
     return ({} if grads is None else grads), lora_grads, tga_grads, grad_image
 
@@ -546,20 +552,3 @@ def read_weights(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: duplicate tensor name {name!r}")
         out[name] = arr.astype(arr.dtype.newbyteorder("="))
     return out
-
-
-def load_weights(path, params: dict[str, np.ndarray]) -> None:
-    """Load tensors into an existing parameter dict, validating names/shapes."""
-    loaded = read_weights(path)
-    unknown = sorted(set(loaded) - set(params))
-    if unknown:
-        raise ValueError(f"unknown tensor names: {unknown}")
-    missing = sorted(set(params) - set(loaded))
-    if missing:
-        raise ValueError(f"missing tensor names: {missing}")
-    for name, arr in loaded.items():
-        if arr.shape != params[name].shape:
-            raise ValueError(
-                f"tensor {name!r} has shape {arr.shape}, expected {params[name].shape}"
-            )
-        params[name] = arr.astype(np.float64)

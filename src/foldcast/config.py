@@ -1,8 +1,10 @@
 """Flat run configuration: `key = value` files, '#' comments, flag overrides.
 
 Every key is registered with a type and default; unknown keys are rejected
-with a nearest-key suggestion.  Values are re-validated by the owning module's
-constructors when the typed config objects are built.
+with a nearest-key suggestion.  A key that sets a field of a config dataclass
+takes its default from that dataclass, so the CLI and the Python API agree.
+Values are re-validated by the owning module's constructors when the typed
+config objects are built.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
+from .data import SplitSpec
 from .forecaster import ModelConfig, TrainConfig
 from .rendering import RenderSpec
 from .sma import SmaConfig
+from .spectral import DEFAULT_F_HI, DEFAULT_F_LO
 
 
 class ConfigError(ValueError):
@@ -30,13 +34,16 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+_SPLIT, _MODEL, _TRAIN = SplitSpec(), ModelConfig(), TrainConfig()
+_RENDER, _BACKBONE = _MODEL.render, _MODEL.backbone
+
 # key -> (default, parser, help)
 REGISTRY: dict[str, tuple] = {
     # data
     "csv": ("", str, "dataset CSV path (ETT layout)"),
-    "train_frac": (0.6, float, "chronological train fraction"),
-    "val_frac": (0.2, float, "chronological val fraction"),
-    "test_frac": (0.2, float, "chronological test fraction"),
+    "train_frac": (_SPLIT.train_frac, float, "chronological train fraction"),
+    "val_frac": (_SPLIT.val_frac, float, "chronological val fraction"),
+    "test_frac": (_SPLIT.test_frac, float, "chronological test fraction"),
     "few_shot_ratio": (1.0, float, "fraction of the training segment to keep (earliest-first)"),
     "seq_len": (1440, int, "context length T"),
     "pred_len": (96, int, "horizon length H"),
@@ -51,40 +58,40 @@ REGISTRY: dict[str, tuple] = {
     "synth_noise_std": (0.1, float, "synthetic noise standard deviation"),
     "synth_seed": (7, int, "synthetic generator seed"),
     # rendering
-    "periodicity": (24, int, "fold periodicity P"),
-    "image_size": (224, int, "square image side"),
-    "align_const": (0.4, float, "visible-width proportional scale"),
-    "patch_size": (16, int, "backbone patch size"),
+    "periodicity": (_RENDER.periodicity, int, "fold periodicity P"),
+    "image_size": (_RENDER.image_height, int, "square image side"),
+    "align_const": (_RENDER.align_const, float, "visible-width proportional scale"),
+    "patch_size": (_RENDER.patch_size, int, "backbone patch size"),
     # backbone
-    "d_model": (512, int, "hidden width"),
-    "n_heads": (8, int, "attention heads"),
-    "e_layers": (2, int, "encoder layers"),
-    "d_layers": (1, int, "decoder layers"),
-    "d_ff": (2048, int, "feed-forward width"),
-    "dropout": (0.1, float, "block dropout rate"),
-    "frozen": (True, _bool, "freeze backbone base weights"),
+    "d_model": (_BACKBONE.d_model, int, "hidden width"),
+    "n_heads": (_BACKBONE.n_heads, int, "attention heads"),
+    "e_layers": (_BACKBONE.e_layers, int, "encoder layers"),
+    "d_layers": (_BACKBONE.d_layers, int, "decoder layers"),
+    "d_ff": (_BACKBONE.d_ff, int, "feed-forward width"),
+    "dropout": (_BACKBONE.dropout, float, "block dropout rate"),
+    "frozen": (_BACKBONE.frozen, _bool, "freeze backbone base weights"),
     # adapters / fusion
-    "residual_weight": (0.05, float, "spectral-aligner residual blend weight"),
-    "lora_rank": (4, int, "low-rank adapter rank"),
-    "lora_alpha": (16.0, float, "low-rank adapter scaling factor"),
-    "lora_dropout": (0.1, float, "dropout on the low-rank path"),
-    "use_tga": (True, _bool, "enable the temporal grounding adapter"),
-    "use_sma": (True, _bool, "enable the spectral magnitude aligner"),
+    "residual_weight": (_MODEL.sma.lam, float, "spectral-aligner residual blend weight"),
+    "lora_rank": (_MODEL.lora_rank, int, "low-rank adapter rank"),
+    "lora_alpha": (_MODEL.lora_alpha, float, "low-rank adapter scaling factor"),
+    "lora_dropout": (_MODEL.lora_dropout, float, "dropout on the low-rank path"),
+    "use_tga": (_MODEL.use_tga, _bool, "enable the temporal grounding adapter"),
+    "use_sma": (_MODEL.use_sma, _bool, "enable the spectral magnitude aligner"),
     "fixed_beta": ("", str, "pin fusion beta to a constant (empty = learnable)"),
-    "beta_init": (0.5, float, "initial fusion beta"),
+    "beta_init": (_MODEL.beta_init, float, "initial fusion beta"),
     # training
-    "lr": (1e-3, float, "learning rate (desk default; paper-scale uses 2e-6)"),
-    "batch_size": (32, int, "windows per optimizer step"),
-    "epochs": (10, int, "training epochs"),
-    "patience": (3, int, "early-stopping patience"),
-    "seed": (0, int, "global seed"),
-    "adam_beta1": (0.9, float, "Adam first-moment decay"),
-    "adam_beta2": (0.999, float, "Adam second-moment decay"),
-    "adam_eps": (1e-8, float, "Adam epsilon"),
+    "lr": (_TRAIN.lr, float, "learning rate (desk default; paper-scale uses 2e-6)"),
+    "batch_size": (_TRAIN.batch_size, int, "windows per optimizer step"),
+    "epochs": (_TRAIN.epochs, int, "training epochs"),
+    "patience": (_TRAIN.patience, int, "early-stopping patience"),
+    "seed": (_TRAIN.seed, int, "global seed"),
+    "adam_beta1": (_TRAIN.beta1, float, "Adam first-moment decay"),
+    "adam_beta2": (_TRAIN.beta2, float, "Adam second-moment decay"),
+    "adam_eps": (_TRAIN.eps, float, "Adam epsilon"),
     # spectral analysis
     "pss_samples": (100, int, "number of sampled windows for PSS"),
-    "f_lo": (0.05, float, "power-law fit mask lower bound"),
-    "f_hi": (0.5, float, "power-law fit mask upper bound"),
+    "f_lo": (DEFAULT_F_LO, float, "power-law fit mask lower bound"),
+    "f_hi": (DEFAULT_F_HI, float, "power-law fit mask upper bound"),
     # execution
     "workers": (1, int, "worker count (results are worker-count independent)"),
 }

@@ -19,14 +19,7 @@ import numpy as np
 from . import adapter, backbone as bb, sma
 from .backbone import BackboneConfig
 from .data import TimeSeriesWindow, denormalize, normalize, normalize_target
-from .rendering import (
-    RenderSpec,
-    grayscale,
-    reconstruct,
-    reconstruct_backward,
-    render,
-    to_three_channel,
-)
+from .rendering import RenderSpec, reconstruct, reconstruct_backward, render
 from .sma import EnhancerParams, SmaConfig
 
 
@@ -206,66 +199,84 @@ class ForecastModel:
 
     # -- forward / backward ----------------------------------------------
 
-    def _branch_structural(self, img, vis_cols, train, rng):
-        img3 = to_three_channel(img)
-        tga = self.tga if self.cfg.use_tga else None
-        out3, cache = bb.autoencode(
-            img3,
-            self.bb_params,
-            self.cfg.backbone,
-            vis_cols,
-            lora=self.lora,
-            tga=tga,
-            tga_table=self.tga_table,
-            train=train,
-            rng=rng,
-            lora_drop=self.cfg.lora_dropout,
-        )
-        return grayscale(out3), cache
+    def _branches(self, w: TimeSeriesWindow, train, rng, grads=None):
+        """Normalized-space branch outputs [H, N] of every variable.
 
-    def _branch_spectral(self, img, vis_cols, train, rng):
-        if self.cfg.use_sma:
-            aligned, sma_cache = sma.sma_forward(
-                img, self.enhancer, self.cfg.sma, mode="train" if train else "eval", rng=rng
-            )
-        else:
-            aligned, sma_cache = img, None
-        img3 = to_three_channel(aligned)
-        out3, cache = bb.autoencode(
-            img3, self.bb_params, self.cfg.backbone, vis_cols, train=train, rng=rng
-        )
-        return grayscale(out3), {"bb": cache, "sma": sma_cache}
-
-    def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None, want_cache: bool = False):
-        """Full dual-branch pass over every variable of one window."""
+        With a `grads` dict, each variable's backward runs right after its
+        forward and adds into `grads`, so a variable's caches are released
+        when the next variable's forward rebinds them instead of piling up.
+        Backward draws no random numbers and the aligner's running statistics
+        change only in forward, so the interleaving gives the same gradients
+        as a forward over every variable first.
+        """
         x_norm = normalize(w)
-        T, N = x_norm.shape
-        H = w.target.shape[0]
+        H, N = w.target.shape
+        target = None if grads is None else normalize_target(w)
         beta = self.beta
         y_st = np.zeros((H, N))
         y_sp = np.zeros((H, N))
-        caches = [] if want_cache else None
+        tga = self.tga if self.cfg.use_tga else None
         for v in range(N):
             ri = render(x_norm[:, v], H, self.cfg.render)
             vis_cols = ri.visible_width // self.cfg.render.patch_size
-            g_st, c_st = self._branch_structural(ri.pixels, vis_cols, train, rng)
-            g_sp, c_sp = self._branch_spectral(ri.pixels, vis_cols, train, rng)
-            y_st[:, v] = reconstruct(g_st, ri)
-            y_sp[:, v] = reconstruct(g_sp, ri)
-            if want_cache:
-                caches.append({"ri": ri, "st": c_st, "sp": c_sp})
-        yhat_norm = fuse(y_st, y_sp, beta)
-        pred = denormalize(yhat_norm, w)
-        outcome = ForecastOutcome(
+            out_st, c_st = bb.autoencode(
+                ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, lora=self.lora,
+                tga=tga, tga_table=self.tga_table, train=train, rng=rng,
+                lora_drop=self.cfg.lora_dropout,
+            )
+            if self.cfg.use_sma:
+                aligned, c_sma = sma.sma_forward(
+                    ri.pixels, self.enhancer, self.cfg.sma,
+                    mode="train" if train else "eval", rng=rng,
+                )
+            else:
+                aligned, c_sma = ri.pixels, None
+            out_sp, c_sp = bb.autoencode(
+                aligned, self.bb_params, self.cfg.backbone, vis_cols, train=train, rng=rng
+            )
+            y_st[:, v] = reconstruct(out_st, ri)
+            y_sp[:, v] = reconstruct(out_sp, ri)
+            if grads is not None:
+                g_yhat = 2.0 * (fuse(y_st[:, v], y_sp[:, v], beta) - target[:, v]) / target.size
+                self._backward_variable(
+                    grads, ri, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
+                )
+        return y_st, y_sp
+
+    def _backward_variable(self, grads, ri, g_st, g_sp, c_st, c_sp, c_sma):
+        """Add one variable's gradients, given those of its two branch outputs."""
+        bbg, lg, tg, _ = bb.autoencode_backward(
+            reconstruct_backward(g_st, ri), self.bb_params, self.cfg.backbone, c_st,
+            tga=self.tga if self.cfg.use_tga else None,
+        )
+        self._accumulate(grads, bbg, lg, tg)
+        # the spectral branch has no adapters: its backward feeds only the
+        # base weights and the aligner
+        if self.cfg.backbone.frozen and not self.cfg.use_sma:
+            return
+        bbg, lg, _, g_aligned = bb.autoencode_backward(
+            reconstruct_backward(g_sp, ri), self.bb_params, self.cfg.backbone, c_sp
+        )
+        self._accumulate(grads, bbg, lg, None)
+        if self.cfg.use_sma:
+            sg, _ = sma.sma_backward(g_aligned, c_sma, self.enhancer)
+            for k, val in sg.items():
+                grads[f"sma.{k}"] += val
+
+    def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
+        """Full dual-branch pass over every variable of one window."""
+        y_st, y_sp = self._branches(w, train, rng)
+        return self._outcome(w, y_st, y_sp)
+
+    def _outcome(self, w, y_st, y_sp) -> ForecastOutcome:
+        pred = denormalize(fuse(y_st, y_sp, self.beta), w)
+        return ForecastOutcome(
             prediction=pred,
             y_structural=y_st,
             y_spectral=y_sp,
             mse=mse(pred, w.target),
             mae=mae(pred, w.target),
         )
-        if want_cache:
-            return outcome, {"vars": caches, "yhat_norm": yhat_norm}
-        return outcome
 
     def loss_and_grads(self, w: TimeSeriesWindow, rng=None, train: bool = True):
         """Normalized-space MSE loss and gradients.
@@ -274,41 +285,15 @@ class ForecastModel:
         no `bb.*` key when the backbone is frozen, no `sma.*`, `tga.*` or
         `fuse.beta` key when that part is switched off or fixed.
         """
-        outcome, cache = self.forward(w, train=train, rng=rng, want_cache=True)
-        target = normalize_target(w)
-        yhat = cache["yhat_norm"]
-        diff = yhat - target
-        loss = float(np.mean(diff**2))
-        g_yhat = 2.0 * diff / diff.size
         params = self.named_params()
         grads = {k: np.zeros_like(params[k]) for k in self.trainable_names()}
-        beta = self.beta
+        y_st, y_sp = self._branches(w, train, rng, grads)
+        diff = fuse(y_st, y_sp, self.beta) - normalize_target(w)
+        loss = float(np.mean(diff**2))
         if "fuse.beta" in grads:
-            grads["fuse.beta"][0] = float(
-                np.sum(g_yhat * (outcome.y_structural - outcome.y_spectral))
-            )
-        for v, c in enumerate(cache["vars"]):
-            ri = c["ri"]
-            g_st = beta * g_yhat[:, v]
-            g_sp = (1.0 - beta) * g_yhat[:, v]
-            # structural branch
-            g_img3 = np.repeat(reconstruct_backward(g_st, ri)[None] / 3.0, 3, axis=0)
-            bbg, lg, tg, _ = bb.autoencode_backward(
-                g_img3, self.bb_params, self.cfg.backbone, c["st"],
-                tga=self.tga if self.cfg.use_tga else None,
-            )
-            self._accumulate(grads, bbg, lg, tg)
-            # spectral branch
-            g_img3 = np.repeat(reconstruct_backward(g_sp, ri)[None] / 3.0, 3, axis=0)
-            bbg, lg, _, g_in3 = bb.autoencode_backward(
-                g_img3, self.bb_params, self.cfg.backbone, c["sp"]["bb"]
-            )
-            self._accumulate(grads, bbg, lg, None)
-            if self.cfg.use_sma:
-                sg, _ = sma.sma_backward(g_in3.sum(axis=0), c["sp"]["sma"], self.enhancer)
-                for k, val in sg.items():
-                    grads[f"sma.{k}"] += val
-        return loss, grads, outcome
+            g_yhat = 2.0 * diff / diff.size
+            grads["fuse.beta"][0] = float(np.sum(g_yhat * (y_st - y_sp)))
+        return loss, grads, self._outcome(w, y_st, y_sp)
 
     def _accumulate(self, grads, bb_grads, lora_grads, tga_grads):
         for k, val in bb_grads.items():
@@ -361,8 +346,9 @@ def adam_step(params, grads, state: AdamState, cfg: TrainConfig) -> None:
 def _val_loss(model: ForecastModel, windows) -> float:
     total = 0.0
     for w in windows:
-        outcome, cache = model.forward(w, train=False, want_cache=True)
-        diff = cache["yhat_norm"] - normalize_target(w)
+        outcome = model.forward(w, train=False)
+        yhat_norm = fuse(outcome.y_structural, outcome.y_spectral, model.beta)
+        diff = yhat_norm - normalize_target(w)
         total += float(np.mean(diff**2))
     return total / len(windows)
 
@@ -602,8 +588,8 @@ def _gradcheck_backbone(seed, inject_fault):
         e_layers=2, d_layers=1, d_ff=32, dropout=0.0, frozen=False,
     )
     params = bb.init_backbone(cfg, rng)
-    img = rng.normal(size=(3, 32, 32))
-    gout = rng.normal(size=(3, 32, 32))
+    img = rng.normal(size=(32, 32))
+    gout = rng.normal(size=(32, 32))
 
     def loss():
         out, _ = bb.autoencode(img, params, cfg, vis_cols=2)

@@ -23,7 +23,6 @@ class RenderSpec:
     image_width: int = 224
     align_const: float = 0.4
     patch_size: int = 16
-    interpolation: str = "bilinear"
 
     def __post_init__(self):
         if self.periodicity < 1:
@@ -32,8 +31,6 @@ class RenderSpec:
             raise ValueError("image dims must be divisible by patch_size")
         if not 0.0 < self.align_const <= 1.0:
             raise ValueError("align_const must lie in (0, 1]")
-        if self.interpolation != "bilinear":
-            raise ValueError(f"unsupported interpolation {self.interpolation!r}")
 
 
 @dataclass(frozen=True)
@@ -169,17 +166,6 @@ def render(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> Rend
         horizon_len=horizon_len,
         spec=spec,
     )
-
-
-def to_three_channel(img: np.ndarray) -> np.ndarray:
-    """Replicate a grayscale image across three identical channels."""
-    img = np.asarray(img, dtype=np.float64)
-    return np.repeat(img[None, :, :], 3, axis=0)
-
-
-def grayscale(img3: np.ndarray) -> np.ndarray:
-    """Mean over channels; inverse of to_three_channel for replicated input."""
-    return np.asarray(img3, dtype=np.float64).mean(axis=0)
 
 
 def reconstruct(decoded: np.ndarray, prov: RenderedImage) -> np.ndarray:

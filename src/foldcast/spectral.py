@@ -56,22 +56,10 @@ class ModalityStats:
     n: int
 
 
-def dft2(image: np.ndarray) -> np.ndarray:
-    """Unnormalized 2D DFT (textbook double-sum convention)."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError("dft2 expects a 2-D array")
-    return np.fft.fft2(image)
-
-
-def idft2(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dft2 (includes the 1/(H*W) normalization)."""
-    return np.fft.ifft2(coeffs)
-
-
 def power_centered(image: np.ndarray) -> PowerSpectrum2D:
-    """Squared DFT magnitude with the zero frequency shifted to the center."""
-    coeffs = np.fft.fftshift(dft2(image))
+    """Squared magnitude of the unnormalized 2-D DFT, zero frequency shifted
+    to the center."""
+    coeffs = np.fft.fftshift(np.fft.fft2(image))
     return PowerSpectrum2D(power=np.abs(coeffs) ** 2)
 
 

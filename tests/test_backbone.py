@@ -3,6 +3,7 @@ import pytest
 
 from foldcast import adapter, backbone as bb
 from foldcast.backbone import BackboneConfig
+from tests.test_forecaster import desk_model
 
 
 def toy_config(**kw):
@@ -16,39 +17,39 @@ def toy_config(**kw):
 
 class TestPatchify:
     def test_count_at_full_scale(self):
-        img = np.zeros((3, 224, 224))
-        assert bb.patchify(img, 16).shape == (196, 3 * 256)
+        img = np.zeros((224, 224))
+        assert bb.patchify(img, 16).shape == (196, 256)
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)
-        img = rng.normal(size=(3, 32, 32))
+        img = rng.normal(size=(32, 32))
         p = bb.patchify(img, 8)
         assert np.array_equal(bb.unpatchify(p, (4, 4), 8), img)
 
     def test_reading_order(self):
-        img = np.zeros((3, 4, 4))
-        img[:, 0:2, 2:4] = 1.0  # second patch in row-major order
+        img = np.zeros((4, 4))
+        img[0:2, 2:4] = 1.0  # second patch in row-major order
         p = bb.patchify(img, 2)
         assert np.all(p[1] == 1.0)
         assert np.all(p[[0, 2, 3]] == 0.0)
 
     def test_non_divisible(self):
         with pytest.raises(ValueError, match="divisible"):
-            bb.patchify(np.zeros((3, 10, 10)), 3)
+            bb.patchify(np.zeros((10, 10)), 3)
 
 
 class TestEmbed:
     def test_zero_patches_give_bias(self):
         cfg = toy_config()
         params = bb.init_backbone(cfg, np.random.default_rng(1))
-        out = bb.embed(np.zeros((5, cfg.patch_dim)), params)
+        out = bb.embed(np.zeros((5, cfg.patch_size**2)), params)
         assert np.allclose(out, np.tile(params["patch_embed.b"], (5, 1)))
 
     def test_linearity(self):
         cfg = toy_config()
         params = bb.init_backbone(cfg, np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, cfg.patch_dim))
+        x = rng.normal(size=(4, cfg.patch_size**2))
         base = bb.embed(np.zeros_like(x), params)
         a = 2.7
         lhs = bb.embed(a * x, params) - base
@@ -111,6 +112,29 @@ class TestGelu:
         assert np.all(np.abs(y - y_ref) <= 1e-15 * np.abs(x))
 
 
+class TestSingleChannelFold:
+    def test_equals_replicate_embed_and_head_channel_mean(self):
+        cfg = toy_config()
+        rng = np.random.default_rng(31)
+        params = bb.init_backbone(cfg, rng)
+        params["patch_embed.b"] = rng.normal(size=params["patch_embed.b"].shape)
+        params["head.b"] = rng.normal(size=params["head.b"].shape)
+        p2 = cfg.patch_size**2
+        patches = bb.patchify(rng.normal(size=(32, 32)), cfg.patch_size)
+        # three identical channels, channel-major inside each 3p² patch vector
+        patches3 = np.concatenate([patches] * 3, axis=1)
+        tokens3 = patches3 @ params["patch_embed.w"].T + params["patch_embed.b"]
+        tokens = bb.embed(patches, params)
+        assert np.abs(tokens - tokens3).max() <= 1e-12 * np.abs(tokens3).max()
+        vis = bb.visible_indices((4, 4), 2)
+        latent = rng.normal(size=(vis.size, cfg.d_model))
+        out, cache = bb.decode_with_mask_tokens(latent, vis, params, cfg)
+        out3 = cache["n"] @ params["head.w"].T + params["head.b"]
+        mean3 = out3.reshape(-1, 3, p2).mean(axis=1)
+        assert out.shape == (cfg.n_patches, p2)
+        assert np.abs(out - mean3).max() <= 1e-12 * np.abs(mean3).max()
+
+
 class TestDecode:
     def test_all_visible_full_grid(self):
         cfg = toy_config()
@@ -118,7 +142,7 @@ class TestDecode:
         vis = bb.visible_indices((4, 4), 4)
         latent = np.random.default_rng(12).normal(size=(16, cfg.d_model))
         out, _ = bb.decode_with_mask_tokens(latent, vis, params, cfg)
-        assert out.shape == (16, cfg.patch_dim)
+        assert out.shape == (16, cfg.patch_size**2)
 
     def test_zero_mask_token_zero_decoder_zero_masked_region(self):
         # d_layers=0 and identity head expose the pre-decoder grid directly
@@ -134,8 +158,8 @@ class TestDecode:
         latent = np.random.default_rng(14).normal(size=(vis.size, cfg.d_model))
         out, _ = bb.decode_with_mask_tokens(latent, vis, params, cfg)
         img = bb.unpatchify(out, (4, 4), cfg.patch_size)
-        assert np.all(img[:, :, 16:] == 0.0)  # masked columns stay zero
-        assert np.any(img[:, :, :16] != 0.0)
+        assert np.all(img[:, 16:] == 0.0)  # masked columns stay zero
+        assert np.any(img[:, :16] != 0.0)
 
     def test_count_mismatch(self):
         cfg = toy_config()
@@ -150,7 +174,7 @@ class TestBaselineEquivalence:
         cfg = toy_config()
         params = bb.init_backbone(cfg, np.random.default_rng(16))
         rng = np.random.default_rng(17)
-        img = rng.normal(size=(3, 32, 32))
+        img = rng.normal(size=(32, 32))
         lora = {
             f"enc{i}": {n: adapter.init_lora(rng, cfg.d_model, 2, 16.0) for n in ("q", "k", "v")}
             for i in range(cfg.e_layers)
@@ -162,7 +186,7 @@ class TestBaselineEquivalence:
     def test_eval_determinism(self):
         cfg = toy_config()
         params = bb.init_backbone(cfg, np.random.default_rng(18))
-        img = np.random.default_rng(19).normal(size=(3, 32, 32))
+        img = np.random.default_rng(19).normal(size=(32, 32))
         a, _ = bb.autoencode(img, params, cfg, vis_cols=3)
         b, _ = bb.autoencode(img, params, cfg, vis_cols=3)
         assert np.array_equal(a, b)
@@ -170,7 +194,7 @@ class TestBaselineEquivalence:
     def test_dropout_train_vs_eval(self):
         cfg = toy_config(dropout=0.3)
         params = bb.init_backbone(cfg, np.random.default_rng(20))
-        img = np.random.default_rng(21).normal(size=(3, 32, 32))
+        img = np.random.default_rng(21).normal(size=(32, 32))
         ev, _ = bb.autoencode(img, params, cfg, vis_cols=2)
         tr, _ = bb.autoencode(img, params, cfg, vis_cols=2, train=True, rng=np.random.default_rng(0))
         assert not np.allclose(ev, tr)
@@ -183,7 +207,7 @@ class TestFrozen:
         params = bb.init_backbone(cfg, rng)
         lora = {"enc0": {"q": adapter.init_lora(rng, cfg.d_model, 2, 8.0)}}
         lora["enc0"]["q"].B = rng.normal(0.0, 0.1, size=(cfg.d_model, 2))
-        img = np.random.default_rng(23).normal(size=(3, 32, 32))
+        img = np.random.default_rng(23).normal(size=(32, 32))
         out, cache = bb.autoencode(img, params, cfg, vis_cols=2, lora=lora)
         grads, lora_grads, _, gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache)
         assert grads == {}
@@ -194,7 +218,7 @@ class TestFrozen:
     def test_zero_upstream_zero_grads(self):
         cfg = toy_config(frozen=False)
         params = bb.init_backbone(cfg, np.random.default_rng(24))
-        img = np.random.default_rng(25).normal(size=(3, 32, 32))
+        img = np.random.default_rng(25).normal(size=(32, 32))
         out, cache = bb.autoencode(img, params, cfg, vis_cols=2)
         grads, _, _, gimg = bb.autoencode_backward(np.zeros_like(out), params, cfg, cache)
         assert all(np.all(g == 0.0) for g in grads.values())
@@ -225,26 +249,26 @@ class TestNamedTensorFile:
         with pytest.raises(ValueError, match="truncated"):
             bb.read_weights(path)
 
+    # checkpoint validation happens in ForecastModel.load, the one loader
     def test_unknown_name_rejected_with_list(self, tmp_path):
-        path = tmp_path / "w.ntf"
-        bb.save_weights(path, {"a": np.zeros(3), "mystery": np.zeros(2)})
-        params = {"a": np.zeros(3)}
-        with pytest.raises(ValueError, match="mystery"):
-            bb.load_weights(path, params)
+        path = tmp_path / "m.ntf"
+        bb.save_weights(path, {**desk_model().state_tensors(), "mystery": np.zeros(2)})
+        with pytest.raises(ValueError, match=r"unknown tensor names: \['mystery'\]"):
+            desk_model().load(path)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
-        path = tmp_path / "w.ntf"
-        bb.save_weights(path, {"a": np.zeros((3, 4))})
-        params = {"a": np.zeros((3, 5))}
-        with pytest.raises(ValueError, match="'a'"):
-            bb.load_weights(path, params)
+        path = tmp_path / "m.ntf"
+        bb.save_weights(path, {**desk_model().state_tensors(), "bb.head.b": np.zeros(5)})
+        with pytest.raises(ValueError, match=r"tensor 'bb\.head\.b' has shape"):
+            desk_model().load(path)
 
     def test_missing_name_rejected(self, tmp_path):
-        path = tmp_path / "w.ntf"
-        bb.save_weights(path, {"a": np.zeros(3)})
-        params = {"a": np.zeros(3), "b": np.zeros(2)}
-        with pytest.raises(ValueError, match="missing"):
-            bb.load_weights(path, params)
+        path = tmp_path / "m.ntf"
+        tensors = desk_model().state_tensors()
+        del tensors["tga.w_fusion"]
+        bb.save_weights(path, tensors)
+        with pytest.raises(ValueError, match=r"missing tensor names: \['tga\.w_fusion'\]"):
+            desk_model().load(path)
 
     def test_every_truncation_raises_value_error(self, tmp_path):
         path = tmp_path / "w.ntf"

@@ -6,7 +6,8 @@ import pytest
 
 from foldcast import pgm
 from foldcast.cli import main
-from foldcast.config import ConfigError, parse_config
+from foldcast.config import ConfigError, model_config, parse_config, train_config
+from foldcast.forecaster import ModelConfig, TrainConfig
 
 DESK = [
     "synth_kind=sinusoid_mix", "synth_length=400", "synth_period=8",
@@ -36,6 +37,9 @@ class TestConfig:
         assert cfg["norm_const"] == 0.4
         assert cfg["align_const"] == 0.4
         assert cfg["patience"] == 3
+        # one source of defaults: the CLI registry agrees with the dataclasses
+        assert model_config(cfg) == ModelConfig()
+        assert train_config(cfg) == TrainConfig()
 
     def test_file_then_override(self, tmp_path):
         p = tmp_path / "run.cfg"

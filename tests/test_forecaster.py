@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,11 +207,39 @@ class TestFrozenGradients:
             assert np.array_equal(g_f[name], g_u[name]), name
         assert all(np.any(g_f[n] != 0.0) for n in g_f if n.startswith("lora."))
 
-    def test_grads_cover_exactly_trainable_names(self):
+    def test_grads_cover_exactly_trainable_names(self, monkeypatch):
         model = desk_model(frozen=True, use_sma=False, use_tga=False, fixed_beta=0.3)
-        _, grads, _ = model.loss_and_grads(toy_windows(1)[0], train=False)
+        calls = []
+        backward = fc.bb.autoencode_backward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(fc.bb, "autoencode_backward", counted)
+        _, grads, _ = model.loss_and_grads(toy_windows(1, n_vars=3)[0], train=False)
         assert sorted(grads) == sorted(model.trainable_names())
         assert all(k.startswith("lora.") for k in grads)
+        # nothing upstream of the spectral branch trains: one backward per variable
+        assert len(calls) == 3
+
+    @staticmethod
+    def _peak_bytes(model, w):
+        model.loss_and_grads(w, train=False)  # warm-up: one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(w, train=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_variables(self):
+        # each variable's backward runs right after its forward, so only one
+        # variable's caches are alive at a time
+        model = desk_model(frozen=True)
+        one = self._peak_bytes(model, toy_windows(1, n_vars=1)[0])
+        six = self._peak_bytes(model, toy_windows(1, n_vars=6)[0])
+        assert six < 1.5 * one, (six, one)
 
 
 class TestTraining:

@@ -215,14 +215,3 @@ class TestRenderReconstruct:
         rhs = np.sum(decoded * rd.reconstruct_backward(gout, ri))
         assert abs(lhs - rhs) < 1e-10
 
-
-class TestChannels:
-    def test_replicate_and_back(self):
-        rng = np.random.default_rng(10)
-        img = rng.normal(size=(5, 7))
-        img3 = rd.to_three_channel(img)
-        assert all(np.array_equal(img3[c], img) for c in range(3))
-        assert np.abs(rd.grayscale(img3) - img).max() < 1e-15
-
-    def test_zero(self):
-        assert np.all(rd.to_three_channel(np.zeros((2, 2))) == 0.0)

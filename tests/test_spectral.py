@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foldcast import data, pgm, spectral
+from foldcast import data, pgm, sma, spectral
 from foldcast.rendering import RenderSpec
 
 
@@ -33,32 +33,36 @@ def radial_oracle(power):
 
 
 class TestDft2:
+    """The package's 2-D DFT: centered power in power_centered, half spectrum in sma.rfft2."""
+
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(0)
         img = rng.normal(size=(4, 4))
-        assert np.abs(spectral.dft2(img) - dft2_oracle(img)).max() < 1e-10
+        expect = np.abs(np.fft.fftshift(dft2_oracle(img))) ** 2
+        assert np.abs(spectral.power_centered(img).power - expect).max() < 1e-10
 
     def test_constant_image(self):
-        X = spectral.dft2(np.full((3, 5), 2.0))
-        assert X[0, 0] == pytest.approx(2.0 * 15, abs=1e-12)
-        X[0, 0] = 0
-        assert np.abs(X).max() < 1e-12
+        P = spectral.power_centered(np.full((3, 5), 2.0)).power
+        assert P[1, 2] == pytest.approx((2.0 * 15) ** 2, rel=1e-12)
+        P[1, 2] = 0
+        assert np.sqrt(P).max() < 1e-12  # off-center magnitudes vanish
 
     def test_delta_gives_ones(self):
         img = np.zeros((4, 6))
         img[0, 0] = 1.0
-        assert np.abs(spectral.dft2(img) - 1.0).max() < 1e-12
+        assert np.abs(spectral.power_centered(img).power - 1.0).max() < 1e-12
+        assert np.abs(sma.rfft2(img) - 1.0).max() < 1e-12
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(1)
-        img = rng.normal(size=(7, 5))
-        assert np.abs(spectral.idft2(spectral.dft2(img)) - img).max() < 1e-10
+        img = rng.normal(size=(7, 6))
+        assert np.abs(sma.irfft2(sma.rfft2(img), 7, 6) - img).max() < 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
         img = rng.normal(size=(8, 8))
         spatial = np.sum(img**2)
-        freq = np.sum(np.abs(spectral.dft2(img)) ** 2) / img.size
+        freq = np.sum(spectral.power_centered(img).power) / img.size
         assert abs(spatial - freq) / spatial < 1e-9
 
 
