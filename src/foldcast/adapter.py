@@ -21,10 +21,6 @@ class TgaParams:
     w_fusion: np.ndarray  # shape-(1,) gate logit, kept as an array for in-place updates
 
     @property
-    def dim(self) -> int:
-        return self.W_proj.shape[0]
-
-    @property
     def gate(self) -> float:
         return float(sigmoid(self.w_fusion)[0])
 
@@ -114,8 +110,6 @@ def lora_apply(W: np.ndarray, f: LoraFactor) -> np.ndarray:
         raise ValueError(
             f"factor shapes A{f.A.shape} B{f.B.shape} do not match weight {W.shape}"
         )
-    if not np.any(f.B):
-        return W.copy()
     return W + f.scale * (f.B @ f.A)
 
 
@@ -129,19 +123,18 @@ def lora_project(
     """y = x @ W^T + b plus the low-rank path; returns (y, cache).
 
     `drop_scale` is an inverted-dropout mask applied to the low-rank path's
-    input only.  The low-rank term is skipped when B is identically zero so
-    that a zero-initialized factor leaves the base projection bit-identical.
+    input only.  A zero-initialized B adds an exact zero, so the output equals
+    the base projection bit for bit.
     """
     y = x @ W.T + b
     cache = {"x": x, "xa": None, "drop_scale": drop_scale}
     if f is not None:
         xd = x * drop_scale if drop_scale is not None else x
-        xa = xd @ f.A.T  # cached even when skipped: dL/dB needs it
+        xa = xd @ f.A.T
         cache["xa"] = xa
         cache["xd"] = xd
         cache["factor"] = f
-        if np.any(f.B):
-            y = y + f.scale * (xa @ f.B.T)
+        y = y + f.scale * (xa @ f.B.T)
     return y, cache
 
 

@@ -509,7 +509,9 @@ def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
 def read_weights(path) -> dict[str, np.ndarray]:
     """Read an NTF1 file back into a name -> array dict.
 
-    A truncated or malformed file raises ValueError naming the path and the
+    The arrays are read-only little-endian views of the file's bytes, so the
+    file is held in memory once; copy an array before writing to it.  A
+    truncated or malformed file raises ValueError naming the path and the
     byte offset where decoding stopped.
     """
     with open(path, "rb") as fh:
@@ -543,12 +545,11 @@ def read_weights(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         shape = take(f"<{rank}I")
         dtype = _DTYPES[code]
-        nbytes = math.prod(shape) * dtype.itemsize
-        if off + nbytes > len(raw):
+        count = math.prod(shape)
+        if off + count * dtype.itemsize > len(raw):
             raise ValueError(f"{path}: truncated payload for tensor {name!r} at byte {off}")
-        arr = np.frombuffer(raw[off : off + nbytes], dtype=dtype).reshape(shape)
-        off += nbytes
         if name in out:
             raise ValueError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = arr.astype(arr.dtype.newbyteorder("="))
+        out[name] = np.frombuffer(raw, dtype, count, off).reshape(shape)
+        off += count * dtype.itemsize
     return out

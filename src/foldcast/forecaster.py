@@ -20,7 +20,7 @@ from . import adapter, backbone as bb, sma
 from .backbone import BackboneConfig
 from .data import TimeSeriesWindow, denormalize, normalize, normalize_target
 from .rendering import RenderSpec, reconstruct, reconstruct_backward, render
-from .sma import EnhancerParams, SmaConfig
+from .sma import SmaConfig
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ def fuse(y_st: np.ndarray, y_sp: np.ndarray, beta: float) -> np.ndarray:
     """Convex combination beta * y_st + (1 - beta) * y_sp."""
     if y_st.shape != y_sp.shape:
         raise ValueError(f"branch shapes differ: {y_st.shape} vs {y_sp.shape}")
-    if beta == 1.0:
-        return y_st.copy()
-    if beta == 0.0:
-        return y_sp.copy()
     return beta * y_st + (1.0 - beta) * y_sp
 
 
@@ -226,8 +222,7 @@ class ForecastModel:
             )
             if self.cfg.use_sma:
                 aligned, c_sma = sma.sma_forward(
-                    ri.pixels, self.enhancer, self.cfg.sma,
-                    mode="train" if train else "eval", rng=rng,
+                    ri.pixels, self.enhancer, self.cfg.sma, train=train, rng=rng
                 )
             else:
                 aligned, c_sma = ri.pixels, None

@@ -10,7 +10,6 @@ period grid and unfolding column-major.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,48 +78,37 @@ def unfold_from_grid(grid: np.ndarray) -> np.ndarray:
 
 
 def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel centers and edge clamping.
+    """Bilinear resize with half-pixel centers and edge clamping: R_h @ grid @ R_w^T.
 
     Source coordinate for output index i is (i + 0.5) * in/out - 0.5, clamped
-    to the valid range; equal input/output dims return the input unchanged.
+    to the valid range.  An axis of unchanged size has R = I, so equal
+    input/output dims give a finite input back bit for bit.
     """
     grid = np.asarray(grid, dtype=np.float64)
     in_h, in_w = grid.shape
-    if (out_h, out_w) == (in_h, in_w):
-        return grid.copy()
-    y0, y1, ty = _sample_axis(in_h, out_h)
-    x0, x1, tx = _sample_axis(in_w, out_w)
-    ty = ty[:, None]
-    tx = tx[None, :]
-    top = grid[np.ix_(y0, x0)] * (1 - tx) + grid[np.ix_(y0, x1)] * tx
-    bot = grid[np.ix_(y1, x0)] * (1 - tx) + grid[np.ix_(y1, x1)] * tx
-    return top * (1 - ty) + bot * ty
+    return _interp_matrix(in_h, out_h) @ grid @ _interp_matrix(in_w, out_w).T
 
 
 def resize_bilinear_backward(grad_out: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
-    """Adjoint of resize_bilinear (scatter-add with the same weights)."""
+    """Adjoint of resize_bilinear: R_h^T @ grad_out @ R_w."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     out_h, out_w = grad_out.shape
-    if (out_h, out_w) == (in_h, in_w):
-        return grad_out.copy()
-    y0, y1, ty = _sample_axis(in_h, out_h)
-    x0, x1, tx = _sample_axis(in_w, out_w)
-    ty = ty[:, None]
-    tx = tx[None, :]
-    gin = np.zeros((in_h, in_w))
-    np.add.at(gin, np.ix_(y0, x0), grad_out * (1 - ty) * (1 - tx))
-    np.add.at(gin, np.ix_(y0, x1), grad_out * (1 - ty) * tx)
-    np.add.at(gin, np.ix_(y1, x0), grad_out * ty * (1 - tx))
-    np.add.at(gin, np.ix_(y1, x1), grad_out * ty * tx)
-    return gin
+    return _interp_matrix(in_h, out_h).T @ grad_out @ _interp_matrix(in_w, out_w)
 
 
-def _sample_axis(n_in: int, n_out: int):
+def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """[n_out, n_in] bilinear weights along one axis: row i holds 1 - t and t
+    at the two source samples that output i interpolates between."""
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
     i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, src - i0
+    t = src - i0
+    rows = np.arange(n_out)
+    m = np.zeros((n_out, n_in))
+    m[rows, i0] = 1.0 - t
+    m[rows, i1] += t
+    return m
 
 
 def layout_widths(T: int, H: int, spec: RenderSpec) -> tuple[int, int]:

@@ -3,14 +3,15 @@ preserving its phase, then blend residually with the input.
 
 Forward chain: rfft2 -> (magnitude, phase) -> conv/BN/ReLU/dropout/conv stack on
 the magnitude -> recombine with the original phase -> irfft2 -> residual blend
-I + lam * (I_enhanced - I).  All gradients are hand-derived; irfft2 is defined
-as Re(ifft2(hermitian_embed(.))) so that its adjoint is exact even when the
-enhanced half-spectrum is no longer Hermitian-consistent in the edge columns.
+I + lam * (I_enhanced - I).  All gradients are hand-derived.  irfft2 is numpy's
+real inverse FFT, a real-linear map on any half-spectrum, including one whose
+edge columns (0 and W/2) are no longer Hermitian-consistent after enhancement;
+the adjoints of rfft2 and irfft2 are written in closed form against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,30 +77,31 @@ def rfft2(image: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(image)
 
 
-def hermitian_embed(hs: np.ndarray, W: int) -> np.ndarray:
-    """Extend a half-spectrum [H, W/2+1] to a full [H, W] spectrum."""
-    H, Wh = hs.shape
+def irfft2(hs: np.ndarray, H: int, W: int) -> np.ndarray:
+    """Inverse of rfft2: numpy's irfft2 of a half-spectrum [H, W/2+1] to [H, W].
+
+    numpy inverts along H first, then takes the real inverse along W, which
+    reads only the real part of columns 0 and W/2.  On a half-spectrum whose
+    edge columns are not Hermitian-consistent this is the real part of the
+    inverse 2D DFT of its Hermitian extension, a real-linear map.
+    """
+    Hs, Wh = hs.shape
+    if Hs != H:
+        raise ValueError(f"half-spectrum height {Hs} != H={H}")
     if Wh != W // 2 + 1 or W % 2:
         raise ValueError(f"half-spectrum width {Wh} does not match even W={W}")
-    full = np.zeros((H, W), dtype=np.complex128)
-    full[:, :Wh] = hs
-    rows_rev = (-np.arange(H)) % H
-    full[:, Wh:] = np.conj(hs[rows_rev][:, 1 : W // 2][:, ::-1])
-    return full
-
-
-def irfft2(hs: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Inverse of rfft2: Re(ifft2(hermitian_embed(hs)))."""
-    if hs.shape[0] != H:
-        raise ValueError(f"half-spectrum height {hs.shape[0]} != H={H}")
-    return np.fft.ifft2(hermitian_embed(hs, W)).real
+    return np.fft.irfft2(hs, s=(H, W))
 
 
 def rfft2_adjoint(grad_hs: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Adjoint of rfft2 as a real-linear map (gradient wrt the input image)."""
-    full = np.zeros((H, W), dtype=np.complex128)
-    full[:, : W // 2 + 1] = grad_hs
-    return np.fft.ifft2(full).real * (H * W)
+    """Adjoint of rfft2 as a real-linear map (gradient wrt the input image).
+
+    irfft2 counts each interior column twice, through its Hermitian mirror;
+    halving those columns makes it H*W times the adjoint of rfft2.
+    """
+    g = np.array(grad_hs, dtype=np.complex128)
+    g[:, 1 : W // 2] *= 0.5
+    return irfft2(g, H, W) * (H * W)
 
 
 def irfft2_adjoint(grad_image: np.ndarray, W: int) -> np.ndarray:
@@ -110,8 +112,7 @@ def irfft2_adjoint(grad_image: np.ndarray, W: int) -> np.ndarray:
     """
     g = np.asarray(grad_image, dtype=np.float64)
     H = g.shape[0]
-    full = np.fft.fft2(g) / (H * W)
-    out = full[:, : W // 2 + 1].copy()
+    out = np.fft.rfft2(g) / (H * W)
     out[:, 1 : W // 2] *= 2.0
     return out
 
@@ -190,15 +191,12 @@ def _bn_backward(g, cache, p: EnhancerParams):
 # enhancer and full aligner
 
 
-def enhancer_forward(A: np.ndarray, p: EnhancerParams, mode: str = "eval", rng=None):
+def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=None):
     """Conv -> BN -> ReLU -> dropout -> conv on the magnitude spectrum.
 
     Returns (A_enhanced, cache); cache records everything backward needs,
     including the dropout mask, so train-mode gradients are exact.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
     x0 = A[None, :, :]
     h1 = conv3x3(x0, p.conv1_w, p.conv1_b)
     h2, bn_cache = _bn_forward(h1, p, train)
@@ -247,7 +245,7 @@ def sma_forward(
     image: np.ndarray,
     p: EnhancerParams,
     cfg: SmaConfig,
-    mode: str = "eval",
+    train: bool = False,
     rng=None,
 ):
     """Full aligner pass; returns (blended image, cache for backward)."""
@@ -255,13 +253,10 @@ def sma_forward(
     H, W = I.shape
     F = rfft2(I)
     A, phi = decompose(F)
-    A_enh, enh_cache = enhancer_forward(A, p, mode, rng)
+    A_enh, enh_cache = enhancer_forward(A, p, train, rng)
     Fp = recombine(A_enh, phi)
     I_enh = irfft2(Fp, H, W)
-    if cfg.lam == 0.0:
-        out = I.copy()
-    else:
-        out = I + cfg.lam * (I_enh - I)
+    out = I + cfg.lam * (I_enh - I)
     cache = {
         "A": A,
         "phi": phi,
@@ -280,9 +275,6 @@ def sma_backward(grad_out: np.ndarray, cache, p: EnhancerParams):
     lam = cache["lam"]
     g = np.asarray(grad_out, dtype=np.float64)
     g_image = (1.0 - lam) * g
-    if lam == 0.0:
-        zero = {k: np.zeros_like(getattr(p, k)) for k in p.grad_keys()}
-        return zero, g_image
     g_enh_img = lam * g
 
     gFp = irfft2_adjoint(g_enh_img, W)

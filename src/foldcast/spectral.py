@@ -22,15 +22,6 @@ DEFAULT_F_HI = 0.5
 
 
 @dataclass(frozen=True)
-class PowerSpectrum2D:
-    power: np.ndarray  # [H, W], zero frequency at (H//2, W//2)
-
-    @property
-    def shape(self):
-        return self.power.shape
-
-
-@dataclass(frozen=True)
 class RadialSpectrum:
     freqs: np.ndarray  # f_k = k / r_max, strictly increasing
     power: np.ndarray  # mean power per annulus
@@ -56,11 +47,11 @@ class ModalityStats:
     n: int
 
 
-def power_centered(image: np.ndarray) -> PowerSpectrum2D:
-    """Squared magnitude of the unnormalized 2-D DFT, zero frequency shifted
-    to the center."""
+def power_centered(image: np.ndarray) -> np.ndarray:
+    """Squared magnitude of the unnormalized 2-D DFT [H, W], zero frequency
+    shifted to the center (H//2, W//2)."""
     coeffs = np.fft.fftshift(np.fft.fft2(image))
-    return PowerSpectrum2D(power=np.abs(coeffs) ** 2)
+    return np.abs(coeffs) ** 2
 
 
 def radial_distances(H: int, W: int) -> np.ndarray:
@@ -69,12 +60,13 @@ def radial_distances(H: int, W: int) -> np.ndarray:
     return np.sqrt(u * u + v * v)
 
 
-def radial_average(ps: PowerSpectrum2D) -> RadialSpectrum:
-    """Mean power per integer radial bin, bin(r) = floor(r); f_k = k / r_max."""
-    H, W = ps.shape
+def radial_average(power: np.ndarray) -> RadialSpectrum:
+    """Mean of a centered power spectrum per integer radial bin, bin(r) =
+    floor(r); f_k = k / r_max."""
+    H, W = power.shape
     r = radial_distances(H, W)
     bins = np.floor(r).astype(np.int64).ravel()
-    power = ps.power.ravel()
+    power = power.ravel()
     counts = np.bincount(bins)
     sums = np.bincount(bins, weights=power)
     keep = counts > 0

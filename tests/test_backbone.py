@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,21 @@ class TestNamedTensorFile:
         arr = np.arange(6, dtype=np.float32).reshape(2, 3)
         bb.save_weights(path, {"x": arr})
         assert np.array_equal(bb.read_weights(path)["x"], arr)
+
+    def test_read_holds_the_file_once(self, tmp_path):
+        # the arrays are views of the file's bytes, not copies of them
+        path = tmp_path / "w.ntf"
+        rng = np.random.default_rng(27)
+        bb.save_weights(path, {f"t{i}": rng.normal(size=(64, 256)) for i in range(8)})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = bb.read_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, (peak, size)
+        assert not loaded["t0"].flags.writeable
 
 
 class TestVisibleIndices:

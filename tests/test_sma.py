@@ -103,7 +103,7 @@ class TestEnhancer:
         p.conv1_w[:] = 0
         p.conv2_w[:] = 0
         A = np.random.default_rng(1).uniform(0, 2, size=(6, 5))
-        out, _ = sma.enhancer_forward(A, p, "eval")
+        out, _ = sma.enhancer_forward(A, p, train=False)
         assert np.all(out == 0.0)
 
     def test_bias_only_constant(self):
@@ -112,7 +112,7 @@ class TestEnhancer:
         p.conv2_w[:] = 0
         p.conv2_b[:] = 1.75
         A = np.random.default_rng(1).uniform(0, 2, size=(6, 5))
-        out, _ = sma.enhancer_forward(A, p, "eval")
+        out, _ = sma.enhancer_forward(A, p, train=False)
         assert np.all(out == 1.75)
 
     def test_matches_conv_oracle(self):
@@ -121,7 +121,7 @@ class TestEnhancer:
         p.bn_running_mean = rng.normal(size=4) * 0.1
         p.bn_running_var = rng.uniform(0.5, 1.5, size=4)
         A = rng.uniform(0, 2, size=(6, 6))
-        out, _ = sma.enhancer_forward(A, p, "eval")
+        out, _ = sma.enhancer_forward(A, p, train=False)
         h1 = conv_oracle(A[None], p.conv1_w, p.conv1_b)
         inv = 1.0 / np.sqrt(p.bn_running_var + p.bn_eps)
         h2 = p.bn_gamma[:, None, None] * (h1 - p.bn_running_mean[:, None, None]) * inv[:, None, None] + p.bn_beta[:, None, None]
@@ -133,7 +133,7 @@ class TestEnhancer:
         rng = np.random.default_rng(8)
         p = sma.init_enhancer(rng, channels=2, dropout_rate=0.0)
         before = p.bn_running_mean.copy()
-        sma.enhancer_forward(rng.uniform(0, 1, size=(5, 5)), p, "train", rng)
+        sma.enhancer_forward(rng.uniform(0, 1, size=(5, 5)), p, train=True, rng=rng)
         assert not np.array_equal(p.bn_running_mean, before)
 
 
@@ -184,8 +184,8 @@ class TestAligner:
 
     def test_train_dropout_reproducible_under_seed(self):
         cfg = SmaConfig(lam=0.3)
-        a, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, "train", np.random.default_rng(5))
-        b, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, "train", np.random.default_rng(5))
+        a, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, train=True, rng=np.random.default_rng(5))
+        b, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, train=True, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_zero_upstream_zero_grads(self):
@@ -206,8 +206,8 @@ def central_diff(f, arr, idx, h=1e-4):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("mode", ["eval", "train"])
-    def test_parameter_gradients_fd(self, mode):
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_parameter_gradients_fd(self, train):
         rng = np.random.default_rng(0)
         img = rng.normal(size=(8, 8))
         gout = rng.normal(size=(8, 8))
@@ -216,11 +216,11 @@ class TestGradients:
 
         def loss():
             q = copy.deepcopy(p)  # keep running stats untouched across FD evals
-            out, _ = sma.sma_forward(img, q, cfg, mode, np.random.default_rng(9))
+            out, _ = sma.sma_forward(img, q, cfg, train, np.random.default_rng(9))
             return float(np.sum(out * gout))
 
         q = copy.deepcopy(p)
-        _, cache = sma.sma_forward(img, q, cfg, mode, np.random.default_rng(9))
+        _, cache = sma.sma_forward(img, q, cfg, train, np.random.default_rng(9))
         grads, _ = sma.sma_backward(gout, cache, q)
         worst = 0.0
         pick = np.random.default_rng(3)
@@ -279,7 +279,7 @@ class TestSpectralShift:
         state = AdamState.init(params, names)
         tcfg = TrainConfig(lr=3e-3, batch_size=1, epochs=1)
         for _ in range(200):
-            A_enh, cache = sma.enhancer_forward(A0, p, "eval")
+            A_enh, cache = sma.enhancer_forward(A0, p, train=False)
             gA = A_enh - target
             grads, _ = sma.enhancer_backward(gA, cache, p)
             adam_step(params, grads, state, tcfg)
