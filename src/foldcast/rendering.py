@@ -78,15 +78,23 @@ def unfold_from_grid(grid: np.ndarray) -> np.ndarray:
 
 
 def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel centers and edge clamping: R_h @ grid @ R_w^T.
+    """Bilinear resize with half-pixel centers and edge clamping.
 
     Source coordinate for output index i is (i + 0.5) * in/out - 0.5, clamped
-    to the valid range.  An axis of unchanged size has R = I, so equal
-    input/output dims give a finite input back bit for bit.
+    to the valid range.  The result is R_h @ grid @ R_w^T with the matrices of
+    _interp_matrix, but each output reads its four neighbours directly, so the
+    cost grows with out_h * out_w and not with the input's size.  An axis of
+    unchanged size has t = 0, so equal input/output dims give a finite input
+    back bit for bit.
     """
     grid = np.asarray(grid, dtype=np.float64)
     in_h, in_w = grid.shape
-    return _interp_matrix(in_h, out_h) @ grid @ _interp_matrix(in_w, out_w).T
+    y0, y1, ty = _interp_weights(in_h, out_h)
+    x0, x1, tx = _interp_weights(in_w, out_w)
+    ty = ty[:, None]
+    top = grid[np.ix_(y0, x0)] * (1 - tx) + grid[np.ix_(y0, x1)] * tx
+    bot = grid[np.ix_(y1, x0)] * (1 - tx) + grid[np.ix_(y1, x1)] * tx
+    return top * (1 - ty) + bot * ty
 
 
 def resize_bilinear_backward(grad_out: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
@@ -96,14 +104,19 @@ def resize_bilinear_backward(grad_out: np.ndarray, in_h: int, in_w: int) -> np.n
     return _interp_matrix(in_h, out_h).T @ grad_out @ _interp_matrix(in_w, out_w)
 
 
-def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """[n_out, n_in] bilinear weights along one axis: row i holds 1 - t and t
-    at the two source samples that output i interpolates between."""
+def _interp_weights(n_in: int, n_out: int):
+    """Per output i along one axis: the two source samples i0, i1 it
+    interpolates between and the weight t of i1 (i0 gets 1 - t)."""
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
     i1 = np.minimum(i0 + 1, n_in - 1)
-    t = src - i0
+    return i0, i1, src - i0
+
+
+def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """[n_out, n_in] bilinear weights along one axis, from _interp_weights."""
+    i0, i1, t = _interp_weights(n_in, n_out)
     rows = np.arange(n_out)
     m = np.zeros((n_out, n_in))
     m[rows, i0] = 1.0 - t
