@@ -13,6 +13,16 @@ channel with `patch_embed.w` summed over its channel blocks, and averaging the
 three decoded channels equals decoding with `head.w`/`head.b` averaged over
 theirs, so the copies are never formed.
 
+Only the patches a caller reads are decoded.  `autoencode` takes `out_idx`,
+the row-major indices of those patches, and returns an image that is exact
+on them and zero elsewhere; its backward reads the image gradient only
+there.  Each block takes `rows`, the indices of the rows it outputs: LN1, K
+and V still see every row, so the gradients of every input row stay exact,
+while Q, the attention output, the residual, LN2 and the MLP run on `rows`
+only.  The encoder blocks and every decoder block but the last pass
+`slice(None)`; the last decoder block passes `out_idx`.  Only the visible
+patches are embedded, adapted and encoded.
+
 Parameters live in a flat name -> float64 array dict so that optimization,
 freezing, and serialization stay uniform.  The on-disk format ("NTF1") is a
 little-endian named-tensor container with bit-exact round trips.
@@ -207,18 +217,20 @@ def _merge_heads(x):
 # attention / MLP / block
 
 
-def _attn_forward(x, params, prefix, cfg, lora=None, train=False, rng=None, lora_drop=0.0):
+def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0):
+    """Attention output for the rows `rows` of x; keys and values see every row."""
     p = lambda n: params[f"{prefix}.attn.{n}"]
     cache = {"x": x}
     proj, probs = {}, None
     for name in ("q", "k", "v"):
+        xin = x[rows] if name == "q" else x
         factor = lora.get(name) if lora else None
         drop = (
-            _dropout_scale(x.shape, lora_drop, train, rng)
+            _dropout_scale(xin.shape, lora_drop, train, rng)
             if (factor is not None and lora_drop > 0.0)
             else None
         )
-        y, c = adapter.lora_project(x, p("w" + name), p("b" + name), factor, drop)
+        y, c = adapter.lora_project(xin, p("w" + name), p("b" + name), factor, drop)
         proj[name] = y
         cache[name] = c
     dh = cfg.d_model // cfg.n_heads
@@ -234,7 +246,7 @@ def _attn_forward(x, params, prefix, cfg, lora=None, train=False, rng=None, lora
     if drop_o is not None:
         out = out * drop_o
     cache.update(
-        probs=probs, qh=q, kh=k, vh=v, merged=merged, drop_o=drop_o, dh=dh
+        probs=probs, qh=q, kh=k, vh=v, merged=merged, drop_o=drop_o, dh=dh, rows=rows
     )
     return out, cache
 
@@ -264,7 +276,7 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
         if grads is not None:
             grads[f"{prefix}.attn.w{name}"] += dW
             grads[f"{prefix}.attn.b{name}"] += db
-        gx += dx
+        gx[cache["rows"] if name == "q" else slice(None)] += dx
         if fg is not None:
             lg = lora_grads.setdefault(prefix, {}).setdefault(name, {"A": 0.0, "B": 0.0})
             lg["A"] = lg["A"] + fg["A"]
@@ -303,10 +315,15 @@ def _mlp_backward(gr, params, prefix, cache, grads):
     return gh @ w1
 
 
-def _block_forward(x, params, prefix, cfg, lora=None, train=False, rng=None, lora_drop=0.0):
+def _block_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0):
+    """One pre-norm block whose output holds only the rows `rows` of x.
+
+    LN1, K and V run on every row; Q, the attention output, the residual, LN2
+    and the MLP only on `rows`.  `slice(None)` keeps every row.
+    """
     n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    a, attn = _attn_forward(n1, params, prefix, cfg, lora, train, rng, lora_drop)
-    x2 = x + a
+    a, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop)
+    x2 = x[rows] + a
     n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     m, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng)
     out = x2 + m
@@ -316,12 +333,15 @@ def _block_forward(x, params, prefix, cfg, lora=None, train=False, rng=None, lor
 
 
 def _block_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
-    """Input gradient of one block.  `grads` receives the block's base-weight
-    gradients; None skips them (frozen backbone).  LoRA gradients always flow."""
+    """Gradient wrt every input row, given that of the output rows.
+    `grads` receives the block's base-weight gradients; None skips them
+    (frozen backbone).  LoRA gradients always flow."""
     gm = _mlp_backward(gr, params, prefix, cache["mlp"], grads)
     gx2 = _layernorm_backward(gm, cache["ln2"], grads, f"{prefix}.ln2") + gr
     ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads, lora_grads)
-    return _layernorm_backward(ga, cache["ln1"], grads, f"{prefix}.ln1") + gx2
+    gx = _layernorm_backward(ga, cache["ln1"], grads, f"{prefix}.ln1")
+    gx[cache["attn"]["rows"]] += gx2
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +371,9 @@ def encode(tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None
     caches = []
     for i in range(cfg.e_layers):
         layer_lora = lora.get(f"enc{i}") if lora else None
-        x, c = _block_forward(x, params, f"enc{i}", cfg, layer_lora, train, rng, lora_drop)
+        x, c = _block_forward(
+            x, params, f"enc{i}", cfg, slice(None), layer_lora, train, rng, lora_drop
+        )
         caches.append(c)
     return x, caches
 
@@ -364,10 +386,16 @@ def encode_backward(gr, params, cfg, caches, grads, lora_grads):
     return gr
 
 
-def decode_with_mask_tokens(latent, vis_idx, params, cfg: BackboneConfig, train=False, rng=None):
+def decode_with_mask_tokens(
+    latent, vis_idx, out_idx, params, cfg: BackboneConfig, train=False, rng=None
+):
     """Scatter visible latents into the full grid, fill the rest with the mask
     token, add decoder positions, decode, and project to single-channel patch
-    pixels [L, p²]."""
+    pixels [len(out_idx), p²] for the patches `out_idx`.
+
+    Every decoder block but the last runs on all L rows; the last one outputs
+    only the rows `out_idx`, and `dec_norm` and the head run on those rows.
+    """
     L = cfg.n_patches
     if latent.shape[0] != vis_idx.shape[0]:
         raise ValueError(
@@ -378,17 +406,21 @@ def decode_with_mask_tokens(latent, vis_idx, params, cfg: BackboneConfig, train=
     x = full + params["dec_pos"]
     caches = []
     for i in range(cfg.d_layers):
-        x, c = _block_forward(x, params, f"dec{i}", cfg, None, train, rng)
+        rows = out_idx if i == cfg.d_layers - 1 else slice(None)
+        x, c = _block_forward(x, params, f"dec{i}", cfg, rows, None, train, rng)
         caches.append(c)
+    if not caches:  # no block to restrict
+        x = x[out_idx]
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
     head_w, head_b = _head(params)
     out = n @ head_w.T + head_b
-    return out, {"blocks": caches, "ln": ln, "n": n, "vis_idx": vis_idx, "L": L}
+    cache = {"blocks": caches, "ln": ln, "n": n, "vis_idx": vis_idx, "out_idx": out_idx, "L": L}
+    return out, cache
 
 
 def decode_backward(gr, params, cfg, cache, grads, lora_grads):
-    """Gradient wrt the visible latents; base-weight gradients go to `grads`
-    unless it is None."""
+    """Gradient wrt the visible latents, given that of the decoded `out_idx`
+    patches; base-weight gradients go to `grads` unless it is None."""
     head_w, _ = _head(params)
     if grads is not None:
         # each channel block receives a third of the single-channel gradient
@@ -398,6 +430,10 @@ def decode_backward(gr, params, cfg, cache, grads, lora_grads):
     gx = _layernorm_backward(gn, cache["ln"], grads, "dec_norm")
     for i in reversed(range(cfg.d_layers)):
         gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], grads, lora_grads)
+    if not cache["blocks"]:
+        gfull = np.zeros((cache["L"], cfg.d_model))
+        gfull[cache["out_idx"]] = gx
+        gx = gfull
     vis_idx = cache["vis_idx"]
     if grads is not None:
         grads["dec_pos"] += gx
@@ -416,6 +452,7 @@ def autoencode(
     params: dict,
     cfg: BackboneConfig,
     vis_cols: int,
+    out_idx: np.ndarray,
     lora=None,
     tga: adapter.TgaParams | None = None,
     tga_table: np.ndarray | None = None,
@@ -423,23 +460,28 @@ def autoencode(
     rng=None,
     lora_drop: float = 0.0,
 ):
-    """Image [H, W] -> patches -> tokens (-> TGA) -> +pos -> encode -> decode
-    -> image [H, W]."""
+    """Image [H, W] -> visible patches -> tokens (-> TGA) -> +pos -> encode
+    -> decode -> image [H, W].
+
+    Only the visible patches are embedded.  The returned image is exact on
+    the patches `out_idx` (row-major indices) and zero elsewhere;
+    `np.arange(cfg.n_patches)` decodes the whole image.
+    """
     grid = (cfg.grid_rows, cfg.grid_cols)
     vis_idx = visible_indices(grid, vis_cols)
-    patches = patchify(image, cfg.patch_size)
+    patches = patchify(image, cfg.patch_size)[vis_idx]
     tokens = embed(patches, params)
     tga_cache = None
     if tga is not None:
-        tokens, tga_cache = adapter.tga_forward(tokens, tga, tga_table)
-    tokens = tokens + params["enc_pos"]
-    latent, enc_caches = encode(
-        tokens[vis_idx], params, cfg, lora, train, rng, lora_drop
-    )
+        tokens, tga_cache = adapter.tga_forward(tokens, tga, tga_table[vis_idx])
+    tokens = tokens + params["enc_pos"][vis_idx]
+    latent, enc_caches = encode(tokens, params, cfg, lora, train, rng, lora_drop)
     out_patches, dec_cache = decode_with_mask_tokens(
-        latent, vis_idx, params, cfg, train, rng
+        latent, vis_idx, out_idx, params, cfg, train, rng
     )
-    image_out = unpatchify(out_patches, grid, cfg.patch_size)
+    full = np.zeros((cfg.n_patches, out_patches.shape[1]))
+    full[out_idx] = out_patches
+    image_out = unpatchify(full, grid, cfg.patch_size)
     cache = {
         "patches": patches,
         "tga": tga_cache,
@@ -454,28 +496,30 @@ def autoencode(
 def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, tga=None):
     """Gradients for backbone params, adapters, and the input image.
 
-    Returns (base grads, LoRA grads, TGA grads, image grad).  When cfg.frozen
-    the base-weight gradients are never formed and the base dict is empty;
-    the adapters and the image still receive theirs.  Otherwise the base dict
-    carries every parameter name.
+    The exact adjoint of autoencode: `grad_image` is read only on the
+    decoded `out_idx` patches, and the image gradient is non-zero only on the
+    visible patches.  Returns (base grads, LoRA grads, TGA grads, image
+    grad).  When cfg.frozen the base-weight gradients are never formed and
+    the base dict is empty; the adapters and the image still receive theirs.
+    Otherwise the base dict carries every parameter name.
     """
     grads = None if cfg.frozen else {k: np.zeros_like(v) for k, v in params.items()}
     lora_grads: dict = {}
-    gp = patchify(grad_image, cfg.patch_size)
+    vis_idx = cache["vis_idx"]
+    gp = patchify(grad_image, cfg.patch_size)[cache["dec"]["out_idx"]]
     glat = decode_backward(gp, params, cfg, cache["dec"], grads, lora_grads)
     gvis = encode_backward(glat, params, cfg, cache["enc"], grads, lora_grads)
-    gtokens = np.zeros((cfg.n_patches, cfg.d_model))
-    gtokens[cache["vis_idx"]] = gvis
     if grads is not None:
-        grads["enc_pos"] += gtokens
+        grads["enc_pos"][vis_idx] += gvis
     tga_grads = None
     if cache["tga"] is not None:
-        tga_grads, gtokens = adapter.tga_backward(gtokens, cache["tga"], tga)
+        tga_grads, gvis = adapter.tga_backward(gvis, cache["tga"], tga)
     if grads is not None:
         # every channel block saw the same single-channel patches
-        grads["patch_embed.w"] += np.tile(gtokens.T @ cache["patches"], (1, 3))
-        grads["patch_embed.b"] += gtokens.sum(axis=0)
-    gpatches = gtokens @ _embed_weight(params)
+        grads["patch_embed.w"] += np.tile(gvis.T @ cache["patches"], (1, 3))
+        grads["patch_embed.b"] += gvis.sum(axis=0)
+    gpatches = np.zeros((cfg.n_patches, cache["patches"].shape[1]))
+    gpatches[vis_idx] = gvis @ _embed_weight(params)
     grad_image = unpatchify(gpatches, cache["grid"], cfg.patch_size)
     return ({} if grads is None else grads), lora_grads, tga_grads, grad_image
 

@@ -215,8 +215,9 @@ class ForecastModel:
         for v in range(N):
             ri = render(x_norm[:, v], H, self.cfg.render)
             vis_cols = ri.visible_width // self.cfg.render.patch_size
+            read = ri.read_patches
             out_st, c_st = bb.autoencode(
-                ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, lora=self.lora,
+                ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
                 tga=tga, tga_table=self.tga_table, train=train, rng=rng,
                 lora_drop=self.cfg.lora_dropout,
             )
@@ -227,7 +228,7 @@ class ForecastModel:
             else:
                 aligned, c_sma = ri.pixels, None
             out_sp, c_sp = bb.autoencode(
-                aligned, self.bb_params, self.cfg.backbone, vis_cols, train=train, rng=rng
+                aligned, self.bb_params, self.cfg.backbone, vis_cols, read, train=train, rng=rng
             )
             y_st[:, v] = reconstruct(out_st, ri)
             y_sp[:, v] = reconstruct(out_sp, ri)
@@ -585,12 +586,14 @@ def _gradcheck_backbone(seed, inject_fault):
     params = bb.init_backbone(cfg, rng)
     img = rng.normal(size=(32, 32))
     gout = rng.normal(size=(32, 32))
+    # the last grid column: a strict subset, so the restricted block is checked
+    out_idx = np.arange(cfg.grid_cols - 1, cfg.n_patches, cfg.grid_cols)
 
     def loss():
-        out, _ = bb.autoencode(img, params, cfg, vis_cols=2)
+        out, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=out_idx)
         return float(np.sum(out * gout))
 
-    _, cache = bb.autoencode(img, params, cfg, vis_cols=2)
+    _, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=out_idx)
     grads, _, _, _ = bb.autoencode_backward(gout, params, cfg, cache)
     if inject_fault:
         grads["head.w"] = grads["head.w"] * 1.1

@@ -53,6 +53,25 @@ class RenderedImage:
         horizon_pad = -(-self.horizon_len // p) * p  # horizon rounded up to whole periods
         return (self.context_len + self.pad_len + horizon_pad) // p
 
+    @property
+    def read_patches(self) -> np.ndarray:
+        """Row-major indices of the patches that hold every pixel reconstruct reads.
+
+        The horizon's period-grid rows and columns interpolate between their
+        i0 and i1 source pixels on each axis (i1 counts even at weight 0); a
+        patch is read when its patch row holds a source row and its patch
+        column a source column.
+        """
+        spec = self.spec
+        P, p = spec.periodicity, spec.patch_size
+        k = np.arange(self.horizon_len) + self.pad_len + self.context_len
+        y0, y1, _ = _interp_weights(spec.image_height, P)
+        x0, x1, _ = _interp_weights(self.total_width, self.periods_total)
+        rows, cols = k % P, k // P
+        read = np.zeros((spec.image_height // p, self.total_width // p), dtype=bool)
+        read[np.ix_(np.r_[y0[rows], y1[rows]] // p, np.r_[x0[cols], x1[cols]] // p)] = True
+        return np.flatnonzero(read)
+
 
 def pad_left_replicate(x: np.ndarray, P: int) -> np.ndarray:
     """Prepend copies of x[0] until the length is divisible by P."""

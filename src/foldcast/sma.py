@@ -136,7 +136,8 @@ def recombine(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     C, H, W = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.tile(b[:, None, None], (1, H, W))
+    out = np.empty((w.shape[0], H, W))
+    out[...] = b[:, None, None]
     for i in range(3):
         for j in range(3):
             out += np.einsum("oc,chw->ohw", w[:, :, i, j], xp[:, i : i + H, j : j + W])

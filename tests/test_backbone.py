@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from foldcast import adapter, backbone as bb
+from foldcast import rendering as rd
 from foldcast.backbone import BackboneConfig
+from foldcast.rendering import RenderSpec
 from tests.test_forecaster import desk_model
 
 
@@ -15,6 +17,9 @@ def toy_config(**kw):
     )
     base.update(kw)
     return BackboneConfig(**base)
+
+
+ALL = np.arange(toy_config().n_patches)  # decode every patch of the toy grid
 
 
 class TestPatchify:
@@ -130,7 +135,7 @@ class TestSingleChannelFold:
         assert np.abs(tokens - tokens3).max() <= 1e-12 * np.abs(tokens3).max()
         vis = bb.visible_indices((4, 4), 2)
         latent = rng.normal(size=(vis.size, cfg.d_model))
-        out, cache = bb.decode_with_mask_tokens(latent, vis, params, cfg)
+        out, cache = bb.decode_with_mask_tokens(latent, vis, ALL, params, cfg)
         out3 = cache["n"] @ params["head.w"].T + params["head.b"]
         mean3 = out3.reshape(-1, 3, p2).mean(axis=1)
         assert out.shape == (cfg.n_patches, p2)
@@ -143,7 +148,7 @@ class TestDecode:
         params = bb.init_backbone(cfg, np.random.default_rng(11))
         vis = bb.visible_indices((4, 4), 4)
         latent = np.random.default_rng(12).normal(size=(16, cfg.d_model))
-        out, _ = bb.decode_with_mask_tokens(latent, vis, params, cfg)
+        out, _ = bb.decode_with_mask_tokens(latent, vis, ALL, params, cfg)
         assert out.shape == (16, cfg.patch_size**2)
 
     def test_zero_mask_token_zero_decoder_zero_masked_region(self):
@@ -158,7 +163,7 @@ class TestDecode:
         params["dec_norm.b"][:] = 0.0
         vis = bb.visible_indices((4, 4), 2)
         latent = np.random.default_rng(14).normal(size=(vis.size, cfg.d_model))
-        out, _ = bb.decode_with_mask_tokens(latent, vis, params, cfg)
+        out, _ = bb.decode_with_mask_tokens(latent, vis, ALL, params, cfg)
         img = bb.unpatchify(out, (4, 4), cfg.patch_size)
         assert np.all(img[:, 16:] == 0.0)  # masked columns stay zero
         assert np.any(img[:, :16] != 0.0)
@@ -168,7 +173,64 @@ class TestDecode:
         params = bb.init_backbone(cfg, np.random.default_rng(15))
         vis = bb.visible_indices((4, 4), 2)
         with pytest.raises(ValueError, match="count"):
-            bb.decode_with_mask_tokens(np.zeros((5, cfg.d_model)), vis, params, cfg)
+            bb.decode_with_mask_tokens(np.zeros((5, cfg.d_model)), vis, ALL, params, cfg)
+
+
+class TestRestrictedDecode:
+    """Decoding only the patches `out_idx` gives the full decoder's rows."""
+
+    @pytest.mark.parametrize("d_layers", [1, 2])
+    def test_rows_match_full_decoder(self, d_layers):
+        cfg = toy_config(d_layers=d_layers)
+        rng = np.random.default_rng(40)
+        params = bb.init_backbone(cfg, rng)
+        vis = bb.visible_indices((4, 4), 2)
+        latent = rng.normal(size=(vis.size, cfg.d_model))
+        out_idx = np.array([3, 6, 7, 15])
+        full, _ = bb.decode_with_mask_tokens(latent, vis, ALL, params, cfg)
+        part, cache = bb.decode_with_mask_tokens(latent, vis, out_idx, params, cfg)
+        assert part.shape == (out_idx.size, cfg.patch_size**2)
+        assert np.abs(part - full[out_idx]).max() <= 1e-12 * np.abs(full).max()
+        assert cache["blocks"][-1]["mlp"]["x"].shape[0] == out_idx.size
+        assert all(c["mlp"]["x"].shape[0] == cfg.n_patches for c in cache["blocks"][:-1])
+
+    @pytest.mark.parametrize("d_layers", [0, 1, 2])
+    def test_backward_matches_full_decoder(self, d_layers):
+        """With an image gradient that is zero outside out_idx, every gradient
+        equals the full decoder's: the restricted pass is its exact adjoint."""
+        cfg = toy_config(d_layers=d_layers)
+        rng = np.random.default_rng(41)
+        params = bb.init_backbone(cfg, rng)
+        img = rng.normal(size=(32, 32))
+        out_idx = np.arange(3, cfg.n_patches, 4)  # the last grid column
+        keep = np.zeros(cfg.n_patches)
+        keep[out_idx] = 1.0
+        gout = rng.normal(size=(32, 32)) * np.kron(keep.reshape(4, 4), np.ones((8, 8)))
+        full, c_full = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
+        part, c_part = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=out_idx)
+        assert np.all(part[gout == 0.0] == 0.0)
+        assert np.abs(part - full * (gout != 0.0)).max() <= 1e-12 * np.abs(full).max()
+        g_full, _, _, gi_full = bb.autoencode_backward(gout, params, cfg, c_full)
+        g_part, _, _, gi_part = bb.autoencode_backward(gout, params, cfg, c_part)
+        assert np.abs(gi_part - gi_full).max() <= 1e-12 * np.abs(gi_full).max()
+        # a key bias shifts every score of a query alike, so its gradient is
+        # zero in exact arithmetic and round-off on both sides
+        for name in (n for n in params if not n.endswith("attn.bk")):
+            scale = np.abs(g_full[name]).max()
+            assert np.abs(g_part[name] - g_full[name]).max() <= 1e-12 * scale, name
+
+    def test_paper_geometry_decodes_fourteen_rows(self):
+        spec = RenderSpec()  # 224², patch 16, P=24, align_const 0.4
+        ri = rd.render(np.random.default_rng(42).normal(size=1440), 96, spec)
+        assert ri.read_patches.size == 14
+        cfg = BackboneConfig(d_model=16, n_heads=2, e_layers=1, d_layers=2, d_ff=32,
+                             dropout=0.0, frozen=True)
+        params = bb.init_backbone(cfg, np.random.default_rng(43))
+        vis_cols = ri.visible_width // spec.patch_size
+        _, cache = bb.autoencode(ri.pixels, params, cfg, vis_cols, ri.read_patches)
+        blocks = cache["dec"]["blocks"]
+        assert blocks[-1]["mlp"]["x"].shape[0] == 14
+        assert blocks[0]["mlp"]["x"].shape[0] == cfg.n_patches
 
 
 class TestBaselineEquivalence:
@@ -181,24 +243,26 @@ class TestBaselineEquivalence:
             f"enc{i}": {n: adapter.init_lora(rng, cfg.d_model, 2, 16.0) for n in ("q", "k", "v")}
             for i in range(cfg.e_layers)
         }
-        base, _ = bb.autoencode(img, params, cfg, vis_cols=2)
-        adapted, _ = bb.autoencode(img, params, cfg, vis_cols=2, lora=lora)
+        base, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
+        adapted, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora=lora)
         assert np.array_equal(base, adapted)
 
     def test_eval_determinism(self):
         cfg = toy_config()
         params = bb.init_backbone(cfg, np.random.default_rng(18))
         img = np.random.default_rng(19).normal(size=(32, 32))
-        a, _ = bb.autoencode(img, params, cfg, vis_cols=3)
-        b, _ = bb.autoencode(img, params, cfg, vis_cols=3)
+        a, _ = bb.autoencode(img, params, cfg, vis_cols=3, out_idx=ALL)
+        b, _ = bb.autoencode(img, params, cfg, vis_cols=3, out_idx=ALL)
         assert np.array_equal(a, b)
 
     def test_dropout_train_vs_eval(self):
         cfg = toy_config(dropout=0.3)
         params = bb.init_backbone(cfg, np.random.default_rng(20))
         img = np.random.default_rng(21).normal(size=(32, 32))
-        ev, _ = bb.autoencode(img, params, cfg, vis_cols=2)
-        tr, _ = bb.autoencode(img, params, cfg, vis_cols=2, train=True, rng=np.random.default_rng(0))
+        ev, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
+        tr, _ = bb.autoencode(
+            img, params, cfg, vis_cols=2, out_idx=ALL, train=True, rng=np.random.default_rng(0)
+        )
         assert not np.allclose(ev, tr)
 
 
@@ -210,7 +274,7 @@ class TestFrozen:
         lora = {"enc0": {"q": adapter.init_lora(rng, cfg.d_model, 2, 8.0)}}
         lora["enc0"]["q"].B = rng.normal(0.0, 0.1, size=(cfg.d_model, 2))
         img = np.random.default_rng(23).normal(size=(32, 32))
-        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, lora=lora)
+        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora=lora)
         grads, lora_grads, _, gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache)
         assert grads == {}
         assert np.any(gimg != 0.0)  # input gradient still flows
@@ -221,7 +285,7 @@ class TestFrozen:
         cfg = toy_config(frozen=False)
         params = bb.init_backbone(cfg, np.random.default_rng(24))
         img = np.random.default_rng(25).normal(size=(32, 32))
-        out, cache = bb.autoencode(img, params, cfg, vis_cols=2)
+        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
         grads, _, _, gimg = bb.autoencode_backward(np.zeros_like(out), params, cfg, cache)
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(gimg == 0.0)

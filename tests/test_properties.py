@@ -100,3 +100,38 @@ def test_render_reconstruct_round_trip(P, f_ctx, f_hor, ctx_short, hor_short, se
     future = np.concatenate([truth, rng.normal(size=P * f_hor - horizon)])
     decoded = np.concatenate([ri.pixels[:, :f_ctx], rd.fold_to_grid(future, P)], axis=1)
     assert np.array_equal(rd.reconstruct(decoded, ri), truth)
+
+
+read_geometry = dict(
+    P=st.integers(1, 30), T=st.integers(1, 200), horizon=st.integers(1, 60),
+    grid_h=st.integers(1, 6), grid_w=st.integers(2, 8), patch=st.integers(1, 5),
+    align_const=st.floats(0.1, 1.0), seed=seeds,
+)
+
+
+def read_mask(P, T, horizon, grid_h, grid_w, patch, align_const, seed):
+    """A rendering of that geometry and its pixel mask of `read_patches`."""
+    spec = RenderSpec(periodicity=P, image_height=grid_h * patch, image_width=grid_w * patch,
+                      align_const=align_const, patch_size=patch)
+    ri = rd.render(np.random.default_rng(seed).normal(size=T), horizon, spec)
+    flags = np.zeros(grid_h * grid_w)
+    flags[ri.read_patches] = 1.0
+    mask = np.kron(flags.reshape(grid_h, grid_w), np.ones((patch, patch))) == 1.0
+    return ri, mask
+
+
+@PROPERTY
+@given(**read_geometry)
+def test_reconstruct_backward_zero_outside_read_patches(**geometry):
+    ri, mask = read_mask(**geometry)
+    g = np.random.default_rng(geometry["seed"] + 1).normal(size=ri.horizon_len)
+    assert np.all(rd.reconstruct_backward(g, ri)[~mask] == 0.0)
+
+
+@PROPERTY
+@given(**read_geometry)
+def test_reconstruct_reads_only_read_patches(**geometry):
+    ri, mask = read_mask(**geometry)
+    decoded = np.random.default_rng(geometry["seed"] + 1).normal(size=ri.pixels.shape)
+    assert np.array_equal(rd.reconstruct(np.where(mask, decoded, 0.0), ri),
+                          rd.reconstruct(decoded, ri))
