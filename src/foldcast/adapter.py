@@ -86,8 +86,9 @@ def sigmoid(x) -> np.ndarray:
 
 
 def tga_forward(X: np.ndarray, p: TgaParams, table: np.ndarray):
-    """X + sigmoid(w_fusion) * (table @ W_proj^T); returns (output, cache)."""
-    if X.shape != table.shape:
+    """X + sigmoid(w_fusion) * (table @ W_proj^T) for tokens X [..., L, D];
+    returns (output, cache)."""
+    if X.shape[-2:] != table.shape:
         raise ValueError(f"token shape {X.shape} != table shape {table.shape}")
     g = p.gate
     proj = table @ p.W_proj.T
@@ -98,7 +99,8 @@ def tga_forward(X: np.ndarray, p: TgaParams, table: np.ndarray):
 def tga_backward(grad_out: np.ndarray, cache, p: TgaParams):
     """Gradients wrt W_proj, w_fusion, and the incoming tokens."""
     g = cache["g"]
-    dW = g * grad_out.T @ cache["table"]
+    summed = grad_out.reshape(-1, *grad_out.shape[-2:]).sum(axis=0)  # over the samples
+    dW = g * summed.T @ cache["table"]
     dw_fusion = g * (1.0 - g) * float(np.sum(grad_out * cache["proj"]))
     return {"W_proj": dW, "w_fusion": np.array([dw_fusion])}, grad_out
 
@@ -113,6 +115,12 @@ def lora_apply(W: np.ndarray, f: LoraFactor) -> np.ndarray:
     return W + f.scale * (f.B @ f.A)
 
 
+def fold_rows(x: np.ndarray) -> np.ndarray:
+    """[..., D] -> [N, D]: the leading axes folded into one, for the weight
+    and bias gradients that sum over every token of every sample."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def lora_project(
     x: np.ndarray,
     W: np.ndarray,
@@ -120,7 +128,8 @@ def lora_project(
     f: LoraFactor | None,
     drop_scale: np.ndarray | None = None,
 ):
-    """y = x @ W^T + b plus the low-rank path; returns (y, cache).
+    """y = x @ W^T + b plus the low-rank path, for x [..., L, D]; returns
+    (y, cache).
 
     `drop_scale` is an inverted-dropout mask applied to the low-rank path's
     input only.  A zero-initialized B adds an exact zero, so the output equals
@@ -141,20 +150,21 @@ def lora_project(
 def lora_project_backward(g: np.ndarray, W: np.ndarray, cache, base_grads: bool = True):
     """Gradients for the base weight/bias, the factor, and the input.
 
-    With `base_grads=False` (frozen base) dW and db are not formed and come
-    back as None.
+    Weight, bias and factor gradients sum over the leading axes.  With
+    `base_grads=False` (frozen base) dW and db are not formed and come back
+    as None.
     """
     dW = db = None
     if base_grads:
-        dW = g.T @ cache["x"]
-        db = g.sum(axis=0)
+        dW = fold_rows(g).T @ fold_rows(cache["x"])
+        db = fold_rows(g).sum(axis=0)
     dx = g @ W
     factor_grads = None
     if cache["xa"] is not None:
         f = cache["factor"]
-        dB = f.scale * (g.T @ cache["xa"])
+        dB = f.scale * (fold_rows(g).T @ fold_rows(cache["xa"]))
         dxa = f.scale * (g @ f.B)
-        dA = dxa.T @ cache["xd"]
+        dA = fold_rows(dxa).T @ fold_rows(cache["xd"])
         dxd = dxa @ f.A
         if cache["drop_scale"] is not None:
             dxd = dxd * cache["drop_scale"]

@@ -23,8 +23,21 @@ only.  The encoder blocks and every decoder block but the last pass
 `slice(None)`; the last decoder block passes `out_idx`.  Only the visible
 patches are embedded, adapted and encoded.
 
+Every function takes leading batch axes: tokens are [..., L, D] and images
+[..., H, W], and a 2-D input is the batch-free case of the same code.  The
+samples of a batch share `vis_idx` and `out_idx`.  Matrix products against a
+weight broadcast over the leading axes, so each sample's forward is
+computed exactly as it would be alone; weight and bias gradients fold the
+leading axes into the token axis, `g.reshape(-1, D).T @ x.reshape(-1, D)`,
+and so sum over every sample of the batch.
+
 Parameters live in a flat name -> float64 array dict so that optimization,
-freezing, and serialization stay uniform.  The on-disk format ("NTF1") is a
+freezing, and serialization stay uniform.  The backward functions add into
+one flat gradient buffer, `grads`, under the names of
+`ForecastModel.named_params()`: `bb.<parameter>` for the base weights,
+`lora.<layer>.<q|k|v>.<A|B>` and `tga.W_proj`/`tga.w_fusion` for the
+adapters.  A frozen backbone forms no `bb.*` gradient, and the helpers
+receive its base-weight buffer as None.  The on-disk format ("NTF1") is a
 little-endian named-tensor container with bit-exact round trips.
 """
 
@@ -37,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adapter
+from .adapter import fold_rows
 
 _LN_EPS = 1e-6
 _GELU_C0 = np.sqrt(2.0 / np.pi)
@@ -86,20 +100,21 @@ class BackboneConfig:
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """[H, W] -> [L, patch*patch] in row-major grid order."""
-    H, W = image.shape
+    """[..., H, W] -> [..., L, patch*patch] in row-major grid order."""
+    *lead, H, W = image.shape
     if H % patch or W % patch:
         raise ValueError(f"image dims {H}x{W} not divisible by patch {patch}")
     gh, gw = H // patch, W // patch
-    x = image.reshape(gh, patch, gw, patch)
-    return x.transpose(0, 2, 1, 3).reshape(gh * gw, patch * patch)
+    x = image.reshape(*lead, gh, patch, gw, patch)
+    return np.swapaxes(x, -3, -2).reshape(*lead, gh * gw, patch * patch)
 
 
 def unpatchify(patches: np.ndarray, grid_shape: tuple[int, int], patch: int) -> np.ndarray:
     """Exact inverse of patchify."""
     gh, gw = grid_shape
-    x = patches.reshape(gh, gw, patch, patch)
-    return x.transpose(0, 2, 1, 3).reshape(gh * patch, gw * patch)
+    lead = patches.shape[:-2]
+    x = patches.reshape(*lead, gh, gw, patch, patch)
+    return np.swapaxes(x, -3, -2).reshape(*lead, gh * patch, gw * patch)
 
 
 def visible_indices(grid_shape: tuple[int, int], vis_cols: int) -> np.ndarray:
@@ -166,12 +181,12 @@ def _layernorm(x, g, b):
     return g * xhat + b, {"xhat": xhat, "invstd": invstd, "g": g}
 
 
-def _layernorm_backward(gr, cache, grads, prefix):
-    """Input gradient; adds the gain/bias gradients to `grads` unless it is None."""
+def _layernorm_backward(gr, cache, base, name):
+    """Input gradient; adds the gain/bias gradients to `base` unless it is None."""
     xhat, invstd, g = cache["xhat"], cache["invstd"], cache["g"]
-    if grads is not None:
-        grads[f"{prefix}.g"] += (gr * xhat).sum(axis=0)
-        grads[f"{prefix}.b"] += gr.sum(axis=0)
+    if base is not None:
+        base[f"{name}.g"] += fold_rows(gr * xhat).sum(axis=0)
+        base[f"{name}.b"] += fold_rows(gr).sum(axis=0)
     gg = gr * g
     mg = gg.mean(axis=-1, keepdims=True)
     mgx = (gg * xhat).mean(axis=-1, keepdims=True)
@@ -204,13 +219,15 @@ def _softmax(s):
 
 
 def _split_heads(x, n_heads):
-    L, D = x.shape
-    return x.reshape(L, n_heads, D // n_heads).transpose(1, 0, 2)
+    """[..., L, D] -> [..., n_heads, L, D / n_heads]."""
+    *lead, L, D = x.shape
+    return np.swapaxes(x.reshape(*lead, L, n_heads, D // n_heads), -3, -2)
 
 
 def _merge_heads(x):
-    nh, L, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(L, nh * dh)
+    """Inverse of _split_heads."""
+    *lead, nh, L, dh = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, L, nh * dh)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +238,9 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
     """Attention output for the rows `rows` of x; keys and values see every row."""
     p = lambda n: params[f"{prefix}.attn.{n}"]
     cache = {"x": x}
-    proj, probs = {}, None
+    proj = {}
     for name in ("q", "k", "v"):
-        xin = x[rows] if name == "q" else x
+        xin = x[..., rows, :] if name == "q" else x
         factor = lora.get(name) if lora else None
         drop = (
             _dropout_scale(xin.shape, lora_drop, train, rng)
@@ -237,7 +254,7 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
     q = _split_heads(proj["q"], cfg.n_heads)
     k = _split_heads(proj["k"], cfg.n_heads)
     v = _split_heads(proj["v"], cfg.n_heads)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(dh)
     probs = _softmax(scores)
     ctx = probs @ v
     merged = _merge_heads(ctx)
@@ -251,36 +268,34 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
     return out, cache
 
 
-def _attn_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
+def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
     p = lambda n: params[f"{prefix}.attn.{n}"]
     if cache["drop_o"] is not None:
         gr = gr * cache["drop_o"]
-    if grads is not None:
-        grads[f"{prefix}.attn.wo"] += gr.T @ cache["merged"]
-        grads[f"{prefix}.attn.bo"] += gr.sum(axis=0)
+    if base is not None:
+        base[f"bb.{prefix}.attn.wo"] += fold_rows(gr).T @ fold_rows(cache["merged"])
+        base[f"bb.{prefix}.attn.bo"] += fold_rows(gr).sum(axis=0)
     gmerged = gr @ p("wo")
     gctx = _split_heads(gmerged, cfg.n_heads)
     probs, q, k, v = cache["probs"], cache["qh"], cache["kh"], cache["vh"]
-    gprobs = gctx @ v.transpose(0, 2, 1)
-    gv = probs.transpose(0, 2, 1) @ gctx
+    gprobs = gctx @ np.swapaxes(v, -1, -2)
+    gv = np.swapaxes(probs, -1, -2) @ gctx
     gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
     gscores /= np.sqrt(cache["dh"])
     gq = gscores @ k
-    gk = gscores.transpose(0, 2, 1) @ q
+    gk = np.swapaxes(gscores, -1, -2) @ q
     gx = np.zeros_like(cache["x"])
     for name, gh in (("q", gq), ("k", gk), ("v", gv)):
-        gflat = _merge_heads(gh)
         dW, db, dx, fg = adapter.lora_project_backward(
-            gflat, p("w" + name), cache[name], base_grads=grads is not None
+            _merge_heads(gh), p("w" + name), cache[name], base_grads=base is not None
         )
-        if grads is not None:
-            grads[f"{prefix}.attn.w{name}"] += dW
-            grads[f"{prefix}.attn.b{name}"] += db
-        gx[cache["rows"] if name == "q" else slice(None)] += dx
+        if base is not None:
+            base[f"bb.{prefix}.attn.w{name}"] += dW
+            base[f"bb.{prefix}.attn.b{name}"] += db
+        gx[..., cache["rows"] if name == "q" else slice(None), :] += dx
         if fg is not None:
-            lg = lora_grads.setdefault(prefix, {}).setdefault(name, {"A": 0.0, "B": 0.0})
-            lg["A"] = lg["A"] + fg["A"]
-            lg["B"] = lg["B"] + fg["B"]
+            grads[f"lora.{prefix}.{name}.A"] += fg["A"]
+            grads[f"lora.{prefix}.{name}.B"] += fg["B"]
     return gx
 
 
@@ -295,23 +310,27 @@ def _mlp_forward(x, params, prefix, cfg, train=False, rng=None):
     drop_y = _dropout_scale(y.shape, cfg.dropout, train, rng)
     if drop_y is not None:
         y = y * drop_y
-    return y, {"x": x, "h": h, "tanh_u": tanh_u, "ad": ad, "drop_h": drop_h, "drop_y": drop_y}
+    return y, {"x": x, "h": h, "tanh_u": tanh_u, "drop_h": drop_h, "drop_y": drop_y}
 
 
-def _mlp_backward(gr, params, prefix, cache, grads):
+def _mlp_backward(gr, params, prefix, cache, base):
     w1, w2 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.w2"]
     if cache["drop_y"] is not None:
         gr = gr * cache["drop_y"]
-    if grads is not None:
-        grads[f"{prefix}.mlp.w2"] += gr.T @ cache["ad"]
-        grads[f"{prefix}.mlp.b2"] += gr.sum(axis=0)
+    if base is not None:
+        # the activation, recomputed with the forward's operations
+        ad = 0.5 * cache["h"] * (1.0 + cache["tanh_u"])
+        if cache["drop_h"] is not None:
+            ad = ad * cache["drop_h"]
+        base[f"bb.{prefix}.mlp.w2"] += fold_rows(gr).T @ fold_rows(ad)
+        base[f"bb.{prefix}.mlp.b2"] += fold_rows(gr).sum(axis=0)
     gad = gr @ w2
     if cache["drop_h"] is not None:
         gad = gad * cache["drop_h"]
     gh = _gelu_backward(gad, cache["h"], cache["tanh_u"])
-    if grads is not None:
-        grads[f"{prefix}.mlp.w1"] += gh.T @ cache["x"]
-        grads[f"{prefix}.mlp.b1"] += gh.sum(axis=0)
+    if base is not None:
+        base[f"bb.{prefix}.mlp.w1"] += fold_rows(gh).T @ fold_rows(cache["x"])
+        base[f"bb.{prefix}.mlp.b1"] += fold_rows(gh).sum(axis=0)
     return gh @ w1
 
 
@@ -323,24 +342,21 @@ def _block_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=Non
     """
     n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     a, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop)
-    x2 = x[rows] + a
+    x2 = x[..., rows, :] + a
     n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     m, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng)
-    out = x2 + m
-    if np.isnan(out).any():
-        raise FloatingPointError(f"NaN detected after block {prefix}")
-    return out, {"ln1": ln1, "attn": attn, "ln2": ln2, "mlp": mlp}
+    return x2 + m, {"ln1": ln1, "attn": attn, "ln2": ln2, "mlp": mlp}
 
 
-def _block_backward(gr, params, prefix, cfg, cache, grads, lora_grads):
+def _block_backward(gr, params, prefix, cfg, cache, grads, base):
     """Gradient wrt every input row, given that of the output rows.
-    `grads` receives the block's base-weight gradients; None skips them
-    (frozen backbone).  LoRA gradients always flow."""
-    gm = _mlp_backward(gr, params, prefix, cache["mlp"], grads)
-    gx2 = _layernorm_backward(gm, cache["ln2"], grads, f"{prefix}.ln2") + gr
-    ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads, lora_grads)
-    gx = _layernorm_backward(ga, cache["ln1"], grads, f"{prefix}.ln1")
-    gx[cache["attn"]["rows"]] += gx2
+    `base` receives the block's base-weight gradients; None skips them
+    (frozen backbone).  LoRA gradients always flow into `grads`."""
+    gm = _mlp_backward(gr, params, prefix, cache["mlp"], base)
+    gx2 = _layernorm_backward(gm, cache["ln2"], base, f"bb.{prefix}.ln2") + gr
+    ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads, base)
+    gx = _layernorm_backward(ga, cache["ln1"], base, f"bb.{prefix}.ln1")
+    gx[..., cache["attn"]["rows"], :] += gx2
     return gx
 
 
@@ -361,7 +377,7 @@ def _head(params) -> tuple[np.ndarray, np.ndarray]:
 
 
 def embed(patches: np.ndarray, params: dict) -> np.ndarray:
-    """Affine projection of single-channel pixel patches [L, p²] to token space."""
+    """Affine projection of single-channel pixel patches [..., L, p²] to token space."""
     return patches @ _embed_weight(params).T + params["patch_embed.b"]
 
 
@@ -378,11 +394,11 @@ def encode(tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None
     return x, caches
 
 
-def encode_backward(gr, params, cfg, caches, grads, lora_grads):
-    """Gradient wrt the encoder input; base-weight gradients go to `grads`
-    unless it is None, LoRA gradients to `lora_grads`."""
+def encode_backward(gr, params, cfg, caches, grads, base):
+    """Gradient wrt the encoder input; base-weight gradients go to `base`
+    unless it is None, LoRA gradients to `grads`."""
     for i in reversed(range(cfg.e_layers)):
-        gr = _block_backward(gr, params, f"enc{i}", cfg, caches[i], grads, lora_grads)
+        gr = _block_backward(gr, params, f"enc{i}", cfg, caches[i], grads, base)
     return gr
 
 
@@ -391,18 +407,19 @@ def decode_with_mask_tokens(
 ):
     """Scatter visible latents into the full grid, fill the rest with the mask
     token, add decoder positions, decode, and project to single-channel patch
-    pixels [len(out_idx), p²] for the patches `out_idx`.
+    pixels [..., len(out_idx), p²] for the patches `out_idx`.
 
     Every decoder block but the last runs on all L rows; the last one outputs
     only the rows `out_idx`, and `dec_norm` and the head run on those rows.
     """
     L = cfg.n_patches
-    if latent.shape[0] != vis_idx.shape[0]:
+    if latent.shape[-2] != vis_idx.shape[0]:
         raise ValueError(
-            f"latent count {latent.shape[0]} != visible count {vis_idx.shape[0]}"
+            f"latent count {latent.shape[-2]} != visible count {vis_idx.shape[0]}"
         )
-    full = np.tile(params["mask_token"], (L, 1))
-    full[vis_idx] = latent
+    full = np.empty((*latent.shape[:-2], L, cfg.d_model))
+    full[...] = params["mask_token"]
+    full[..., vis_idx, :] = latent
     x = full + params["dec_pos"]
     caches = []
     for i in range(cfg.d_layers):
@@ -410,7 +427,7 @@ def decode_with_mask_tokens(
         x, c = _block_forward(x, params, f"dec{i}", cfg, rows, None, train, rng)
         caches.append(c)
     if not caches:  # no block to restrict
-        x = x[out_idx]
+        x = x[..., out_idx, :]
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
     head_w, head_b = _head(params)
     out = n @ head_w.T + head_b
@@ -418,29 +435,32 @@ def decode_with_mask_tokens(
     return out, cache
 
 
-def decode_backward(gr, params, cfg, cache, grads, lora_grads):
+def decode_backward(gr, params, cfg, cache, base):
     """Gradient wrt the visible latents, given that of the decoded `out_idx`
-    patches; base-weight gradients go to `grads` unless it is None."""
+    patches; base-weight gradients go to `base` unless it is None."""
     head_w, _ = _head(params)
-    if grads is not None:
+    if base is not None:
         # each channel block receives a third of the single-channel gradient
-        grads["head.w"] += np.tile(gr.T @ cache["n"] / 3.0, (3, 1))
-        grads["head.b"] += np.tile(gr.sum(axis=0) / 3.0, 3)
+        hw = base["bb.head.w"].reshape(3, -1, cfg.d_model)
+        hw += fold_rows(gr).T @ fold_rows(cache["n"]) / 3.0
+        hb = base["bb.head.b"].reshape(3, -1)
+        hb += fold_rows(gr).sum(axis=0) / 3.0
     gn = gr @ head_w
-    gx = _layernorm_backward(gn, cache["ln"], grads, "dec_norm")
+    gx = _layernorm_backward(gn, cache["ln"], base, "bb.dec_norm")
     for i in reversed(range(cfg.d_layers)):
-        gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], grads, lora_grads)
+        gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], None, base)
+    L, D = cache["L"], cfg.d_model
     if not cache["blocks"]:
-        gfull = np.zeros((cache["L"], cfg.d_model))
-        gfull[cache["out_idx"]] = gx
+        gfull = np.zeros((*gx.shape[:-2], L, D))
+        gfull[..., cache["out_idx"], :] = gx
         gx = gfull
     vis_idx = cache["vis_idx"]
-    if grads is not None:
-        grads["dec_pos"] += gx
-        masked = np.ones(cache["L"], dtype=bool)
+    if base is not None:
+        base["bb.dec_pos"] += gx.reshape(-1, L, D).sum(axis=0)
+        masked = np.ones(L, dtype=bool)
         masked[vis_idx] = False
-        grads["mask_token"] += gx[masked].sum(axis=0)
-    return gx[vis_idx]
+        base["bb.mask_token"] += fold_rows(gx[..., masked, :]).sum(axis=0)
+    return gx[..., vis_idx, :]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +480,8 @@ def autoencode(
     rng=None,
     lora_drop: float = 0.0,
 ):
-    """Image [H, W] -> visible patches -> tokens (-> TGA) -> +pos -> encode
-    -> decode -> image [H, W].
+    """Image [..., H, W] -> visible patches -> tokens (-> TGA) -> +pos ->
+    encode -> decode -> image [..., H, W].
 
     Only the visible patches are embedded.  The returned image is exact on
     the patches `out_idx` (row-major indices) and zero elsewhere;
@@ -469,7 +489,7 @@ def autoencode(
     """
     grid = (cfg.grid_rows, cfg.grid_cols)
     vis_idx = visible_indices(grid, vis_cols)
-    patches = patchify(image, cfg.patch_size)[vis_idx]
+    patches = patchify(image, cfg.patch_size)[..., vis_idx, :]
     tokens = embed(patches, params)
     tga_cache = None
     if tga is not None:
@@ -479,8 +499,8 @@ def autoencode(
     out_patches, dec_cache = decode_with_mask_tokens(
         latent, vis_idx, out_idx, params, cfg, train, rng
     )
-    full = np.zeros((cfg.n_patches, out_patches.shape[1]))
-    full[out_idx] = out_patches
+    full = np.zeros((*image.shape[:-2], cfg.n_patches, out_patches.shape[-1]))
+    full[..., out_idx, :] = out_patches
     image_out = unpatchify(full, grid, cfg.patch_size)
     cache = {
         "patches": patches,
@@ -493,35 +513,35 @@ def autoencode(
     return image_out, cache
 
 
-def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, tga=None):
-    """Gradients for backbone params, adapters, and the input image.
+def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, tga=None):
+    """Add the gradients of one branch to `grads`; return the image gradient.
 
     The exact adjoint of autoencode: `grad_image` is read only on the
     decoded `out_idx` patches, and the image gradient is non-zero only on the
-    visible patches.  Returns (base grads, LoRA grads, TGA grads, image
-    grad).  When cfg.frozen the base-weight gradients are never formed and
-    the base dict is empty; the adapters and the image still receive theirs.
-    Otherwise the base dict carries every parameter name.
+    visible patches.  `grads` is the flat gradient buffer described in the
+    module docstring.  When cfg.frozen the base-weight gradients are never
+    formed and `grads` needs no `bb.*` entry; the adapters and the image
+    still receive theirs.
     """
-    grads = None if cfg.frozen else {k: np.zeros_like(v) for k, v in params.items()}
-    lora_grads: dict = {}
+    base = None if cfg.frozen else grads
     vis_idx = cache["vis_idx"]
-    gp = patchify(grad_image, cfg.patch_size)[cache["dec"]["out_idx"]]
-    glat = decode_backward(gp, params, cfg, cache["dec"], grads, lora_grads)
-    gvis = encode_backward(glat, params, cfg, cache["enc"], grads, lora_grads)
-    if grads is not None:
-        grads["enc_pos"][vis_idx] += gvis
-    tga_grads = None
+    gp = patchify(grad_image, cfg.patch_size)[..., cache["dec"]["out_idx"], :]
+    glat = decode_backward(gp, params, cfg, cache["dec"], base)
+    gvis = encode_backward(glat, params, cfg, cache["enc"], grads, base)
+    if base is not None:
+        base["bb.enc_pos"][vis_idx] += gvis.reshape(-1, *gvis.shape[-2:]).sum(axis=0)
     if cache["tga"] is not None:
         tga_grads, gvis = adapter.tga_backward(gvis, cache["tga"], tga)
-    if grads is not None:
+        grads["tga.W_proj"] += tga_grads["W_proj"]
+        grads["tga.w_fusion"] += tga_grads["w_fusion"]
+    if base is not None:
         # every channel block saw the same single-channel patches
-        grads["patch_embed.w"] += np.tile(gvis.T @ cache["patches"], (1, 3))
-        grads["patch_embed.b"] += gvis.sum(axis=0)
-    gpatches = np.zeros((cfg.n_patches, cache["patches"].shape[1]))
-    gpatches[vis_idx] = gvis @ _embed_weight(params)
-    grad_image = unpatchify(gpatches, cache["grid"], cfg.patch_size)
-    return ({} if grads is None else grads), lora_grads, tga_grads, grad_image
+        pw = base["bb.patch_embed.w"].reshape(cfg.d_model, 3, -1)
+        pw += (fold_rows(gvis).T @ fold_rows(cache["patches"]))[:, None, :]
+        base["bb.patch_embed.b"] += fold_rows(gvis).sum(axis=0)
+    gpatches = np.zeros((*gvis.shape[:-2], cfg.n_patches, cache["patches"].shape[-1]))
+    gpatches[..., vis_idx, :] = gvis @ _embed_weight(params)
+    return unpatchify(gpatches, cache["grid"], cfg.patch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +552,10 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write a name -> array dict; row-major payloads, bit-exact round trip."""
+    """Write a name -> array dict; row-major payloads, bit-exact round trip.
+
+    Each payload is written from the array's own memory, not from a copy.
+    """
     with open(path, "wb") as fh:
         fh.write(b"NTF1")
         fh.write(struct.pack("<I", len(tensors)))
@@ -541,46 +564,51 @@ def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
             code = _DTYPE_CODES.get(arr.dtype)
             if code is None:
                 raise ValueError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
+            arr = arr.astype(_DTYPES[code], copy=False)
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<BB", code, arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(arr.astype(_DTYPES[code], copy=False).tobytes())
+            fh.write(_bytes_of(arr))
 
 
-def read_weights(path) -> dict[str, np.ndarray]:
-    """Read an NTF1 file back into a name -> array dict.
+def _bytes_of(arr: np.ndarray) -> np.ndarray:
+    """The bytes of a C-contiguous array, as a flat uint8 view of it."""
+    return arr.reshape(-1).view(np.uint8)
 
-    The arrays are read-only little-endian views of the file's bytes, so the
-    file is held in memory once; copy an array before writing to it.  A
-    truncated or malformed file raises ValueError naming the path and the
-    byte offset where decoding stopped.
+
+def _read_index(fh, path) -> dict[str, tuple[np.dtype, tuple[int, ...], int]]:
+    """name -> (dtype, shape, payload offset) of an open NTF1 file.
+
+    Reads the headers only, seeking past every payload, and checks each
+    payload against the file's size.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != b"NTF1":
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    size = fh.seek(0, 2)
+    fh.seek(0)
+    magic = fh.read(4)
+    if magic != b"NTF1":
+        raise ValueError(f"{path}: bad magic {magic!r}")
     off = 4
 
     def take(fmt):
         nonlocal off
-        try:
-            values = struct.unpack_from(fmt, raw, off)
-        except struct.error:
-            raise ValueError(f"{path}: truncated header at byte {off}") from None
-        off += struct.calcsize(fmt)
-        return values
+        n = struct.calcsize(fmt)
+        piece = fh.read(n)
+        if len(piece) < n:
+            raise ValueError(f"{path}: truncated header at byte {off}")
+        off += n
+        return struct.unpack(fmt, piece)
 
     (count,) = take("<I")
-    out: dict[str, np.ndarray] = {}
+    index: dict[str, tuple[np.dtype, tuple[int, ...], int]] = {}
     for _ in range(count):
         (nlen,) = take("<H")
-        if off + nlen > len(raw):
+        if off + nlen > size:
             raise ValueError(f"{path}: truncated header at byte {off}")
         try:
-            name = raw[off : off + nlen].decode("utf-8")
+            name = fh.read(nlen).decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: tensor name at byte {off} is not UTF-8") from None
         off += nlen
@@ -589,11 +617,57 @@ def read_weights(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         shape = take(f"<{rank}I")
         dtype = _DTYPES[code]
-        count = math.prod(shape)
-        if off + count * dtype.itemsize > len(raw):
+        nbytes = math.prod(shape) * dtype.itemsize
+        if off + nbytes > size:
             raise ValueError(f"{path}: truncated payload for tensor {name!r} at byte {off}")
-        if name in out:
+        if name in index:
             raise ValueError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = np.frombuffer(raw, dtype, count, off).reshape(shape)
-        off += count * dtype.itemsize
+        index[name] = (dtype, shape, off)
+        off = fh.seek(off + nbytes)
+    return index
+
+
+def read_weights(path, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Read an NTF1 file back into a name -> array dict.
+
+    Every header is checked before the first payload is read: a truncated or
+    malformed file raises ValueError naming the path and the byte offset
+    where decoding stopped.
+
+    Without `out`, the arrays are read-only little-endian views of the
+    file's bytes, so the file is held in memory once; copy an array before
+    writing to it.  With `out`, a name -> array dict that must hold exactly
+    the file's names with the file's shapes, each payload is read straight
+    into its array of `out`, and `out` is returned: the file's bytes are
+    never held as well, and a file that does not match leaves `out`
+    untouched.
+    """
+    with open(path, "rb") as fh:
+        index = _read_index(fh, path)
+        if out is None:
+            fh.seek(0)
+            raw = fh.read()
+            return {
+                name: np.frombuffer(raw, dtype, math.prod(shape), off).reshape(shape)
+                for name, (dtype, shape, off) in index.items()
+            }
+        unknown = sorted(set(index) - set(out))
+        if unknown:
+            raise ValueError(f"unknown tensor names: {unknown}")
+        missing = sorted(set(out) - set(index))
+        if missing:
+            raise ValueError(f"missing tensor names: {missing}")
+        for name, (_, shape, _) in index.items():
+            if shape != out[name].shape:
+                raise ValueError(
+                    f"tensor {name!r} has shape {shape}, expected {out[name].shape}"
+                )
+        for name, (dtype, shape, off) in index.items():
+            fh.seek(off)
+            dest = out[name]
+            if dest.dtype == dtype and dest.flags.c_contiguous:
+                fh.readinto(_bytes_of(dest))
+            else:
+                payload = fh.read(dest.size * dtype.itemsize)
+                dest[...] = np.frombuffer(payload, dtype).reshape(shape)
     return out

@@ -3,7 +3,8 @@
 Subcommands: render, pss, synth-image, train, eval, forecast, gradcheck.
 Every subcommand writes machine-readable outputs (JSON/CSV/PGM) carrying the
 resolved config snapshot, plus a one-line human summary on stdout.  Exit codes:
-0 success, 1 validation/test failure, 2 I/O or config error.
+0 success, 1 validation/test failure, 2 I/O or config error, 3 a training
+step with a non-finite loss or gradient norm.
 """
 
 from __future__ import annotations
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except FloatingPointError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

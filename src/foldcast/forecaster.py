@@ -178,91 +178,100 @@ class ForecastModel:
         bb.save_weights(path, self.state_tensors())
 
     def load(self, path) -> None:
-        loaded = bb.read_weights(path)
-        current = self.state_tensors()
-        unknown = sorted(set(loaded) - set(current))
-        if unknown:
-            raise ValueError(f"unknown tensor names: {unknown}")
-        missing = sorted(set(current) - set(loaded))
-        if missing:
-            raise ValueError(f"missing tensor names: {missing}")
-        for name, arr in loaded.items():
-            if arr.shape != current[name].shape:
-                raise ValueError(
-                    f"tensor {name!r} has shape {arr.shape}, expected {current[name].shape}"
-                )
-            current[name][...] = arr
+        """Read a checkpoint written by `save` into this model's arrays.
+
+        The names and shapes must match the model's exactly; a checkpoint
+        that does not leaves the model untouched.
+        """
+        bb.read_weights(path, out=self.state_tensors())
 
     # -- forward / backward ----------------------------------------------
 
-    def _branches(self, w: TimeSeriesWindow, train, rng, grads=None):
-        """Normalized-space branch outputs [H, N] of every variable.
+    def _branches(self, windows, train, rng, grads=None):
+        """Normalized-space branch outputs [B, H, N] of B windows.
 
-        With a `grads` dict, each variable's backward runs right after its
-        forward and adds into `grads`, so a variable's caches are released
-        when the next variable's forward rebinds them instead of piling up.
-        Backward draws no random numbers and the aligner's running statistics
-        change only in forward, so the interleaving gives the same gradients
-        as a forward over every variable first.
+        The windows must share their context length T, horizon H and
+        variable count N.  Variable by variable, their renderings run through
+        each branch as one [B, H, W] batch; the aligner runs image by image,
+        in window order, so its dropout draws and batch-norm updates follow
+        the windows.  With a `grads` dict, each variable's backward runs
+        right after its forward and adds the gradient of the windows' summed
+        losses into `grads`, so a variable's caches are released when the
+        next variable's forward rebinds them instead of piling up.  Backward
+        draws no random numbers and the aligner's running statistics change
+        only in forward, so the interleaving gives the same gradients as a
+        forward over every variable first.
         """
-        x_norm = normalize(w)
-        H, N = w.target.shape
-        target = None if grads is None else normalize_target(w)
+        (T, N), (H, _) = windows[0].context.shape, windows[0].target.shape
+        for w in windows:
+            if w.context.shape != (T, N) or w.target.shape != (H, N):
+                raise ValueError(
+                    f"a batch needs windows of one shape: context {w.context.shape} and "
+                    f"target {w.target.shape} against {(T, N)} and {(H, N)}"
+                )
+        x_norm = [normalize(w) for w in windows]
+        targets = None if grads is None else np.stack([normalize_target(w) for w in windows])
         beta = self.beta
-        y_st = np.zeros((H, N))
-        y_sp = np.zeros((H, N))
+        y_st = np.zeros((len(windows), H, N))
+        y_sp = np.zeros((len(windows), H, N))
         tga = self.tga if self.cfg.use_tga else None
         for v in range(N):
-            ri = render(x_norm[:, v], H, self.cfg.render)
-            vis_cols = ri.visible_width // self.cfg.render.patch_size
-            read = ri.read_patches
+            ris = [render(x[:, v], H, self.cfg.render) for x in x_norm]
+            pixels = np.stack([ri.pixels for ri in ris])
+            # T and H fix the geometry: every window reads the same patches
+            vis_cols = ris[0].visible_width // self.cfg.render.patch_size
+            read = ris[0].read_patches
             out_st, c_st = bb.autoencode(
-                ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
+                pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
                 tga=tga, tga_table=self.tga_table, train=train, rng=rng,
                 lora_drop=self.cfg.lora_dropout,
             )
             if self.cfg.use_sma:
-                aligned, c_sma = sma.sma_forward(
-                    ri.pixels, self.enhancer, self.cfg.sma, train=train, rng=rng
-                )
+                runs = [
+                    sma.sma_forward(img, self.enhancer, self.cfg.sma, train=train, rng=rng)
+                    for img in pixels
+                ]
+                aligned, c_sma = np.stack([out for out, _ in runs]), [c for _, c in runs]
             else:
-                aligned, c_sma = ri.pixels, None
+                aligned, c_sma = pixels, None
             out_sp, c_sp = bb.autoencode(
                 aligned, self.bb_params, self.cfg.backbone, vis_cols, read, train=train, rng=rng
             )
-            y_st[:, v] = reconstruct(out_st, ri)
-            y_sp[:, v] = reconstruct(out_sp, ri)
+            for b, ri in enumerate(ris):
+                y_st[b, :, v] = reconstruct(out_st[b], ri)
+                y_sp[b, :, v] = reconstruct(out_sp[b], ri)
             if grads is not None:
-                g_yhat = 2.0 * (fuse(y_st[:, v], y_sp[:, v], beta) - target[:, v]) / target.size
+                yhat = fuse(y_st[:, :, v], y_sp[:, :, v], beta)
+                g_yhat = 2.0 * (yhat - targets[:, :, v]) / (H * N)
                 self._backward_variable(
-                    grads, ri, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
+                    grads, ris, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
                 )
         return y_st, y_sp
 
-    def _backward_variable(self, grads, ri, g_st, g_sp, c_st, c_sp, c_sma):
-        """Add one variable's gradients, given those of its two branch outputs."""
-        bbg, lg, tg, _ = bb.autoencode_backward(
-            reconstruct_backward(g_st, ri), self.bb_params, self.cfg.backbone, c_st,
-            tga=self.tga if self.cfg.use_tga else None,
-        )
-        self._accumulate(grads, bbg, lg, tg)
+    def _backward_variable(self, grads, ris, g_st, g_sp, c_st, c_sp, c_sma):
+        """Add one variable's gradients, given those of its two branch outputs [B, H]."""
+
+        def image_grad(g):
+            return np.stack([reconstruct_backward(gb, ri) for gb, ri in zip(g, ris)])
+
+        cfg = self.cfg.backbone
+        tga = self.tga if self.cfg.use_tga else None
+        bb.autoencode_backward(image_grad(g_st), self.bb_params, cfg, c_st, grads, tga=tga)
         # the spectral branch has no adapters: its backward feeds only the
         # base weights and the aligner
-        if self.cfg.backbone.frozen and not self.cfg.use_sma:
+        if cfg.frozen and not self.cfg.use_sma:
             return
-        bbg, lg, _, g_aligned = bb.autoencode_backward(
-            reconstruct_backward(g_sp, ri), self.bb_params, self.cfg.backbone, c_sp
-        )
-        self._accumulate(grads, bbg, lg, None)
+        g_aligned = bb.autoencode_backward(image_grad(g_sp), self.bb_params, cfg, c_sp, grads)
         if self.cfg.use_sma:
-            sg, _ = sma.sma_backward(g_aligned, c_sma, self.enhancer)
-            for k, val in sg.items():
-                grads[f"sma.{k}"] += val
+            for g, c in zip(g_aligned, c_sma):
+                sg, _ = sma.sma_backward(g, c, self.enhancer)
+                for k, val in sg.items():
+                    grads[f"sma.{k}"] += val
 
     def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
         """Full dual-branch pass over every variable of one window."""
-        y_st, y_sp = self._branches(w, train, rng)
-        return self._outcome(w, y_st, y_sp)
+        y_st, y_sp = self._branches([w], train, rng)
+        return self._outcome(w, y_st[0], y_sp[0])
 
     def _outcome(self, w, y_st, y_sp) -> ForecastOutcome:
         pred = denormalize(fuse(y_st, y_sp, self.beta), w)
@@ -274,33 +283,34 @@ class ForecastModel:
             mae=mae(pred, w.target),
         )
 
-    def loss_and_grads(self, w: TimeSeriesWindow, rng=None, train: bool = True):
-        """Normalized-space MSE loss and gradients.
+    def loss_and_grads(self, *windows: TimeSeriesWindow, rng=None, train: bool = True):
+        """Normalized-space MSE loss and gradients of one window, or of several
+        run as one batch.
 
-        The gradient dict holds exactly the tensors of `trainable_names()`:
-        no `bb.*` key when the backbone is frozen, no `sma.*`, `tga.*` or
-        `fuse.beta` key when that part is switched off or fixed.
+        Returns (loss, grads, outcome).  For several windows, which must share
+        T, H and N, the loss and every gradient are the means over the
+        windows, and `outcome` is a list of ForecastOutcome, one per window.
+        The gradient dict is one flat buffer that every backward adds into;
+        it holds exactly the tensors of `trainable_names()`: no `bb.*` key
+        when the backbone is frozen, no `sma.*`, `tga.*` or `fuse.beta` key
+        when that part is switched off or fixed.
         """
+        if not windows:
+            raise ValueError("loss_and_grads needs at least one window")
         params = self.named_params()
         grads = {k: np.zeros_like(params[k]) for k in self.trainable_names()}
-        y_st, y_sp = self._branches(w, train, rng, grads)
-        diff = fuse(y_st, y_sp, self.beta) - normalize_target(w)
-        loss = float(np.mean(diff**2))
-        if "fuse.beta" in grads:
-            g_yhat = 2.0 * diff / diff.size
-            grads["fuse.beta"][0] = float(np.sum(g_yhat * (y_st - y_sp)))
-        return loss, grads, self._outcome(w, y_st, y_sp)
-
-    def _accumulate(self, grads, bb_grads, lora_grads, tga_grads):
-        for k, val in bb_grads.items():
-            grads[f"bb.{k}"] += val
-        for pfx, per_proj in lora_grads.items():
-            for n, fg in per_proj.items():
-                grads[f"lora.{pfx}.{n}.A"] += fg["A"]
-                grads[f"lora.{pfx}.{n}.B"] += fg["B"]
-        if tga_grads is not None:
-            grads["tga.W_proj"] += tga_grads["W_proj"]
-            grads["tga.w_fusion"] += tga_grads["w_fusion"]
+        y_st, y_sp = self._branches(windows, train, rng, grads)
+        losses = []
+        for w, st, sp in zip(windows, y_st, y_sp):
+            diff = fuse(st, sp, self.beta) - normalize_target(w)
+            losses.append(float(np.mean(diff**2)))
+            if "fuse.beta" in grads:
+                g_yhat = 2.0 * diff / diff.size
+                grads["fuse.beta"][0] += float(np.sum(g_yhat * (st - sp)))
+        for g in grads.values():
+            g /= len(windows)
+        outcomes = [self._outcome(w, st, sp) for w, st, sp in zip(windows, y_st, y_sp)]
+        return sum(losses) / len(windows), grads, outcomes if len(windows) > 1 else outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +359,28 @@ def _val_loss(model: ForecastModel, windows) -> float:
     return total / len(windows)
 
 
+def _check_finite(step: int, loss: float, grads: dict) -> None:
+    """Raise FloatingPointError unless the loss and the global gradient norm
+    of optimizer step `step` are finite, naming the first non-finite tensor."""
+    norm2 = sum(float(np.vdot(g, g)) for g in grads.values())
+    if np.isfinite(loss) and np.isfinite(norm2):
+        return
+    bad = next((k for k, g in grads.items() if not np.isfinite(g).all()), None)
+    raise FloatingPointError(
+        f"optimizer step {step}: loss {loss}, gradient norm {np.sqrt(norm2)}, "
+        + (f"first non-finite tensor {bad}" if bad else "every gradient tensor finite")
+    )
+
+
 def train(model: ForecastModel, train_windows, val_windows, cfg: TrainConfig) -> dict:
     """Adam training with early stopping; returns the report dict.
 
-    Beta is clamped to [0, 1] right after every optimizer step (projected
-    gradient).  The best-validation snapshot is restored before returning.
+    The windows of each optimizer step run as one batch through
+    `ForecastModel.loss_and_grads`, so a step's memory grows with
+    `batch_size`.  Beta is clamped to [0, 1] right after every optimizer step
+    (projected gradient).  The best-validation snapshot is restored before
+    returning.  A non-finite loss or gradient norm stops training with
+    FloatingPointError.
     """
     if not train_windows or not val_windows:
         raise ValueError("need at least one train and one val window")
@@ -366,23 +393,17 @@ def train(model: ForecastModel, train_windows, val_windows, cfg: TrainConfig) ->
     best_epoch = 0
     bad = 0
     n = len(train_windows)
+    step = 0
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads_sum = None
-            for idx in batch:
-                loss, grads, _ = model.loss_and_grads(train_windows[idx], rng=rng)
-                epoch_loss += loss
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for k in grads_sum:
-                        grads_sum[k] += grads[k]
-            for k in grads_sum:
-                grads_sum[k] /= len(batch)
-            adam_step(params, grads_sum, state, cfg)
+            batch = [train_windows[i] for i in order[start : start + cfg.batch_size]]
+            loss, grads, _ = model.loss_and_grads(*batch, rng=rng)
+            step += 1
+            _check_finite(step, loss, grads)
+            epoch_loss += loss * len(batch)
+            adam_step(params, grads, state, cfg)
             np.clip(model.beta_raw, 0.0, 1.0, out=model.beta_raw)
         train_mse = epoch_loss / n
         val_mse = _val_loss(model, val_windows)
@@ -594,12 +615,13 @@ def _gradcheck_backbone(seed, inject_fault):
         return float(np.sum(out * gout))
 
     _, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=out_idx)
-    grads, _, _, _ = bb.autoencode_backward(gout, params, cfg, cache)
+    grads = {f"bb.{n}": np.zeros_like(v) for n, v in params.items()}
+    bb.autoencode_backward(gout, params, cfg, cache, grads)
     if inject_fault:
-        grads["head.w"] = grads["head.w"] * 1.1
+        grads["bb.head.w"] = grads["bb.head.w"] * 1.1
     names = sorted(params)
     return _fd_on_arrays(
-        loss, [params[n] for n in names], [grads[n] for n in names], rng=rng,
+        loss, [params[n] for n in names], [grads[f"bb.{n}"] for n in names], rng=rng,
         max_per_tensor=4,
     )
 

@@ -131,29 +131,62 @@ def recombine(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # conv / batchnorm / dropout primitives (3x3, stride 1, zero pad 1)
+#
+# A 3x3 convolution is one matrix product against nine shifted copies
+# ("taps") of its input or output, whichever has fewer channels: with C input
+# and O output channels, copying the C side costs 9C images, the O side 9O.
+# Tap k = 3i + j of x [C, H, W] is x_pad[:, i:i+H, j:j+W]; `_shift_add`, the
+# adjoint of `_taps`, adds tap k back at offset (i, j).  Reversing the tap
+# axis, k -> 8 - k, mirrors the kernel.
 
 
-def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _taps(x: np.ndarray) -> np.ndarray:
+    """[C, H, W] -> [C, 9, H, W], the nine zero-padded shifts of x."""
     C, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.empty((w.shape[0], H, W))
-    out[...] = b[:, None, None]
-    for i in range(3):
-        for j in range(3):
-            out += np.einsum("oc,chw->ohw", w[:, :, i, j], xp[:, i : i + H, j : j + W])
+    xp = np.zeros((C, H + 2, W + 2))
+    xp[:, 1 : 1 + H, 1 : 1 + W] = x
+    out = np.empty((C, 9, H, W))
+    for k in range(9):
+        i, j = divmod(k, 3)
+        out[:, k] = xp[:, i : i + H, j : j + W]
     return out
 
 
-def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+def _shift_add(z: np.ndarray) -> np.ndarray:
+    """Adjoint of _taps: [C, 9, H, W] -> [C, H, W]."""
+    C, _, H, W = z.shape
+    out = np.zeros((C, H + 2, W + 2))
+    for k in range(9):
+        i, j = divmod(k, 3)
+        out[:, i : i + H, j : j + W] += z[:, k]
+    return out[:, 1 : 1 + H, 1 : 1 + W]
+
+
+def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross-correlation of x [C, H, W] with w [O, C, 3, 3], plus b [O]."""
     C, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    gw = np.zeros_like(w)
-    gxp = np.zeros_like(xp)
-    for i in range(3):
-        for j in range(3):
-            gw[:, :, i, j] = np.einsum("ohw,chw->oc", g, xp[:, i : i + H, j : j + W])
-            gxp[:, i : i + H, j : j + W] += np.einsum("oc,ohw->chw", w[:, :, i, j], g)
-    return gw, g.sum(axis=(1, 2)), gxp[:, 1 : 1 + H, 1 : 1 + W]
+    O = w.shape[0]
+    if C <= O:
+        out = w.reshape(O, C * 9) @ _taps(x).reshape(C * 9, H * W)
+    else:  # each tap of the output is a product over the channels of x
+        z = w.transpose(0, 2, 3, 1).reshape(O * 9, C) @ x.reshape(C, H * W)
+        out = _shift_add(z.reshape(O, 9, H, W)[:, ::-1])
+    return out.reshape(O, H, W) + b[:, None, None]
+
+
+def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients wrt w, b and x, given g [O, H, W] of conv3x3's output."""
+    C, H, W = x.shape
+    O = w.shape[0]
+    g2 = g.reshape(O, H * W)
+    if C <= O:
+        gw = g2 @ _taps(x).reshape(C * 9, H * W).T
+        gx = _shift_add((w.reshape(O, C * 9).T @ g2).reshape(C, 9, H, W))
+    else:
+        gtaps = _taps(g)[:, ::-1].reshape(O * 9, H * W)
+        gw = (gtaps @ x.reshape(C, H * W).T).reshape(O, 9, C).transpose(0, 2, 1)
+        gx = w.reshape(O, C, 9).transpose(1, 0, 2).reshape(C, O * 9) @ gtaps
+    return gw.reshape(w.shape), g.sum(axis=(1, 2)), gx.reshape(C, H, W)
 
 
 def _bn_forward(x, p: EnhancerParams, train: bool):
@@ -180,8 +213,10 @@ def _bn_backward(g, cache, p: EnhancerParams):
     dbeta = g.sum(axis=(1, 2))
     gg = g * p.bn_gamma[:, None, None]
     if cache["train"]:
-        mg = gg.mean(axis=(1, 2), keepdims=True)
-        mgx = (gg * xhat).mean(axis=(1, 2), keepdims=True)
+        # the means of gg and gg * xhat over each channel, from the sums above
+        n = xhat.shape[1] * xhat.shape[2]
+        mg = (p.bn_gamma * dbeta / n)[:, None, None]
+        mgx = (p.bn_gamma * dgamma / n)[:, None, None]
         dx = invstd * (gg - mg - xhat * mgx)
     else:
         dx = gg * invstd
@@ -196,40 +231,38 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=
     """Conv -> BN -> ReLU -> dropout -> conv on the magnitude spectrum.
 
     Returns (A_enhanced, cache); cache records everything backward needs,
-    including the dropout mask, so train-mode gradients are exact.
+    including the dropout mask, so train-mode gradients are exact.  Of the
+    [C, H, W/2+1] activations it keeps only the normalized one and two
+    boolean masks; backward recomputes the input of the second convolution.
     """
     x0 = A[None, :, :]
     h1 = conv3x3(x0, p.conv1_w, p.conv1_b)
     h2, bn_cache = _bn_forward(h1, p, train)
     relu_mask = h2 > 0
-    h3 = h2 * relu_mask
+    keep = None
     if train and p.dropout_rate > 0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        keep = rng.random(h3.shape) >= p.dropout_rate
-        drop_scale = keep / (1.0 - p.dropout_rate)
-    else:
-        drop_scale = None
-    h4 = h3 * drop_scale if drop_scale is not None else h3
-    h5 = conv3x3(h4, p.conv2_w, p.conv2_b)
-    cache = {
-        "x0": x0,
-        "h1": h1,
-        "bn": bn_cache,
-        "relu_mask": relu_mask,
-        "h4": h4,
-        "drop_scale": drop_scale,
-    }
+        keep = rng.random(h2.shape) >= p.dropout_rate
+    h5 = conv3x3(_mask(h2, relu_mask, keep, p), p.conv2_w, p.conv2_b)
+    cache = {"x0": x0, "bn": bn_cache, "relu_mask": relu_mask, "keep": keep}
     return h5[0], cache
+
+
+def _mask(x, relu_mask, keep, p: EnhancerParams):
+    """x times the ReLU mask and the inverted-dropout scale.  Given the masks
+    this map is diagonal, hence its own adjoint."""
+    x = x * relu_mask
+    return x * (keep / (1.0 - p.dropout_rate)) if keep is not None else x
 
 
 def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
     """Gradients of the enhancer wrt its parameters and its input magnitude."""
     g = g_out[None, :, :]
-    gw2, gb2, gh4 = conv3x3_backward(g, cache["h4"], p.conv2_w)
-    gh3 = gh4 * cache["drop_scale"] if cache["drop_scale"] is not None else gh4
-    gh2 = gh3 * cache["relu_mask"]
-    gh1, dgamma, dbeta = _bn_backward(gh2, cache["bn"], p)
+    bn, relu_mask, keep = cache["bn"], cache["relu_mask"], cache["keep"]
+    h2 = p.bn_gamma[:, None, None] * bn["xhat"] + p.bn_beta[:, None, None]
+    gw2, gb2, gh4 = conv3x3_backward(g, _mask(h2, relu_mask, keep, p), p.conv2_w)
+    gh1, dgamma, dbeta = _bn_backward(_mask(gh4, relu_mask, keep, p), bn, p)
     gw1, gb1, gx0 = conv3x3_backward(gh1, cache["x0"], p.conv1_w)
     grads = {
         "conv1_w": gw1,

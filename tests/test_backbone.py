@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from foldcast import adapter, backbone as bb
+from foldcast import adapter, backbone as bb, forecaster as fc
 from foldcast import rendering as rd
 from foldcast.backbone import BackboneConfig
 from foldcast.rendering import RenderSpec
-from tests.test_forecaster import desk_model
+from tests.test_forecaster import desk_model, toy_windows
 
 
 def toy_config(**kw):
@@ -20,6 +20,16 @@ def toy_config(**kw):
 
 
 ALL = np.arange(toy_config().n_patches)  # decode every patch of the toy grid
+
+
+def grad_buffer(params, lora=None, frozen=False):
+    """A zeroed flat gradient buffer: `bb.*` unless frozen, plus every LoRA factor."""
+    grads = {} if frozen else {f"bb.{k}": np.zeros_like(v) for k, v in params.items()}
+    for pfx, factors in (lora or {}).items():
+        for n, f in factors.items():
+            grads[f"lora.{pfx}.{n}.A"] = np.zeros_like(f.A)
+            grads[f"lora.{pfx}.{n}.B"] = np.zeros_like(f.B)
+    return grads
 
 
 class TestPatchify:
@@ -96,12 +106,41 @@ class TestEncode:
         mlp_out, _ = bb._mlp_forward(n2, params, "enc0", cfg)
         assert np.abs(out - (expected_after_attn + mlp_out)).max() < 1e-10
 
-    def test_nan_detection(self):
+    def test_nan_detection(self, monkeypatch):
+        """No block scans its output; training checks the loss and the global
+        gradient norm once per optimizer step and names the step and the
+        first non-finite tensor, for NaN and for +Inf alike."""
         cfg = toy_config(e_layers=1)
         params = bb.init_backbone(cfg, np.random.default_rng(10))
-        x = np.full((4, cfg.d_model), np.nan)
-        with pytest.raises(FloatingPointError, match="NaN"):
-            bb.encode(x, params, cfg)
+        out, _ = bb.encode(np.full((4, cfg.d_model), np.nan), params, cfg)
+        assert np.isnan(out).all()
+        ws = toy_windows(6)
+        tcfg = fc.TrainConfig(lr=1e-3, batch_size=2, epochs=1, seed=0)
+
+        model = desk_model()
+        model.bb_params["mask_token"][0] = np.nan
+        with pytest.raises(FloatingPointError, match=r"optimizer step 1: loss nan, .*"
+                           r"first non-finite tensor bb\."):
+            fc.train(model, ws[:5], ws[5:], tcfg)
+
+        model = desk_model()
+        real = model.loss_and_grads
+        calls = []
+
+        def inf_at_step_two(*windows, **kw):
+            loss, grads, outcome = real(*windows, **kw)
+            calls.append(loss)
+            if len(calls) == 2:
+                grads["sma.conv2_w"][0, 3, 1, 1] = np.inf
+            return loss, grads, outcome
+
+        monkeypatch.setattr(model, "loss_and_grads", inf_at_step_two)
+        with pytest.raises(FloatingPointError) as info:
+            fc.train(model, ws[:5], ws[5:], tcfg)
+        msg = str(info.value)
+        assert np.isfinite(calls[1])
+        assert msg.startswith(f"optimizer step 2: loss {calls[1]}, gradient norm inf, ")
+        assert msg.endswith("first non-finite tensor sma.conv2_w")
 
 
 class TestGelu:
@@ -210,12 +249,13 @@ class TestRestrictedDecode:
         part, c_part = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=out_idx)
         assert np.all(part[gout == 0.0] == 0.0)
         assert np.abs(part - full * (gout != 0.0)).max() <= 1e-12 * np.abs(full).max()
-        g_full, _, _, gi_full = bb.autoencode_backward(gout, params, cfg, c_full)
-        g_part, _, _, gi_part = bb.autoencode_backward(gout, params, cfg, c_part)
+        g_full, g_part = grad_buffer(params), grad_buffer(params)
+        gi_full = bb.autoencode_backward(gout, params, cfg, c_full, g_full)
+        gi_part = bb.autoencode_backward(gout, params, cfg, c_part, g_part)
         assert np.abs(gi_part - gi_full).max() <= 1e-12 * np.abs(gi_full).max()
         # a key bias shifts every score of a query alike, so its gradient is
         # zero in exact arithmetic and round-off on both sides
-        for name in (n for n in params if not n.endswith("attn.bk")):
+        for name in (f"bb.{n}" for n in params if not n.endswith("attn.bk")):
             scale = np.abs(g_full[name]).max()
             assert np.abs(g_part[name] - g_full[name]).max() <= 1e-12 * scale, name
 
@@ -275,18 +315,19 @@ class TestFrozen:
         lora["enc0"]["q"].B = rng.normal(0.0, 0.1, size=(cfg.d_model, 2))
         img = np.random.default_rng(23).normal(size=(32, 32))
         out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora=lora)
-        grads, lora_grads, _, gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache)
-        assert grads == {}
+        grads = grad_buffer(params, lora, frozen=True)  # no bb.* entry to add into
+        gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache, grads)
+        assert sorted(grads) == ["lora.enc0.q.A", "lora.enc0.q.B"]
         assert np.any(gimg != 0.0)  # input gradient still flows
-        fg = lora_grads["enc0"]["q"]
-        assert np.any(fg["A"] != 0.0) and np.any(fg["B"] != 0.0)
+        assert np.any(grads["lora.enc0.q.A"] != 0.0) and np.any(grads["lora.enc0.q.B"] != 0.0)
 
     def test_zero_upstream_zero_grads(self):
         cfg = toy_config(frozen=False)
         params = bb.init_backbone(cfg, np.random.default_rng(24))
         img = np.random.default_rng(25).normal(size=(32, 32))
         out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
-        grads, _, _, gimg = bb.autoencode_backward(np.zeros_like(out), params, cfg, cache)
+        grads = grad_buffer(params)
+        gimg = bb.autoencode_backward(np.zeros_like(out), params, cfg, cache, grads)
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(gimg == 0.0)
 
@@ -315,7 +356,8 @@ class TestNamedTensorFile:
         with pytest.raises(ValueError, match="truncated"):
             bb.read_weights(path)
 
-    # checkpoint validation happens in ForecastModel.load, the one loader
+    # checkpoint validation: ForecastModel.load checks names and shapes in
+    # read_weights(out=...) before it writes any array
     def test_unknown_name_rejected_with_list(self, tmp_path):
         path = tmp_path / "m.ntf"
         bb.save_weights(path, {**desk_model().state_tensors(), "mystery": np.zeros(2)})
@@ -374,6 +416,43 @@ class TestNamedTensorFile:
             tracemalloc.stop()
         assert peak < 1.5 * size, (peak, size)
         assert not loaded["t0"].flags.writeable
+
+    def test_read_into_arrays_holds_no_copy(self, tmp_path):
+        # with `out`, the payloads land in the given arrays and the file's
+        # bytes are never held as well
+        path = tmp_path / "w.ntf"
+        rng = np.random.default_rng(28)
+        tensors = {f"t{i}": rng.normal(size=(64, 256)) for i in range(8)}
+        bb.save_weights(path, tensors)
+        out = {k: np.zeros_like(v) for k, v in tensors.items()}
+        arrays = dict(out)
+        tracemalloc.start()
+        try:
+            got = bb.read_weights(path, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size, peak
+        assert got is out and all(out[k] is arrays[k] for k in out)
+        assert all(np.array_equal(out[k], tensors[k]) for k in tensors)
+
+    def test_read_into_converts_dtype(self, tmp_path):
+        path = tmp_path / "w.ntf"
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        bb.save_weights(path, {"x": arr})
+        out = {"x": np.zeros((2, 3))}
+        bb.read_weights(path, out=out)
+        assert out["x"].dtype == np.float64 and np.array_equal(out["x"], arr)
+
+    def test_rejected_load_leaves_model_untouched(self, tmp_path):
+        path = tmp_path / "m.ntf"
+        tensors = desk_model(seed=5).state_tensors()
+        bb.save_weights(path, {**tensors, "bb.head.b": np.zeros(5)})
+        model = desk_model(seed=6)
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="has shape"):
+            model.load(path)
+        assert all(np.array_equal(v, before[k]) for k, v in model.state_tensors().items())
 
 
 class TestVisibleIndices:

@@ -7,7 +7,7 @@ import pytest
 from foldcast import pgm
 from foldcast.cli import main
 from foldcast.config import ConfigError, model_config, parse_config, train_config
-from foldcast.forecaster import ModelConfig, TrainConfig
+from foldcast.forecaster import ForecastModel, ModelConfig, TrainConfig
 
 DESK = [
     "synth_kind=sinusoid_mix", "synth_length=400", "synth_period=8",
@@ -167,6 +167,18 @@ class TestTrainEvalForecast:
     def test_no_input_exit_2(self, tmp_path):
         rc = main(["train", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_non_finite_step_exit_3(self, tmp_path, monkeypatch, capsys):
+        real = ForecastModel.loss_and_grads
+
+        def nan_loss(self, *windows, **kw):
+            _, grads, outcome = real(self, *windows, **kw)
+            return float("nan"), grads, outcome
+
+        monkeypatch.setattr(ForecastModel, "loss_and_grads", nan_loss)
+        rc = main(["train", *desk_args(), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "optimizer step 1: loss nan" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

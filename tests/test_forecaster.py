@@ -233,6 +233,29 @@ class TestFrozenGradients:
         finally:
             tracemalloc.stop()
 
+    def test_batch_of_unequal_windows_rejected(self):
+        model = desk_model()
+        w = toy_windows(1)[0]
+        for other in (toy_windows(1, T=40)[0], toy_windows(1, H=8)[0]):
+            with pytest.raises(ValueError, match="one shape"):
+                model.loss_and_grads(w, other, train=False)
+
+    def test_peak_memory_of_a_batched_step(self):
+        # a step holds its 8 windows' caches at once; the bound sits between
+        # the trimmed caches (2.7 MiB) and caches that keep the aligner's
+        # conv1 output, ReLU-dropout output and float dropout scale and the
+        # MLP's activation (4.3 MiB)
+        model = desk_model()
+        ws = toy_windows(8)
+        model.loss_and_grads(*ws, rng=np.random.default_rng(0))  # warm-up
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(*ws, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, peak
+
     def test_peak_memory_does_not_grow_with_variables(self):
         # each variable's backward runs right after its forward, so only one
         # variable's caches are alive at a time

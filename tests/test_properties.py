@@ -1,13 +1,19 @@
 """Properties over random shapes: the adjoint identity <Ax, y> = <x, A^T y> of
-each hand-written linear map, and exact render -> reconstruct round trips."""
+each hand-written linear map, exact render -> reconstruct round trips, and a
+batch of samples computing what the samples compute one by one."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from foldcast import backbone as bb
 from foldcast import rendering as rd
 from foldcast import sma
+from foldcast.data import normalize_target
+from foldcast.forecaster import fuse
 from foldcast.rendering import RenderSpec
+from tests.test_backbone import toy_config
+from tests.test_forecaster import desk_model, toy_windows
 from tests.test_rendering import exact_spec
 
 # derandomized, without an example database, so every run draws the same cases
@@ -135,3 +141,116 @@ def test_reconstruct_reads_only_read_patches(**geometry):
     decoded = np.random.default_rng(geometry["seed"] + 1).normal(size=ri.pixels.shape)
     assert np.array_equal(rd.reconstruct(np.where(mask, decoded, 0.0), ri),
                           rd.reconstruct(decoded, ri))
+
+
+def rel_err(a, ref):
+    """Largest difference relative to the reference's largest entry; 0 when both are zero."""
+    return np.abs(a - ref).max() / max(np.abs(ref).max(), np.finfo(float).tiny)
+
+
+def conv_einsum(x, w, b):
+    """Reference 3x3 convolution: one einsum per kernel tap."""
+    C, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.empty((w.shape[0], H, W))
+    out[...] = b[:, None, None]
+    for i in range(3):
+        for j in range(3):
+            out += np.einsum("oc,chw->ohw", w[:, :, i, j], xp[:, i : i + H, j : j + W])
+    return out
+
+
+def conv_einsum_backward(g, x, w):
+    """Reference gradients of conv_einsum wrt w, b and x."""
+    C, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for i in range(3):
+        for j in range(3):
+            gw[:, :, i, j] = np.einsum("ohw,chw->oc", g, xp[:, i : i + H, j : j + W])
+            gxp[:, i : i + H, j : j + W] += np.einsum("oc,ohw->chw", w[:, :, i, j], g)
+    return gw, g.sum(axis=(1, 2)), gxp[:, 1 : 1 + H, 1 : 1 + W]
+
+
+conv_shapes = dict(C=st.integers(1, 4), O=st.integers(1, 4), H=st.integers(2, 9),
+                   W=st.integers(2, 9), seed=seeds)
+
+
+def conv_case(C, O, H, W, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O),
+            rng.normal(size=(O, H, W)))
+
+
+@PROPERTY
+@given(**conv_shapes)
+def test_conv3x3_adjoint(C, O, H, W, seed):
+    """conv3x3 is bilinear in (x, w): its backward is the adjoint in each."""
+    x, w, _, g = conv_case(C, O, H, W, seed)
+    y = sma.conv3x3(x, w, np.zeros(O))
+    gw, gb, gx = sma.conv3x3_backward(g, x, w)
+    assert_adjoint(y, g, x, gx)
+    assert_adjoint(y, g, w, gw)
+    assert np.array_equal(gb, g.sum(axis=(1, 2)))
+
+
+@PROPERTY
+@given(**conv_shapes)
+def test_conv3x3_matches_einsum_reference(C, O, H, W, seed):
+    x, w, b, g = conv_case(C, O, H, W, seed)
+    assert rel_err(sma.conv3x3(x, w, b), conv_einsum(x, w, b)) <= 1e-12
+    for got, ref in zip(sma.conv3x3_backward(g, x, w), conv_einsum_backward(g, x, w)):
+        assert rel_err(got, ref) <= 1e-12
+
+
+@PROPERTY
+@given(B=st.integers(1, 4), vis_cols=st.integers(1, 4), n_out=st.integers(1, 16), seed=seeds)
+def test_autoencode_batch_equals_stacked_samples(B, vis_cols, n_out, seed):
+    cfg = toy_config()
+    rng = np.random.default_rng(seed)
+    params = bb.init_backbone(cfg, rng)
+    images = rng.normal(size=(B, cfg.image_height, cfg.image_width))
+    out_idx = np.sort(rng.choice(cfg.n_patches, size=n_out, replace=False))
+    batched, _ = bb.autoencode(images, params, cfg, vis_cols, out_idx)
+    one_by_one = np.stack([bb.autoencode(img, params, cfg, vis_cols, out_idx)[0]
+                           for img in images])
+    assert batched.shape == one_by_one.shape
+    assert rel_err(batched, one_by_one) <= 1e-12
+
+
+def normalized_loss(model, w, outcome):
+    """The loss `loss_and_grads` reports, from a window's branch outputs."""
+    yhat = fuse(outcome.y_structural, outcome.y_spectral, model.beta)
+    return float(np.mean((yhat - normalize_target(w)) ** 2))
+
+
+@PROPERTY
+@given(B=st.integers(1, 4), n_vars=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_batched_step_equals_mean_of_windows(B, n_vars, seed):
+    """One batched step: each window's loss bit for bit, and the mean of the
+    one-window gradients.  The aligner draws its dropout masks image by image
+    in window order, which is the one-window calls' order for one variable;
+    with several variables the step runs in eval mode."""
+    train = n_vars == 1
+    model = desk_model(seed=seed % 7)
+    factor_rng = np.random.default_rng(seed + 1)
+    for factors in model.lora.values():  # a zero B would zero every A gradient
+        for f in factors.values():
+            f.B[...] = factor_rng.normal(0.0, 0.1, size=f.B.shape)
+    windows = toy_windows(B, n_vars=n_vars, seed=seed)
+    loss, grads, outcomes = model.loss_and_grads(
+        *windows, rng=np.random.default_rng(seed), train=train)
+    outcomes = outcomes if B > 1 else [outcomes]
+    rng = np.random.default_rng(seed)
+    singles = [model.loss_and_grads(w, rng=rng, train=train) for w in windows]
+    assert [normalized_loss(model, w, o) for w, o in zip(windows, outcomes)] == \
+        [single_loss for single_loss, _, _ in singles]
+    assert loss == sum(single_loss for single_loss, _, _ in singles) / B
+    assert sorted(grads) == sorted(model.trainable_names())
+    for name, g in grads.items():
+        mean = sum(single_grads[name] for _, single_grads, _ in singles) / B
+        # a key bias and the first convolution's bias feed a softmax and a
+        # batch norm that cancel them: zero in exact arithmetic, round-off here
+        if not name.endswith(("attn.bk", "conv1_b")):
+            assert rel_err(g, mean) <= 1e-12, name

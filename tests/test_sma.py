@@ -194,6 +194,25 @@ class TestAligner:
         assert all(np.all(g == 0.0) for g in grads.values())
         assert np.all(gimg == 0.0)
 
+    def test_train_cache_holds_one_channel_stack(self):
+        """A step holds every window's aligner cache at once, so a train-mode
+        cache keeps a single float [C, H, W/2+1] activation, the normalized
+        one; the ReLU and dropout masks are boolean."""
+        _, cache = sma.sma_forward(self.img, copy.deepcopy(self.p), SmaConfig(lam=0.3),
+                                   train=True, rng=np.random.default_rng(6))
+
+        def arrays(obj):
+            if isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v)
+            elif isinstance(obj, np.ndarray):
+                yield obj
+
+        stack = [a for a in arrays(cache) if a.ndim == 3 and a.shape[0] == 4]
+        assert all(a.shape == (4, 8, 5) for a in stack)
+        assert [a.dtype for a in stack if a.dtype != bool] == [np.float64]
+        assert sorted(a.dtype.name for a in stack) == ["bool", "bool", "float64"]
+
 
 def central_diff(f, arr, idx, h=1e-4):
     orig = arr[idx]
