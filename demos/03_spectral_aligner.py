@@ -42,7 +42,7 @@ state = AdamState.init(params, names)
 tcfg = TrainConfig(lr=3e-3, batch_size=1, epochs=1)
 for step in range(200):
     A_enh, cache = sma.enhancer_forward(A0, p, train=False)
-    grads, _ = sma.enhancer_backward(A_enh - target, cache, p)
+    grads = sma.enhancer_backward(A_enh - target, cache, p)
     adam_step(params, grads, state, tcfg)
     if step % 50 == 0:
         print(f"  step {step:3d}: magnitude loss {0.5 * np.sum((A_enh - target) ** 2):.3e}")

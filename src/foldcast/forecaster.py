@@ -191,10 +191,10 @@ class ForecastModel:
         """Normalized-space branch outputs [B, H, N] of B windows.
 
         The windows must share their context length T, horizon H and
-        variable count N.  Variable by variable, their renderings run through
-        each branch as one [B, H, W] batch; the aligner runs image by image,
-        in window order, so its dropout draws and batch-norm updates follow
-        the windows.  With a `grads` dict, each variable's backward runs
+        variable count N.  Variable by variable, they are rendered in one
+        call, run through each branch as one [B, H, W] batch and reconstructed
+        in one call; the aligner runs image by image, in window order, so its
+        dropout draws and batch-norm updates follow the windows.  With a `grads` dict, each variable's backward runs
         right after its forward and adds the gradient of the windows' summed
         losses into `grads`, so a variable's caches are released when the
         next variable's forward rebinds them instead of piling up.  Backward
@@ -209,63 +209,60 @@ class ForecastModel:
                     f"a batch needs windows of one shape: context {w.context.shape} and "
                     f"target {w.target.shape} against {(T, N)} and {(H, N)}"
                 )
-        x_norm = [normalize(w) for w in windows]
+        x_norm = np.stack([normalize(w) for w in windows])
         targets = None if grads is None else np.stack([normalize_target(w) for w in windows])
         beta = self.beta
         y_st = np.zeros((len(windows), H, N))
         y_sp = np.zeros((len(windows), H, N))
         tga = self.tga if self.cfg.use_tga else None
         for v in range(N):
-            ris = [render(x[:, v], H, self.cfg.render) for x in x_norm]
-            pixels = np.stack([ri.pixels for ri in ris])
-            # T and H fix the geometry: every window reads the same patches
-            vis_cols = ris[0].visible_width // self.cfg.render.patch_size
-            read = ris[0].read_patches
+            # T and H fix the geometry: one rendering describes every window
+            ri = render(x_norm[:, :, v], H, self.cfg.render)
+            vis_cols = ri.visible_width // self.cfg.render.patch_size
+            read = ri.read_patches
             out_st, c_st = bb.autoencode(
-                pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
+                ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
                 tga=tga, tga_table=self.tga_table, train=train, rng=rng,
                 lora_drop=self.cfg.lora_dropout,
             )
             if self.cfg.use_sma:
                 runs = [
                     sma.sma_forward(img, self.enhancer, self.cfg.sma, train=train, rng=rng)
-                    for img in pixels
+                    for img in ri.pixels
                 ]
                 aligned, c_sma = np.stack([out for out, _ in runs]), [c for _, c in runs]
             else:
-                aligned, c_sma = pixels, None
+                aligned, c_sma = ri.pixels, None
             out_sp, c_sp = bb.autoencode(
                 aligned, self.bb_params, self.cfg.backbone, vis_cols, read, train=train, rng=rng
             )
-            for b, ri in enumerate(ris):
-                y_st[b, :, v] = reconstruct(out_st[b], ri)
-                y_sp[b, :, v] = reconstruct(out_sp[b], ri)
+            y_st[:, :, v] = reconstruct(out_st, ri)
+            y_sp[:, :, v] = reconstruct(out_sp, ri)
             if grads is not None:
                 yhat = fuse(y_st[:, :, v], y_sp[:, :, v], beta)
                 g_yhat = 2.0 * (yhat - targets[:, :, v]) / (H * N)
                 self._backward_variable(
-                    grads, ris, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
+                    grads, ri, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
                 )
         return y_st, y_sp
 
-    def _backward_variable(self, grads, ris, g_st, g_sp, c_st, c_sp, c_sma):
+    def _backward_variable(self, grads, ri, g_st, g_sp, c_st, c_sp, c_sma):
         """Add one variable's gradients, given those of its two branch outputs [B, H]."""
-
-        def image_grad(g):
-            return np.stack([reconstruct_backward(gb, ri) for gb, ri in zip(g, ris)])
-
         cfg = self.cfg.backbone
         tga = self.tga if self.cfg.use_tga else None
-        bb.autoencode_backward(image_grad(g_st), self.bb_params, cfg, c_st, grads, tga=tga)
+        bb.autoencode_backward(
+            reconstruct_backward(g_st, ri), self.bb_params, cfg, c_st, grads, tga=tga
+        )
         # the spectral branch has no adapters: its backward feeds only the
         # base weights and the aligner
         if cfg.frozen and not self.cfg.use_sma:
             return
-        g_aligned = bb.autoencode_backward(image_grad(g_sp), self.bb_params, cfg, c_sp, grads)
+        g_aligned = bb.autoencode_backward(
+            reconstruct_backward(g_sp, ri), self.bb_params, cfg, c_sp, grads
+        )
         if self.cfg.use_sma:
             for g, c in zip(g_aligned, c_sma):
-                sg, _ = sma.sma_backward(g, c, self.enhancer)
-                for k, val in sg.items():
+                for k, val in sma.sma_backward(g, c, self.enhancer).items():
                     grads[f"sma.{k}"] += val
 
     def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
@@ -531,7 +528,7 @@ def _gradcheck_sma(seed, inject_fault):
         return float(np.sum(out * gout))
 
     _, cache = sma.sma_forward(img, copy.deepcopy(p), cfg)
-    grads, _ = sma.sma_backward(gout, cache, p)
+    grads = sma.sma_backward(gout, cache, p)
     if inject_fault:
         grads["conv1_w"] = grads["conv1_w"] * 1.1
     arrays = [getattr(p, k) for k in p.grad_keys()]

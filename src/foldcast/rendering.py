@@ -6,6 +6,11 @@ consecutive steps), resized to the visible region of the target image, and
 composed with a zero-valued masked region standing in for the horizon.  The
 inverse maps a decoded image back to a forecast by resizing to the full
 period grid and unfolding column-major.
+
+Every function takes leading batch axes: contexts [..., T], grids and images
+[..., H, W], forecasts [..., H].  The samples of a batch share one geometry
+(T, the horizon and the spec), so one rendering describes them all, and a
+1-D context is the batch-free case of the same code.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ class RenderSpec:
 
 @dataclass(frozen=True)
 class RenderedImage:
-    pixels: np.ndarray  # [image_height, W_total]
+    pixels: np.ndarray  # [..., image_height, W_total]
     visible_width: int
     masked_width: int
     pad_len: int
@@ -74,26 +79,26 @@ class RenderedImage:
 
 
 def pad_left_replicate(x: np.ndarray, P: int) -> np.ndarray:
-    """Prepend copies of x[0] until the length is divisible by P."""
+    """Prepend copies of x[..., 0] until the length is divisible by P."""
     x = np.asarray(x, dtype=np.float64)
-    T = x.shape[0]
-    p_l = (P - T % P) % P
+    p_l = (P - x.shape[-1] % P) % P
     if p_l == 0:
         return x
-    return np.concatenate([np.full(p_l, x[0]), x])
+    return np.concatenate([np.repeat(x[..., :1], p_l, axis=-1), x], axis=-1)
 
 
 def fold_to_grid(x: np.ndarray, P: int) -> np.ndarray:
-    """Fold a series of length P*F into a [P, F] grid, one period per column."""
+    """Fold series [..., P*F] into [..., P, F] grids, one period per column."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] % P:
-        raise ValueError(f"length {x.shape[0]} not divisible by periodicity {P}")
-    return x.reshape(-1, P).T
+    if x.shape[-1] % P:
+        raise ValueError(f"length {x.shape[-1]} not divisible by periodicity {P}")
+    return x.reshape(*x.shape[:-1], -1, P).swapaxes(-1, -2)
 
 
 def unfold_from_grid(grid: np.ndarray) -> np.ndarray:
-    """Inverse of fold_to_grid: column-major read-out back to a 1-D series."""
-    return np.asarray(grid).T.reshape(-1)
+    """Inverse of fold_to_grid: column-major read-out back to series [..., P*F]."""
+    grid = np.asarray(grid)
+    return grid.swapaxes(-1, -2).reshape(*grid.shape[:-2], -1)
 
 
 def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -107,19 +112,20 @@ def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     back bit for bit.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    in_h, in_w = grid.shape
+    in_h, in_w = grid.shape[-2:]
     y0, y1, ty = _interp_weights(in_h, out_h)
     x0, x1, tx = _interp_weights(in_w, out_w)
     ty = ty[:, None]
-    top = grid[np.ix_(y0, x0)] * (1 - tx) + grid[np.ix_(y0, x1)] * tx
-    bot = grid[np.ix_(y1, x0)] * (1 - tx) + grid[np.ix_(y1, x1)] * tx
+    top, bot = grid[..., y0, :], grid[..., y1, :]
+    top = top[..., x0] * (1 - tx) + top[..., x1] * tx
+    bot = bot[..., x0] * (1 - tx) + bot[..., x1] * tx
     return top * (1 - ty) + bot * ty
 
 
 def resize_bilinear_backward(grad_out: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
     """Adjoint of resize_bilinear: R_h^T @ grad_out @ R_w."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    out_h, out_w = grad_out.shape
+    out_h, out_w = grad_out.shape[-2:]
     return _interp_matrix(in_h, out_h).T @ grad_out @ _interp_matrix(in_w, out_w)
 
 
@@ -161,21 +167,19 @@ def layout_widths(T: int, H: int, spec: RenderSpec) -> tuple[int, int]:
 
 
 def render(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> RenderedImage:
-    """Render one normalized 1-D context into a masked grayscale image."""
+    """Render normalized contexts [..., T] into masked grayscale images."""
     x = np.asarray(context_norm, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("render expects a single-variable 1-D context")
-    T = x.shape[0]
+    if x.ndim < 1:
+        raise ValueError("render expects contexts with a time axis")
+    T = x.shape[-1]
     P = spec.periodicity
     padded = pad_left_replicate(x, P)
-    p_l = padded.shape[0] - T
+    p_l = padded.shape[-1] - T
     grid = fold_to_grid(padded, P)
-    f_ctx = grid.shape[1]
+    f_ctx = grid.shape[-1]
     w_vis, w_mask = layout_widths(T, horizon_len, spec)
     visible = resize_bilinear(grid, spec.image_height, w_vis)
-    pixels = np.concatenate(
-        [visible, np.zeros((spec.image_height, w_mask))], axis=1
-    )
+    pixels = np.concatenate([visible, np.zeros((*visible.shape[:-1], w_mask))], axis=-1)
     return RenderedImage(
         pixels=pixels,
         visible_width=w_vis,
@@ -189,7 +193,8 @@ def render(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> Rend
 
 
 def reconstruct(decoded: np.ndarray, prov: RenderedImage) -> np.ndarray:
-    """Map a decoded grayscale image back to a normalized-space forecast.
+    """Map decoded grayscale images [..., H_img, W] back to normalized-space
+    forecasts [..., H].
 
     The decoded image is resized to the full period grid [P, F_total], unfolded
     column-major, and the horizon slice [T : T+H] (after removing the left pad)
@@ -198,23 +203,22 @@ def reconstruct(decoded: np.ndarray, prov: RenderedImage) -> np.ndarray:
     decoded = np.asarray(decoded, dtype=np.float64)
     spec = prov.spec
     expect = (spec.image_height, prov.total_width)
-    if decoded.shape != expect:
+    if decoded.shape[-2:] != expect:
         raise ValueError(f"decoded image shape {decoded.shape} != rendered {expect}")
     P = spec.periodicity
     f_total = prov.periods_total
     grid = resize_bilinear(decoded, P, f_total)
     series = unfold_from_grid(grid)
     start = prov.pad_len + prov.context_len
-    return series[start : start + prov.horizon_len]
+    return series[..., start : start + prov.horizon_len]
 
 
 def reconstruct_backward(grad_forecast: np.ndarray, prov: RenderedImage) -> np.ndarray:
-    """Adjoint of reconstruct: forecast-slice gradient back to image space."""
+    """Adjoint of reconstruct: forecast-slice gradients [..., H] back to image space."""
     spec = prov.spec
-    P = spec.periodicity
-    f_total = prov.periods_total
-    series_grad = np.zeros(f_total * P)
+    grad_forecast = np.asarray(grad_forecast, dtype=np.float64)
+    series_grad = np.zeros((*grad_forecast.shape[:-1], prov.periods_total * spec.periodicity))
     start = prov.pad_len + prov.context_len
-    series_grad[start : start + prov.horizon_len] = grad_forecast
-    grid_grad = series_grad.reshape(f_total, P).T
+    series_grad[..., start : start + prov.horizon_len] = grad_forecast
+    grid_grad = fold_to_grid(series_grad, spec.periodicity)
     return resize_bilinear_backward(grid_grad, spec.image_height, prov.total_width)

@@ -3,10 +3,15 @@ preserving its phase, then blend residually with the input.
 
 Forward chain: rfft2 -> (magnitude, phase) -> conv/BN/ReLU/dropout/conv stack on
 the magnitude -> recombine with the original phase -> irfft2 -> residual blend
-I + lam * (I_enhanced - I).  All gradients are hand-derived.  irfft2 is numpy's
-real inverse FFT, a real-linear map on any half-spectrum, including one whose
-edge columns (0 and W/2) are no longer Hermitian-consistent after enhancement;
-the adjoints of rfft2 and irfft2 are written in closed form against it.
+I + lam * (I_enhanced - I).  The first convolution has a single input channel,
+so batch norm folds into it: one product against the nine shifted copies of
+the magnitude gives the normalized activation, in train mode from the 9x9
+covariance of those copies.  All gradients are hand-derived and cover the
+enhancer's parameters only; the image gradient is never formed, since nothing
+before the aligner is trained.  irfft2 is numpy's real inverse FFT, a
+real-linear map on any half-spectrum, including one whose edge columns (0 and
+W/2) are no longer Hermitian-consistent after enhancement; its adjoint is
+written in closed form against it.
 """
 
 from __future__ import annotations
@@ -14,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_TINY = 1e-12
-
 
 @dataclass
 class SmaConfig:
@@ -93,17 +95,6 @@ def irfft2(hs: np.ndarray, H: int, W: int) -> np.ndarray:
     return np.fft.irfft2(hs, s=(H, W))
 
 
-def rfft2_adjoint(grad_hs: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Adjoint of rfft2 as a real-linear map (gradient wrt the input image).
-
-    irfft2 counts each interior column twice, through its Hermitian mirror;
-    halving those columns makes it H*W times the adjoint of rfft2.
-    """
-    g = np.array(grad_hs, dtype=np.complex128)
-    g[:, 1 : W // 2] *= 0.5
-    return irfft2(g, H, W) * (H * W)
-
-
 def irfft2_adjoint(grad_image: np.ndarray, W: int) -> np.ndarray:
     """Adjoint of irfft2: real image gradient back to half-spectrum gradient.
 
@@ -130,7 +121,7 @@ def recombine(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conv / batchnorm / dropout primitives (3x3, stride 1, zero pad 1)
+# 3x3 convolutions (stride 1, zero pad 1)
 #
 # A 3x3 convolution is one matrix product against nine shifted copies
 # ("taps") of its input or output, whichever has fewer channels: with C input
@@ -189,42 +180,17 @@ def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
     return gw.reshape(w.shape), g.sum(axis=(1, 2)), gx.reshape(C, H, W)
 
 
-def _bn_forward(x, p: EnhancerParams, train: bool):
-    if train:
-        mean = x.mean(axis=(1, 2))
-        var = x.var(axis=(1, 2))  # population variance for normalization
-        n = x.shape[1] * x.shape[2]
-        unbiased = var * n / max(n - 1, 1)
-        p.bn_running_mean = (1 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
-        p.bn_running_var = (1 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * unbiased
-    else:
-        mean = p.bn_running_mean
-        var = p.bn_running_var
-    invstd = 1.0 / np.sqrt(var + p.bn_eps)
-    xhat = (x - mean[:, None, None]) * invstd[:, None, None]
-    out = p.bn_gamma[:, None, None] * xhat + p.bn_beta[:, None, None]
-    return out, {"xhat": xhat, "invstd": invstd, "train": train}
-
-
-def _bn_backward(g, cache, p: EnhancerParams):
-    xhat = cache["xhat"]
-    invstd = cache["invstd"][:, None, None]
-    dgamma = (g * xhat).sum(axis=(1, 2))
-    dbeta = g.sum(axis=(1, 2))
-    gg = g * p.bn_gamma[:, None, None]
-    if cache["train"]:
-        # the means of gg and gg * xhat over each channel, from the sums above
-        n = xhat.shape[1] * xhat.shape[2]
-        mg = (p.bn_gamma * dbeta / n)[:, None, None]
-        mgx = (p.bn_gamma * dgamma / n)[:, None, None]
-        dx = invstd * (gg - mg - xhat * mgx)
-    else:
-        dx = gg * invstd
-    return dx, dgamma, dbeta
-
-
 # ---------------------------------------------------------------------------
 # enhancer and full aligner
+#
+# conv1 has one input channel, so channel c of its output is w1[c] . X + b1[c]
+# over the nine taps X [9, n] of the magnitude (n = H * (W/2+1)), and batch
+# norm after it is affine in X as well.  In train mode the batch statistics are
+# w1 @ xbar + b1 and ((w1 @ S) * w1).sum(1), with xbar the mean tap and S the
+# 9x9 covariance of the centred taps Xc = X - xbar; in eval mode the centre is
+# 0 and the statistics are the running ones.  Either way BN(conv1(A)) is the
+# one product (gamma * invstd * w1) @ Xc plus a per-channel constant, so
+# neither conv1's output nor the normalized activation is ever formed.
 
 
 def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=None):
@@ -232,47 +198,85 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=
 
     Returns (A_enhanced, cache); cache records everything backward needs,
     including the dropout mask, so train-mode gradients are exact.  Of the
-    [C, H, W/2+1] activations it keeps only the normalized one and two
-    boolean masks; backward recomputes the input of the second convolution.
+    [C, H, W/2+1] activations it keeps the masked one and its boolean mask
+    (ReLU and dropout together); backward rebuilds the taps from A.  The
+    inverted-dropout scale is a scalar on conv2, so it scales conv2's weights.
     """
-    x0 = A[None, :, :]
-    h1 = conv3x3(x0, p.conv1_w, p.conv1_b)
-    h2, bn_cache = _bn_forward(h1, p, train)
-    relu_mask = h2 > 0
-    keep = None
+    C = p.conv1_w.shape[0]
+    H, Wh = A.shape
+    n = H * Wh
+    w1 = p.conv1_w.reshape(C, 9)
+    X = _taps(A[None]).reshape(9, n)
+    S = None
+    if train:
+        centre = X.mean(axis=1)
+        X -= centre[:, None]  # an uncentred Gram loses digits to a large offset
+        S = X @ X.T / n
+        mean = w1 @ centre + p.conv1_b
+        var = ((w1 @ S) * w1).sum(axis=1)  # population variance for normalization
+        unbiased = var * n / max(n - 1, 1)
+        p.bn_running_mean = (1 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
+        p.bn_running_var = (1 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * unbiased
+    else:
+        centre = np.zeros(9)
+        mean, var = p.bn_running_mean, p.bn_running_var
+    invstd = 1.0 / np.sqrt(var + p.bn_eps)
+    scale = p.bn_gamma * invstd
+    d = p.conv1_b + w1 @ centre - mean  # conv1(A) - mean = w1 @ Xc + d
+    h = (scale[:, None] * w1) @ X + (scale * d + p.bn_beta)[:, None]
+    live = h > 0
+    drop_scale = 1.0
     if train and p.dropout_rate > 0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        keep = rng.random(h2.shape) >= p.dropout_rate
-    h5 = conv3x3(_mask(h2, relu_mask, keep, p), p.conv2_w, p.conv2_b)
-    cache = {"x0": x0, "bn": bn_cache, "relu_mask": relu_mask, "keep": keep}
-    return h5[0], cache
-
-
-def _mask(x, relu_mask, keep, p: EnhancerParams):
-    """x times the ReLU mask and the inverted-dropout scale.  Given the masks
-    this map is diagonal, hence its own adjoint."""
-    x = x * relu_mask
-    return x * (keep / (1.0 - p.dropout_rate)) if keep is not None else x
+        live &= rng.random((C, n)) >= p.dropout_rate
+        drop_scale = 1.0 / (1.0 - p.dropout_rate)
+    h *= live
+    a = h.reshape(C, H, Wh)
+    out = conv3x3(a, p.conv2_w * drop_scale, p.conv2_b)
+    cache = {"A": A, "a": a, "live": live, "centre": centre, "S": S, "invstd": invstd,
+             "d": d, "drop_scale": drop_scale}
+    return out[0], cache
 
 
 def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
-    """Gradients of the enhancer wrt its parameters and its input magnitude."""
-    g = g_out[None, :, :]
-    bn, relu_mask, keep = cache["bn"], cache["relu_mask"], cache["keep"]
-    h2 = p.bn_gamma[:, None, None] * bn["xhat"] + p.bn_beta[:, None, None]
-    gw2, gb2, gh4 = conv3x3_backward(g, _mask(h2, relu_mask, keep, p), p.conv2_w)
-    gh1, dgamma, dbeta = _bn_backward(_mask(gh4, relu_mask, keep, p), bn, p)
-    gw1, gb1, gx0 = conv3x3_backward(gh1, cache["x0"], p.conv1_w)
-    grads = {
-        "conv1_w": gw1,
+    """Gradients of the enhancer wrt its parameters.
+
+    With g the gradient of the batch norm's output (conv2's input gradient
+    times the mask) and P = g @ Xc.T, the batch-norm and conv1 gradients
+    come from P, the channel sums of g and the 9x9 covariance S: no pass over
+    the activations beyond the mask and the two products.
+    """
+    a, live, invstd, d = cache["a"], cache["live"], cache["invstd"], cache["d"]
+    C, H, Wh = a.shape
+    s = cache["drop_scale"]
+    gw2, gb2, g = conv3x3_backward(g_out[None], a, p.conv2_w * s)
+    g = g.reshape(C, H * Wh)
+    g *= live
+    X = _taps(cache["A"][None]).reshape(9, H * Wh)
+    X -= cache["centre"][:, None]
+    w1 = p.conv1_w.reshape(C, 9)
+    dbeta = g.sum(axis=1)
+    P = g @ X.T
+    dgamma = invstd * ((P * w1).sum(axis=1) + d * dbeta)
+    gs = p.bn_gamma * invstd
+    if cache["S"] is None:  # eval mode: batch norm is a fixed affine map
+        gw1, gb1 = gs[:, None] * P, gs * dbeta
+    else:
+        # conv1's output gradient is invstd * (gamma g - mean(gamma g) - xhat *
+        # mean(gamma g xhat)) with xhat = invstd * w1 @ Xc (d is 0 here); the
+        # centred taps sum to 0, so the mean terms leave gw1 only through
+        # xhat @ Xc.T = n * invstd * w1 @ S, and gb1 is 0: BN removes conv1's bias
+        gw1 = gs[:, None] * (P - (invstd * dgamma)[:, None] * (w1 @ cache["S"]))
+        gb1 = np.zeros(C)
+    return {
+        "conv1_w": gw1.reshape(p.conv1_w.shape),
         "conv1_b": gb1,
         "bn_gamma": dgamma,
         "bn_beta": dbeta,
-        "conv2_w": gw2,
+        "conv2_w": gw2 * s,
         "conv2_b": gb2,
     }
-    return grads, gx0[0]
 
 
 def sma_forward(
@@ -292,7 +296,6 @@ def sma_forward(
     I_enh = irfft2(Fp, H, W)
     out = I + cfg.lam * (I_enh - I)
     cache = {
-        "A": A,
         "phi": phi,
         "A_enh": A_enh,
         "enh": enh_cache,
@@ -304,24 +307,12 @@ def sma_forward(
 
 
 def sma_backward(grad_out: np.ndarray, cache, p: EnhancerParams):
-    """Gradients of the aligner wrt enhancer parameters and the input image."""
-    H, W = cache["shape"]
-    lam = cache["lam"]
-    g = np.asarray(grad_out, dtype=np.float64)
-    g_image = (1.0 - lam) * g
-    g_enh_img = lam * g
+    """Gradients of the aligner wrt the enhancer parameters.
 
-    gFp = irfft2_adjoint(g_enh_img, W)
-    cos_phi = np.cos(cache["phi"])
-    sin_phi = np.sin(cache["phi"])
-    gA_enh = gFp.real * cos_phi + gFp.imag * sin_phi
-    gphi = cache["A_enh"] * (-sin_phi * gFp.real + cos_phi * gFp.imag)
-
-    grads, gA = enhancer_backward(gA_enh, cache["enh"], p)
-
-    A_safe = np.maximum(cache["A"], _TINY)
-    phase_ok = cache["A"] > _TINY
-    gF_re = gA * cos_phi + np.where(phase_ok, -gphi * sin_phi / A_safe, 0.0)
-    gF_im = gA * sin_phi + np.where(phase_ok, gphi * cos_phi / A_safe, 0.0)
-    g_image = g_image + rfft2_adjoint(gF_re + 1j * gF_im, H, W)
-    return grads, g_image
+    The input image's gradient is not formed: the aligner's input is the
+    rendering, and nothing upstream of it is trainable.
+    """
+    _, W = cache["shape"]
+    gFp = irfft2_adjoint(cache["lam"] * np.asarray(grad_out, dtype=np.float64), W)
+    gA_enh = gFp.real * np.cos(cache["phi"]) + gFp.imag * np.sin(cache["phi"])
+    return enhancer_backward(gA_enh, cache["enh"], p)

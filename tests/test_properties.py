@@ -1,6 +1,9 @@
 """Properties over random shapes: the adjoint identity <Ax, y> = <x, A^T y> of
-each hand-written linear map, exact render -> reconstruct round trips, and a
-batch of samples computing what the samples compute one by one."""
+each hand-written linear map, exact render -> reconstruct round trips, a batch
+of samples computing what the samples compute one by one, and the aligner
+against a direct conv -> BN -> ReLU -> dropout -> conv reference."""
+
+import copy
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -21,6 +24,19 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.integers(1, 12)
+batches = st.integers(0, 4)  # 0: no batch axis
+
+
+def lead(B):
+    """The leading batch axes of a case: none for B = 0, else (B,)."""
+    return (B,) if B else ()
+
+
+def assert_stacked(B, batched, fn, *args):
+    """With a batch axis, `batched` is fn over the samples of `args`, stacked,
+    bit for bit."""
+    if B:
+        assert np.array_equal(batched, np.stack([fn(*sample) for sample in zip(*args)]))
 
 
 def assert_adjoint(Ax, y, x, ATy):
@@ -37,43 +53,41 @@ def complex_normal(rng, shape):
 
 
 @PROPERTY
-@given(in_h=sizes, in_w=sizes, out_h=sizes, out_w=sizes, seed=seeds)
-@example(in_h=5, in_w=7, out_h=1, out_w=1, seed=0)
-@example(in_h=6, in_w=9, out_h=6, out_w=9, seed=1)
-@example(in_h=1, in_w=1, out_h=4, out_w=3, seed=2)
-def test_resize_bilinear_adjoint(in_h, in_w, out_h, out_w, seed):
+@given(B=batches, in_h=sizes, in_w=sizes, out_h=sizes, out_w=sizes, seed=seeds)
+@example(B=0, in_h=5, in_w=7, out_h=1, out_w=1, seed=0)
+@example(B=2, in_h=6, in_w=9, out_h=6, out_w=9, seed=1)
+@example(B=0, in_h=1, in_w=1, out_h=4, out_w=3, seed=2)
+def test_resize_bilinear_adjoint(B, in_h, in_w, out_h, out_w, seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(in_h, in_w))
-    y = rng.normal(size=(out_h, out_w))
-    assert_adjoint(
-        rd.resize_bilinear(x, out_h, out_w), y, x, rd.resize_bilinear_backward(y, in_h, in_w)
-    )
+    x = rng.normal(size=(*lead(B), in_h, in_w))
+    y = rng.normal(size=(*lead(B), out_h, out_w))
+    Ax, ATy = rd.resize_bilinear(x, out_h, out_w), rd.resize_bilinear_backward(y, in_h, in_w)
+    assert_adjoint(Ax, y, x, ATy)
+    assert_stacked(B, Ax, lambda a: rd.resize_bilinear(a, out_h, out_w), x)
+    assert_stacked(B, ATy, lambda a: rd.resize_bilinear_backward(a, in_h, in_w), y)
 
 
 @PROPERTY
 @given(
-    P=st.integers(1, 8), T=st.integers(1, 40), horizon=st.integers(1, 20),
+    B=batches, P=st.integers(1, 8), T=st.integers(1, 40), horizon=st.integers(1, 20),
     image_height=sizes, image_width=st.integers(2, 12),
     align_const=st.floats(0.1, 1.0), seed=seeds,
 )
-def test_reconstruct_adjoint(P, T, horizon, image_height, image_width, align_const, seed):
+def test_reconstruct_adjoint(B, P, T, horizon, image_height, image_width, align_const, seed):
     rng = np.random.default_rng(seed)
     spec = RenderSpec(periodicity=P, image_height=image_height, image_width=image_width,
                       align_const=align_const, patch_size=1)
-    ri = rd.render(rng.normal(size=T), horizon, spec)
+    x = rng.normal(size=(*lead(B), T))
+    ri = rd.render(x, horizon, spec)
     decoded = rng.normal(size=ri.pixels.shape)
-    g = rng.normal(size=horizon)
-    assert_adjoint(rd.reconstruct(decoded, ri), g, decoded, rd.reconstruct_backward(g, ri))
-
-
-@PROPERTY
-@given(H=st.integers(2, 12), half_w=st.integers(1, 8), seed=seeds)
-def test_rfft2_adjoint(H, half_w, seed):
-    W = 2 * half_w
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(H, W))
-    y = complex_normal(rng, (H, half_w + 1))
-    assert_adjoint(sma.rfft2(x), y, x, sma.rfft2_adjoint(y, H, W))
+    g = rng.normal(size=(*lead(B), horizon))
+    Ax, ATy = rd.reconstruct(decoded, ri), rd.reconstruct_backward(g, ri)
+    assert_adjoint(Ax, g, decoded, ATy)
+    # every sample of a batch shares the geometry of one 1-D rendering
+    assert_stacked(B, ri.pixels, lambda a: rd.render(a, horizon, spec).pixels, x)
+    assert_stacked(B, Ax, lambda a, c: rd.reconstruct(a, rd.render(c, horizon, spec)), decoded, x)
+    assert_stacked(B, ATy, lambda a, c: rd.reconstruct_backward(a, rd.render(c, horizon, spec)),
+                   g, x)
 
 
 @PROPERTY
@@ -88,10 +102,10 @@ def test_irfft2_adjoint(H, half_w, seed):
 
 @PROPERTY
 @given(
-    P=st.integers(1, 8), f_ctx=st.integers(1, 8), f_hor=st.integers(1, 5),
+    B=batches, P=st.integers(1, 8), f_ctx=st.integers(1, 8), f_hor=st.integers(1, 5),
     ctx_short=st.integers(0, 7), hor_short=st.integers(0, 7), seed=seeds,
 )
-def test_render_reconstruct_round_trip(P, f_ctx, f_hor, ctx_short, hor_short, seed):
+def test_render_reconstruct_round_trip(B, P, f_ctx, f_hor, ctx_short, hor_short, seed):
     """With image height P and one column per period, render folds the
     context without interpolation and reconstruct reads the horizon back."""
     T = P * f_ctx - ctx_short % P
@@ -99,27 +113,29 @@ def test_render_reconstruct_round_trip(P, f_ctx, f_hor, ctx_short, hor_short, se
     spec = exact_spec(P, f_ctx, f_hor)
     assume(rd.layout_widths(T, horizon, spec)[0] == f_ctx)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=T)
-    truth = rng.normal(size=horizon)
+    x = rng.normal(size=(*lead(B), T))
+    truth = rng.normal(size=(*lead(B), horizon))
     ri = rd.render(x, horizon, spec)
-    assert np.array_equal(ri.pixels[:, :f_ctx], rd.fold_to_grid(rd.pad_left_replicate(x, P), P))
-    future = np.concatenate([truth, rng.normal(size=P * f_hor - horizon)])
-    decoded = np.concatenate([ri.pixels[:, :f_ctx], rd.fold_to_grid(future, P)], axis=1)
+    assert np.array_equal(ri.pixels[..., :f_ctx],
+                          rd.fold_to_grid(rd.pad_left_replicate(x, P), P))
+    future = np.concatenate([truth, rng.normal(size=(*lead(B), P * f_hor - horizon))], axis=-1)
+    decoded = np.concatenate([ri.pixels[..., :f_ctx], rd.fold_to_grid(future, P)], axis=-1)
     assert np.array_equal(rd.reconstruct(decoded, ri), truth)
+    assert np.array_equal(rd.unfold_from_grid(rd.fold_to_grid(future, P)), future)
 
 
 read_geometry = dict(
-    P=st.integers(1, 30), T=st.integers(1, 200), horizon=st.integers(1, 60),
+    B=batches, P=st.integers(1, 30), T=st.integers(1, 200), horizon=st.integers(1, 60),
     grid_h=st.integers(1, 6), grid_w=st.integers(2, 8), patch=st.integers(1, 5),
     align_const=st.floats(0.1, 1.0), seed=seeds,
 )
 
 
-def read_mask(P, T, horizon, grid_h, grid_w, patch, align_const, seed):
-    """A rendering of that geometry and its pixel mask of `read_patches`."""
+def read_mask(B, P, T, horizon, grid_h, grid_w, patch, align_const, seed):
+    """A rendering of B contexts of that geometry and its pixel mask of `read_patches`."""
     spec = RenderSpec(periodicity=P, image_height=grid_h * patch, image_width=grid_w * patch,
                       align_const=align_const, patch_size=patch)
-    ri = rd.render(np.random.default_rng(seed).normal(size=T), horizon, spec)
+    ri = rd.render(np.random.default_rng(seed).normal(size=(*lead(B), T)), horizon, spec)
     flags = np.zeros(grid_h * grid_w)
     flags[ri.read_patches] = 1.0
     mask = np.kron(flags.reshape(grid_h, grid_w), np.ones((patch, patch))) == 1.0
@@ -130,8 +146,9 @@ def read_mask(P, T, horizon, grid_h, grid_w, patch, align_const, seed):
 @given(**read_geometry)
 def test_reconstruct_backward_zero_outside_read_patches(**geometry):
     ri, mask = read_mask(**geometry)
-    g = np.random.default_rng(geometry["seed"] + 1).normal(size=ri.horizon_len)
-    assert np.all(rd.reconstruct_backward(g, ri)[~mask] == 0.0)
+    g = np.random.default_rng(geometry["seed"] + 1).normal(
+        size=(*lead(geometry["B"]), ri.horizon_len))
+    assert np.all(rd.reconstruct_backward(g, ri)[..., ~mask] == 0.0)
 
 
 @PROPERTY
@@ -202,6 +219,78 @@ def test_conv3x3_matches_einsum_reference(C, O, H, W, seed):
     assert rel_err(sma.conv3x3(x, w, b), conv_einsum(x, w, b)) <= 1e-12
     for got, ref in zip(sma.conv3x3_backward(g, x, w), conv_einsum_backward(g, x, w)):
         assert rel_err(got, ref) <= 1e-12
+
+
+def enhancer_reference(A, p, train, rng, g):
+    """The aligner's enhancer written out layer by layer on the einsum
+    convolutions: conv -> BN -> ReLU -> dropout -> conv, and its backward for
+    the upstream gradient g.  Returns (output, running mean, running var,
+    parameter gradients, the summed magnitudes of conv1's output gradient)."""
+    n = A.size
+    h1 = conv_einsum(A[None], p.conv1_w, p.conv1_b)
+    rm, rv = p.bn_running_mean, p.bn_running_var
+    if train:
+        mean, var = h1.mean(axis=(1, 2)), h1.var(axis=(1, 2))
+        rm = (1 - p.bn_momentum) * rm + p.bn_momentum * mean
+        rv = (1 - p.bn_momentum) * rv + p.bn_momentum * var * n / (n - 1)
+    else:
+        mean, var = rm, rv
+    invstd = (1.0 / np.sqrt(var + p.bn_eps))[:, None, None]
+    xhat = (h1 - mean[:, None, None]) * invstd
+    h2 = p.bn_gamma[:, None, None] * xhat + p.bn_beta[:, None, None]
+    mask = (h2 > 0).astype(float)
+    if train and p.dropout_rate > 0:
+        mask *= (rng.random(h2.shape) >= p.dropout_rate) / (1.0 - p.dropout_rate)
+    a = h2 * mask
+    out = conv_einsum(a, p.conv2_w, p.conv2_b)[0]
+    gw2, gb2, ga = conv_einsum_backward(g[None], a, p.conv2_w)
+    gh2 = ga * mask
+    dgamma, dbeta = (gh2 * xhat).sum(axis=(1, 2)), gh2.sum(axis=(1, 2))
+    gg = p.bn_gamma[:, None, None] * gh2
+    if train:
+        gh1 = invstd * (gg - gg.mean(axis=(1, 2), keepdims=True)
+                        - xhat * (gg * xhat).mean(axis=(1, 2), keepdims=True))
+    else:
+        gh1 = invstd * gg
+    gw1, gb1, _ = conv_einsum_backward(gh1, A[None], p.conv1_w)
+    grads = {"conv1_w": gw1, "conv1_b": gb1, "bn_gamma": dgamma, "bn_beta": dbeta,
+             "conv2_w": gw2, "conv2_b": gb2}
+    return out, rm, rv, grads, np.abs(gh1).sum(axis=(1, 2))
+
+
+@PROPERTY
+@given(C=st.integers(1, 4), H=st.integers(1, 6), half_w=st.integers(1, 6),
+       train=st.booleans(), dropout=st.sampled_from([0.0, 0.1]),
+       offset=st.sampled_from([0.0, 1e3]), seed=seeds)
+def test_enhancer_matches_layer_by_layer_reference(C, H, half_w, train, dropout, offset, seed):
+    """Batch norm folded into conv1 (train-mode statistics from the taps'
+    9x9 covariance) computes the direct stack: outputs, running statistics
+    and parameter gradients.  In train mode BN cancels conv1's bias, so its
+    gradient is round-off against the terms that cancel.  An offset
+    magnitude checks that the centred taps keep their digits."""
+    rng = np.random.default_rng(seed)
+    image = rng.normal(size=(2 * H, 2 * half_w))
+    A = np.abs(sma.rfft2(image)) + offset
+    g = rng.normal(size=A.shape)
+    p = sma.init_enhancer(rng, channels=C, dropout_rate=dropout)
+    p.conv1_b[...] = rng.normal(size=C)
+    p.bn_gamma[...] = rng.uniform(0.5, 1.5, size=C)
+    p.bn_beta[...] = rng.normal(size=C)
+    p.bn_running_mean[...] = rng.normal(size=C) * (1 + offset)
+    p.bn_running_var[...] = rng.uniform(0.5, 2.0, size=C) * (1 + offset) ** 2
+    ref, rm, rv, ref_grads, gh1_scale = enhancer_reference(
+        A, p, train, np.random.default_rng(seed + 1), g)
+    q = copy.deepcopy(p)
+    out, cache = sma.enhancer_forward(A, q, train, np.random.default_rng(seed + 1))
+    grads = sma.enhancer_backward(g, cache, q)
+    assert rel_err(out, ref) <= 1e-12
+    assert rel_err(q.bn_running_mean, rm) <= 1e-12
+    assert rel_err(q.bn_running_var, rv) <= 1e-12
+    for name, ref_grad in ref_grads.items():
+        if train and name == "conv1_b":
+            assert np.all(np.abs(grads[name] - ref_grad) <= 1e-12 * gh1_scale)
+        else:
+            assert rel_err(grads[name], ref_grad) <= 1e-12, name
 
 
 @PROPERTY

@@ -59,12 +59,6 @@ class TestHalfSpectrum:
     def test_adjoints(self):
         rng = np.random.default_rng(3)
         H, W = 6, 8
-        x = rng.normal(size=(H, W))
-        y = rng.normal(size=(H, W // 2 + 1)) + 1j * rng.normal(size=(H, W // 2 + 1))
-        Fx = sma.rfft2(x)
-        lhs = np.sum(Fx.real * y.real + Fx.imag * y.imag)
-        rhs = np.sum(x * sma.rfft2_adjoint(y, H, W))
-        assert abs(lhs - rhs) < 1e-10
         F = rng.normal(size=(H, W // 2 + 1)) + 1j * rng.normal(size=(H, W // 2 + 1))
         g = rng.normal(size=(H, W))
         adj = sma.irfft2_adjoint(g, W)
@@ -149,7 +143,7 @@ class TestAligner:
 
     def test_lam_zero_zero_param_grads(self):
         _, cache = sma.sma_forward(self.img, self.p, SmaConfig(lam=0.0))
-        grads, _ = sma.sma_backward(np.ones((8, 8)), cache, self.p)
+        grads = sma.sma_backward(np.ones((8, 8)), cache, self.p)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_lam_one_equals_enhanced(self):
@@ -190,14 +184,14 @@ class TestAligner:
 
     def test_zero_upstream_zero_grads(self):
         _, cache = sma.sma_forward(self.img, self.p, SmaConfig(lam=0.5))
-        grads, gimg = sma.sma_backward(np.zeros((8, 8)), cache, self.p)
+        grads = sma.sma_backward(np.zeros((8, 8)), cache, self.p)
         assert all(np.all(g == 0.0) for g in grads.values())
-        assert np.all(gimg == 0.0)
 
     def test_train_cache_holds_one_channel_stack(self):
         """A step holds every window's aligner cache at once, so a train-mode
-        cache keeps a single float [C, H, W/2+1] activation, the normalized
-        one; the ReLU and dropout masks are boolean."""
+        cache keeps a single float [C, H, W/2+1] activation, the masked one,
+        and one boolean mask for ReLU and dropout together; it holds no
+        [9, H, W/2+1] stack of taps, which backward rebuilds."""
         _, cache = sma.sma_forward(self.img, copy.deepcopy(self.p), SmaConfig(lam=0.3),
                                    train=True, rng=np.random.default_rng(6))
 
@@ -208,10 +202,9 @@ class TestAligner:
             elif isinstance(obj, np.ndarray):
                 yield obj
 
-        stack = [a for a in arrays(cache) if a.ndim == 3 and a.shape[0] == 4]
-        assert all(a.shape == (4, 8, 5) for a in stack)
-        assert [a.dtype for a in stack if a.dtype != bool] == [np.float64]
-        assert sorted(a.dtype.name for a in stack) == ["bool", "bool", "float64"]
+        n = 8 * 5  # one half-spectrum
+        stacks = [a for a in arrays(cache) if a.size in (4 * n, 9 * n)]
+        assert sorted((a.dtype.name, a.size) for a in stacks) == [("bool", 4 * n), ("float64", 4 * n)]
 
 
 def central_diff(f, arr, idx, h=1e-4):
@@ -240,7 +233,7 @@ class TestGradients:
 
         q = copy.deepcopy(p)
         _, cache = sma.sma_forward(img, q, cfg, train, np.random.default_rng(9))
-        grads, _ = sma.sma_backward(gout, cache, q)
+        grads = sma.sma_backward(gout, cache, q)
         worst = 0.0
         pick = np.random.default_rng(3)
         for key in p.grad_keys():
@@ -251,27 +244,6 @@ class TestGradients:
                 fd = central_diff(loss, flat, ix)
                 denom = max(abs(gflat[ix]), abs(fd), 1e-7)
                 worst = max(worst, abs(gflat[ix] - fd) / denom)
-        assert worst < 1e-4
-
-    def test_input_gradient_fd(self):
-        rng = np.random.default_rng(1)
-        img = rng.normal(size=(8, 8))
-        gout = rng.normal(size=(8, 8))
-        p = sma.init_enhancer(np.random.default_rng(2), channels=4)
-        cfg = SmaConfig(lam=0.3)
-        _, cache = sma.sma_forward(img, p, cfg)
-        _, gimg = sma.sma_backward(gout, cache, p)
-
-        def loss():
-            out, _ = sma.sma_forward(img, p, cfg)
-            return float(np.sum(out * gout))
-
-        flat = img.reshape(-1)
-        worst = 0.0
-        for ix in np.random.default_rng(3).choice(flat.size, size=12, replace=False):
-            fd = central_diff(loss, flat, ix)
-            an = gimg.reshape(-1)[ix]
-            worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-7))
         assert worst < 1e-4
 
 
@@ -300,7 +272,7 @@ class TestSpectralShift:
         for _ in range(200):
             A_enh, cache = sma.enhancer_forward(A0, p, train=False)
             gA = A_enh - target
-            grads, _ = sma.enhancer_backward(gA, cache, p)
+            grads = sma.enhancer_backward(gA, cache, p)
             adam_step(params, grads, state, tcfg)
 
         out, _ = sma.sma_forward(img, p, cfg)
