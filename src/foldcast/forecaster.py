@@ -329,17 +329,33 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update, in place, over the tensors in `state`."""
+    """Bias-corrected Adam update, in place, over the tensors in `state`.
+
+    m, v and the parameter are updated in their own buffers through two
+    scratch arrays per tensor, in the operation order of the textbook
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so the result is bitwise
+    that formula's.  `grads` is only read."""
     state.t += 1
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
     for name in state.m:
-        g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        a, b = np.empty_like(m), np.empty_like(m)
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m *= cfg.beta1
+        m += a
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v *= cfg.beta2
+        v += a
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        np.divide(m, bc1, out=a)
+        a *= cfg.lr
+        a /= b
+        params[name] -= a
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,16 @@ def read_pgm(path) -> np.ndarray:
 
     If a sidecar written by write_pgm16 is present, the affine mapping is
     inverted to recover the original values; otherwise raw sample values are
-    returned.
+    returned.  Every malformed file raises a ValueError that names its path.
     """
     path = Path(path)
     raw = path.read_bytes()
-    magic, raw = _next_token(raw)
+    magic, raw = _next_token(raw, path)
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"{path}: unsupported PGM magic {magic.decode('ascii', 'replace')!r}")
-    w, raw = _next_token(raw)
-    h, raw = _next_token(raw)
-    maxval, raw = _next_token(raw)
+    w, raw = _next_token(raw, path)
+    h, raw = _next_token(raw, path)
+    maxval, raw = _next_token(raw, path)
     try:
         w, h, maxval = int(w), int(h), int(maxval)
     except ValueError:
@@ -56,7 +56,15 @@ def read_pgm(path) -> np.ndarray:
         cells = raw.split()
         if len(cells) < w * h:
             raise ValueError(f"{path}: truncated P2 payload")
-        img = np.array(cells[: w * h], dtype=np.float64).reshape(h, w)
+        samples = cells[: w * h]
+        # decimal digits only: no sign, point, exponent, nan or inf; at most
+        # five significant digits (maxval < 65536) before int() reads one
+        for i, c in enumerate(samples):
+            if not c.isdigit() or len(c.lstrip(b"0")) > 5 or int(c) > maxval:
+                raise ValueError(
+                    f"{path}: P2 sample {i} (row {i // w}, column {i % w}) is "
+                    f"{c.decode('ascii', 'replace')!r}, not an integer in [0, {maxval}]")
+        img = np.array(samples, dtype=np.float64).reshape(h, w)
     else:
         # P5: exactly one whitespace byte separates the header from the payload
         dtype = ">u2" if maxval > 255 else "u1"
@@ -71,7 +79,7 @@ def read_pgm(path) -> np.ndarray:
     return img
 
 
-def _next_token(raw: bytes) -> tuple[bytes, bytes]:
+def _next_token(raw: bytes, path: Path) -> tuple[bytes, bytes]:
     """Consume whitespace/comments, return (token, rest-after-one-separator)."""
     i = 0
     while i < len(raw):
@@ -87,20 +95,32 @@ def _next_token(raw: bytes) -> tuple[bytes, bytes]:
     while i < len(raw) and not raw[i : i + 1].isspace():
         i += 1
     if start == i:
-        raise ValueError("corrupt PGM header")
+        raise ValueError(f"{path}: corrupt PGM header")
     return raw[start:i], raw[i + 1 :]
 
 
-def _read_sidecar(path) -> tuple[float, float]:
+def _read_sidecar(path: Path) -> tuple[float, float]:
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: sidecar is not ASCII text") from None
     lo = hi = None
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         if "=" not in line:
             continue
         key, val = [s.strip() for s in line.split("=", 1)]
+        if key not in ("min", "max"):
+            continue
+        try:
+            x = float(val)
+        except ValueError:
+            x = np.nan  # unparsable: rejected with the non-finite values
+        if not np.isfinite(x):
+            raise ValueError(f"{path}: line {n}: {key} {val!r} is not a finite number")
         if key == "min":
-            lo = float(val)
-        elif key == "max":
-            hi = float(val)
+            lo = x
+        else:
+            hi = x
     if lo is None or hi is None:
         raise ValueError(f"{path}: sidecar missing min/max")
     return lo, hi

@@ -5,11 +5,19 @@ annuli -> ordinary least squares fit of log P against log f inside a frequency
 mask.  The slope of the fit is -alpha for the power-law model P(f) ~ f^-alpha.
 Includes a synthetic 1/f^alpha image generator used as the estimator's oracle,
 plus readers that turn text and PGM images into analyzable arrays.
+
+The spectrum of a real image is conjugate-symmetric, so `power_centered` takes
+the real FFT's half plane and fills the centered plane with one gather: a
+pixel of negative column frequency reads its point mirror.  The annuli are
+centred on the zero frequency at (H//2, W//2).  Everything that depends only
+on the image's shape (that gather index, each pixel's annulus, the pixels per
+annulus) is built once per (H, W) and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,34 +58,53 @@ class ModalityStats:
 def power_centered(image: np.ndarray) -> np.ndarray:
     """Squared magnitude of the unnormalized 2-D DFT [H, W], zero frequency
     shifted to the center (H//2, W//2)."""
-    coeffs = np.fft.fftshift(np.fft.fft2(image))
-    return np.abs(coeffs) ** 2
+    coeffs = np.fft.rfft2(image)
+    half = coeffs.real**2 + coeffs.imag**2
+    return half.ravel()[_centered_index(*image.shape)]
 
 
-def radial_distances(H: int, W: int) -> np.ndarray:
-    u = np.arange(H)[:, None] - H / 2
-    v = np.arange(W)[None, :] - W / 2
-    return np.sqrt(u * u + v * v)
+@lru_cache(maxsize=8)
+def _centered_index(H: int, W: int) -> np.ndarray:
+    """Flat index into the [H, W//2 + 1] half plane for each pixel of the
+    centered [H, W] plane.  A frequency (fu, fv) and its point mirror
+    (-fu, -fv) have equal power; both read the one of the pair that lies in
+    the half plane, the one of smaller row index when both do, so the plane
+    is exactly point-symmetric."""
+    fu = np.arange(H)[:, None] - H // 2
+    fv = np.arange(W)[None, :] - W // 2
+    row, col = fu % H, fv % W
+    mrow, mcol = -fu % H, -fv % W
+    mirror = (col > W // 2) | ((mcol == col) & (mrow < row))
+    index = np.where(mirror, mrow * (W // 2 + 1) + mcol, row * (W // 2 + 1) + col)
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=8)
+def _annuli(H: int, W: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Radial table of the centered [H, W] plane: each pixel's annulus
+    floor(r) as a flat index, with r measured from the zero frequency at
+    (H//2, W//2); the nonempty annuli; their frequencies k / r_max; their
+    pixel counts; and r_max."""
+    u = np.arange(H)[:, None] - H // 2
+    v = np.arange(W)[None, :] - W // 2
+    bins = np.floor(np.sqrt(u * u + v * v)).astype(np.intp).ravel()
+    counts = np.bincount(bins)
+    k = np.nonzero(counts)[0]
+    r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
+    table = (bins, k, k / r_max, counts[k])
+    for a in table:
+        a.flags.writeable = False
+    return (*table, r_max)
 
 
 def radial_average(power: np.ndarray) -> RadialSpectrum:
     """Mean of a centered power spectrum per integer radial bin, bin(r) =
-    floor(r); f_k = k / r_max."""
-    H, W = power.shape
-    r = radial_distances(H, W)
-    bins = np.floor(r).astype(np.int64).ravel()
-    power = power.ravel()
-    counts = np.bincount(bins)
-    sums = np.bincount(bins, weights=power)
-    keep = counts > 0
-    k = np.nonzero(keep)[0]
-    r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
-    return RadialSpectrum(
-        freqs=k / r_max,
-        power=sums[keep] / counts[keep],
-        counts=counts[keep],
-        r_max=r_max,
-    )
+    floor(r) with r measured from (H//2, W//2); f_k = k / r_max.  `freqs` and
+    `counts` are the shape's cached read-only arrays."""
+    bins, k, freqs, counts, r_max = _annuli(*power.shape)
+    sums = np.bincount(bins, weights=power.ravel())
+    return RadialSpectrum(freqs=freqs, power=sums[k] / counts, counts=counts, r_max=r_max)
 
 
 def fit_power_law(

@@ -113,6 +113,31 @@ class TestAdam:
         assert not np.array_equal(params["w"], np.ones(2))
 
 
+    def test_three_steps_match_textbook_bitwise(self):
+        rng = np.random.default_rng(0)
+        shapes = {"a": (3, 4), "b": (5,), "c": ()}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        cfg = fc.TrainConfig(lr=0.01)
+        state = fc.AdamState.init(params, list(shapes))
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            fc.adam_step(params, grads, state, cfg)
+            for k, g in kept.items():
+                assert np.array_equal(grads[k], g)  # grads only read
+                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+                m_hat = m[k] / (1.0 - cfg.beta1**t)
+                v_hat = v[k] / (1.0 - cfg.beta2**t)
+                ref[k] = ref[k] - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+
+
 class TestForward:
     def test_beta_zero_equals_spectral_branch(self):
         model = desk_model(fixed_beta=0.0)

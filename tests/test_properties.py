@@ -1,23 +1,29 @@
 """Properties over random shapes: the adjoint identity <Ax, y> = <x, A^T y> of
 each hand-written linear map, exact render -> reconstruct round trips, a batch
-of samples computing what the samples compute one by one, and the aligner
-against a direct conv -> BN -> ReLU -> dropout -> conv reference."""
+of samples computing what the samples compute one by one, the aligner against
+a direct conv -> BN -> ReLU -> dropout -> conv reference, the PSS spectrum and
+annuli against numpy's full FFT and an exhaustive binning, and the PGM reader
+on damaged files."""
 
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foldcast import backbone as bb
+from foldcast import data, pgm, sma, spectral
 from foldcast import rendering as rd
-from foldcast import sma
 from foldcast.data import normalize_target
 from foldcast.forecaster import fuse
 from foldcast.rendering import RenderSpec
 from tests.test_backbone import toy_config
 from tests.test_forecaster import desk_model, toy_windows
 from tests.test_rendering import exact_spec
+from tests.test_spectral import radial_oracle
 
 # derandomized, without an example database, so every run draws the same cases
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -343,3 +349,118 @@ def test_batched_step_equals_mean_of_windows(B, n_vars, seed):
         # batch norm that cancel them: zero in exact arithmetic, round-off here
         if not name.endswith(("attn.bk", "conv1_b")):
             assert rel_err(g, mean) <= 1e-12, name
+
+
+spectrum_shapes = dict(H=st.integers(1, 40), W=st.integers(1, 40), seed=seeds)
+
+
+@PROPERTY
+@given(**spectrum_shapes)
+@example(H=1, W=1, seed=0)
+@example(H=7, W=40, seed=1)
+def test_power_centered_matches_shifted_full_fft(H, W, seed):
+    x = np.random.default_rng(seed).normal(size=(H, W))
+    P = spectral.power_centered(x)
+    assert rel_err(P, np.abs(np.fft.fftshift(np.fft.fft2(x))) ** 2) <= 1e-12
+    # the centered point mirror of row i is (2 (H//2) - i) mod H
+    mirror_rows = (2 * (H // 2) - np.arange(H)) % H
+    mirror_cols = (2 * (W // 2) - np.arange(W)) % W
+    assert np.array_equal(P, P[mirror_rows][:, mirror_cols])
+
+
+@PROPERTY
+@given(**spectrum_shapes)
+def test_radial_average_matches_exhaustive_oracle(H, W, seed):
+    power = np.random.default_rng(seed).uniform(0.1, 2.0, size=(H, W))
+    rs = spectral.radial_average(power)
+    ks, means, counts = radial_oracle(power)
+    r_max = np.sqrt((H / 2) ** 2 + (W / 2) ** 2)
+    assert rs.r_max == r_max
+    assert np.array_equal(rs.freqs, ks / r_max)
+    assert np.array_equal(rs.counts, counts)
+    assert rel_err(rs.power, means) <= 1e-12
+
+
+@PROPERTY
+@given(H=st.integers(1, 40), W=st.integers(1, 40))
+def test_cached_tables_are_read_only(H, W):
+    rs = spectral.radial_average(np.ones((H, W)))
+    tables = [rs.freqs, rs.counts, spectral._centered_index(H, W),
+              *spectral._annuli(H, W)[:4]]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert spectral.radial_average(np.ones((H, W))).freqs is rs.freqs
+
+
+@settings(PROPERTY, max_examples=15)
+@given(H=st.integers(8, 40), W=st.integers(8, 40), seed=seeds)
+def test_pss_of_series_same_with_cold_and_warm_tables(H, W, seed):
+    ds = data.synth_series("sinusoid_mix", 400, 12, amplitude=1.0, noise_std=0.5, seed=1)
+    spec = RenderSpec(periodicity=12, image_height=H, image_width=W, patch_size=1)
+
+    def alphas():
+        return spectral.pss_of_series(ds, spec, 3, 120, seed=seed % 1000, horizon=24).alphas
+
+    spectral._centered_index.cache_clear()
+    spectral._annuli.cache_clear()
+    cold = alphas()
+    assert np.array_equal(cold, alphas())
+
+
+def pgm_files(p5, sidecar):
+    """The bytes of a valid 3x4 P5 (16-bit) or P2 (maxval 255) file and of
+    its sidecar, the file's header as four tokens."""
+    img = np.arange(12, dtype=np.int64).reshape(3, 4) * 20
+    if p5:
+        head = [b"P5", b"4", b"3", b"65535"]
+        payload = (img * 250).astype(">u2").tobytes()
+    else:
+        head = [b"P2", b"4", b"3", b"255"]
+        payload = b"\n".join(b" ".join(b"%d" % v for v in row) for row in img) + b"\n"
+    side = b"min = -1.5\nmax = 2.25\n" if sidecar else None
+    return head, payload, side
+
+
+header_tokens = st.sampled_from(
+    [b"", b"0", b"-3", b"+4", b"1_2", b"4.0", b"nan", b"inf", b"1e3", b"65536", b"70000",
+     b"99999999999", b"P6", b"#", b"\xff", b"9" * 5000])
+
+
+@PROPERTY
+@given(
+    p5=st.booleans(), sidecar=st.booleans(), damage_sidecar=st.booleans(),
+    header=st.none() | st.tuples(st.integers(0, 3), header_tokens),
+    flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    cut=st.none() | st.integers(0, 2**16),
+)
+@example(p5=False, sidecar=False, damage_sidecar=False, header=None, flips=[(13, ord("-"))],
+         cut=None)
+@example(p5=False, sidecar=True, damage_sidecar=True, header=None, flips=[(6, ord("n"))],
+         cut=None)
+def test_read_pgm_raises_only_value_errors_naming_the_file(
+        p5, sidecar, damage_sidecar, header, flips, cut):
+    """Truncations, byte flips and bad header tokens of a valid file or of its
+    sidecar either read as a 2-D float image or raise a ValueError naming the
+    file."""
+    head, payload, side = pgm_files(p5, sidecar)
+    if header is not None:
+        head[header[0]] = header[1]
+    body = bytearray(b"\n".join(head) + b"\n" + payload)
+    side = None if side is None else bytearray(side)
+    target = side if damage_sidecar and side is not None else body
+    for pos, byte in flips:
+        target[pos % len(target)] = byte
+    if cut is not None:
+        del target[cut % (len(target) + 1):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        path.write_bytes(body)
+        if side is not None:
+            (Path(tmp) / "x.pgm.txt").write_bytes(side)
+        try:
+            img = pgm.read_pgm(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+        else:
+            assert img.dtype == np.float64 and img.ndim == 2

@@ -20,12 +20,13 @@ def dft2_oracle(img):
 
 
 def radial_oracle(power):
-    """Exhaustive per-pixel binning by floor of the centered radius."""
+    """Exhaustive per-pixel binning by floor of the radius from the zero
+    frequency at (H//2, W//2)."""
     H, W = power.shape
     sums, counts = {}, {}
     for u in range(H):
         for v in range(W):
-            r = int(np.floor(np.sqrt((u - H / 2) ** 2 + (v - W / 2) ** 2)))
+            r = int(np.floor(np.sqrt((u - H // 2) ** 2 + (v - W // 2) ** 2)))
             sums[r] = sums.get(r, 0.0) + power[u, v]
             counts[r] = counts.get(r, 0) + 1
     ks = sorted(sums)
@@ -178,6 +179,15 @@ class TestSynthImage:
         img = spectral.synth_power_law_image(0.0, 64, 64, seed=2)
         assert abs(spectral.pss_of_image(img).alpha) < 0.05
 
+    def test_recovery_odd_sizes(self):
+        """Odd sizes put the zero frequency at (H//2, W//2), half a pixel off
+        (H/2, W/2); annuli centred on the latter read 65x65 at alpha 2 as 1.945."""
+        for H, W in [(65, 65), (63, 64), (33, 33)]:
+            for alpha in (1.0, 2.0, 3.0):
+                fits = [spectral.pss_of_image(spectral.synth_power_law_image(alpha, H, W, seed=s))
+                        for s in range(10)]
+                assert abs(np.mean([f.alpha for f in fits]) - alpha) <= 0.05, (H, W, alpha)
+
     def test_min_size(self):
         with pytest.raises(ValueError, match=">= 8"):
             spectral.synth_power_law_image(1.0, 4, 64)
@@ -255,6 +265,30 @@ class TestPgm:
         p.write_bytes(b"P5\nxx yy\n255\n")
         with pytest.raises(ValueError, match="corrupt"):
             pgm.read_pgm(p)
+
+    @pytest.mark.parametrize("sample", [b"300", b"-4", b"+4", b"1.5", b"1e2", b"nan", b"inf"])
+    def test_p2_rejects_samples_outside_0_maxval(self, tmp_path, sample):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(b"P2\n2 2\n255\n1 2\n" + sample + b" 7\n")
+        with pytest.raises(ValueError, match=r"sample 2 \(row 1, column 0\)") as err:
+            pgm.read_pgm(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("body, sidecar", [
+        (b"", None),
+        (b"P2\n2", None),
+        (b"P5\n1 1\n255\n\x00", b"min = 0\nmax = x\n"),
+        (b"P5\n1 1\n255\n\x00", b"min = 0\nmax = inf\n"),
+        (b"P5\n1 1\n255\n\x00", b"min = \xff\nmax = 1\n"),
+    ])
+    def test_errors_name_the_file(self, tmp_path, body, sidecar):
+        p = tmp_path / "e.pgm"
+        p.write_bytes(body)
+        if sidecar is not None:
+            (tmp_path / "e.pgm.txt").write_bytes(sidecar)
+        with pytest.raises(ValueError) as err:
+            pgm.read_pgm(p)
+        assert str(p) in str(err.value)
 
 
 class TestPssOfSeries:
