@@ -220,7 +220,11 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     (out / "forecast.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "forecast.json", {
         "config": cfg.snapshot(), "start": start,
-        "mse": outcome.mse, "mae": outcome.mae,
+        "mse": outcome.mse, "mae": outcome.mae, "beta": model.beta,
+        "y_structural": outcome.y_structural.tolist(),
+        "y_spectral": outcome.y_spectral.tolist(),
+        "mse_structural": fc.mse(data.denormalize(outcome.y_structural, w), w.target),
+        "mse_spectral": fc.mse(data.denormalize(outcome.y_spectral, w), w.target),
     })
     print(f"forecast {H} steps from t={start + T}: mse {outcome.mse:.6f} mae {outcome.mae:.6f}")
     return 0

@@ -193,8 +193,7 @@ class ForecastModel:
         The windows must share their context length T, horizon H and
         variable count N.  Variable by variable, they are rendered in one
         call, run through each branch as one [B, H, W] batch and reconstructed
-        in one call; the aligner runs image by image, in window order, so its
-        dropout draws and batch-norm updates follow the windows.  With a `grads` dict, each variable's backward runs
+        in one call.  With a `grads` dict, each variable's backward runs
         right after its forward and adds the gradient of the windows' summed
         losses into `grads`, so a variable's caches are released when the
         next variable's forward rebinds them instead of piling up.  Backward
@@ -226,11 +225,9 @@ class ForecastModel:
                 lora_drop=self.cfg.lora_dropout,
             )
             if self.cfg.use_sma:
-                runs = [
-                    sma.sma_forward(img, self.enhancer, self.cfg.sma, train=train, rng=rng)
-                    for img in ri.pixels
-                ]
-                aligned, c_sma = np.stack([out for out, _ in runs]), [c for _, c in runs]
+                aligned, c_sma = sma.sma_forward(
+                    ri.pixels, self.enhancer, self.cfg.sma, train=train, rng=rng
+                )
             else:
                 aligned, c_sma = ri.pixels, None
             out_sp, c_sp = bb.autoencode(
@@ -261,9 +258,8 @@ class ForecastModel:
             reconstruct_backward(g_sp, ri), self.bb_params, cfg, c_sp, grads
         )
         if self.cfg.use_sma:
-            for g, c in zip(g_aligned, c_sma):
-                for k, val in sma.sma_backward(g, c, self.enhancer).items():
-                    grads[f"sma.{k}"] += val
+            for k, val in sma.sma_backward(g_aligned, c_sma, self.enhancer).items():
+                grads[f"sma.{k}"] += val
 
     def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
         """Full dual-branch pass over every variable of one window."""
@@ -279,6 +275,12 @@ class ForecastModel:
             mse=mse(pred, w.target),
             mae=mae(pred, w.target),
         )
+
+    def _errors(self, windows, y_st, y_sp):
+        """Normalized-space errors [B, H, N] of the fused branch outputs of B
+        windows, and each window's loss, the mean of its squared errors."""
+        diffs = fuse(y_st, y_sp, self.beta) - np.stack([normalize_target(w) for w in windows])
+        return diffs, [float(np.mean(diff**2)) for diff in diffs]
 
     def loss_and_grads(self, *windows: TimeSeriesWindow, rng=None, train: bool = True):
         """Normalized-space MSE loss and gradients of one window, or of several
@@ -297,11 +299,9 @@ class ForecastModel:
         params = self.named_params()
         grads = {k: np.zeros_like(params[k]) for k in self.trainable_names()}
         y_st, y_sp = self._branches(windows, train, rng, grads)
-        losses = []
-        for w, st, sp in zip(windows, y_st, y_sp):
-            diff = fuse(st, sp, self.beta) - normalize_target(w)
-            losses.append(float(np.mean(diff**2)))
-            if "fuse.beta" in grads:
+        diffs, losses = self._errors(windows, y_st, y_sp)
+        if "fuse.beta" in grads:
+            for diff, st, sp in zip(diffs, y_st, y_sp):
                 g_yhat = 2.0 * diff / diff.size
                 grads["fuse.beta"][0] += float(np.sum(g_yhat * (st - sp)))
         for g in grads.values():
@@ -362,13 +362,14 @@ def adam_step(params, grads, state: AdamState, cfg: TrainConfig) -> None:
 # training / evaluation
 
 
-def _val_loss(model: ForecastModel, windows) -> float:
+def _val_loss(model: ForecastModel, windows, batch_size: int) -> float:
+    """Mean loss of `loss_and_grads` over eval-mode forward passes, run
+    `batch_size` windows at a time."""
     total = 0.0
-    for w in windows:
-        outcome = model.forward(w, train=False)
-        yhat_norm = fuse(outcome.y_structural, outcome.y_spectral, model.beta)
-        diff = yhat_norm - normalize_target(w)
-        total += float(np.mean(diff**2))
+    for start in range(0, len(windows), batch_size):
+        chunk = windows[start : start + batch_size]
+        for loss in model._errors(chunk, *model._branches(chunk, train=False, rng=None))[1]:
+            total += loss
     return total / len(windows)
 
 
@@ -389,18 +390,18 @@ def train(model: ForecastModel, train_windows, val_windows, cfg: TrainConfig) ->
     """Adam training with early stopping; returns the report dict.
 
     The windows of each optimizer step run as one batch through
-    `ForecastModel.loss_and_grads`, so a step's memory grows with
-    `batch_size`.  Beta is clamped to [0, 1] right after every optimizer step
-    (projected gradient).  The best-validation snapshot is restored before
-    returning.  A non-finite loss or gradient norm stops training with
-    FloatingPointError.
+    `ForecastModel.loss_and_grads`, and validation runs in eval mode in
+    chunks of the same size, so memory grows with `batch_size`.  Beta is
+    clamped to [0, 1] right after every optimizer step (projected gradient).
+    The best-validation snapshot is restored before returning.  A non-finite
+    loss or gradient norm stops training with FloatingPointError.
     """
     if not train_windows or not val_windows:
         raise ValueError("need at least one train and one val window")
     rng = np.random.default_rng(cfg.seed)
     params = model.named_params()
     state = AdamState.init(params, model.trainable_names())
-    report = {"epoch0_val_mse": _val_loss(model, val_windows), "epochs": []}
+    report = {"epoch0_val_mse": _val_loss(model, val_windows, cfg.batch_size), "epochs": []}
     best_val = report["epoch0_val_mse"]
     best_snap = model.snapshot()
     best_epoch = 0
@@ -419,7 +420,7 @@ def train(model: ForecastModel, train_windows, val_windows, cfg: TrainConfig) ->
             adam_step(params, grads, state, cfg)
             np.clip(model.beta_raw, 0.0, 1.0, out=model.beta_raw)
         train_mse = epoch_loss / n
-        val_mse = _val_loss(model, val_windows)
+        val_mse = _val_loss(model, val_windows, cfg.batch_size)
         report["epochs"].append(
             {"train_mse": train_mse, "val_mse": val_mse, "beta": model.beta}
         )

@@ -34,8 +34,8 @@ def write_pgm16(path, image: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     """Read a P2 (ASCII) or P5 (binary) PGM into a float64 array.
 
-    If a sidecar written by write_pgm16 is present, the affine mapping is
-    inverted to recover the original values; otherwise raw sample values are
+    If a sidecar (as write_pgm16 writes) is present, its affine map of [min,
+    max] onto [0, maxval] is inverted; otherwise raw sample values are
     returned.  Every malformed file raises a ValueError that names its path.
     """
     path = Path(path)
@@ -75,7 +75,7 @@ def read_pgm(path) -> np.ndarray:
     sidecar = path.with_suffix(path.suffix + ".txt")
     if sidecar.exists():
         lo, hi = _read_sidecar(sidecar)
-        img = img / 65535.0 * (hi - lo) + lo
+        img = img / maxval * (hi - lo) + lo
     return img
 
 

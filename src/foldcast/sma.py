@@ -3,15 +3,17 @@ preserving its phase, then blend residually with the input.
 
 Forward chain: rfft2 -> (magnitude, phase) -> conv/BN/ReLU/dropout/conv stack on
 the magnitude -> recombine with the original phase -> irfft2 -> residual blend
-I + lam * (I_enhanced - I).  The first convolution has a single input channel,
-so batch norm folds into it: one product against the nine shifted copies of
-the magnitude gives the normalized activation, in train mode from the 9x9
-covariance of those copies.  All gradients are hand-derived and cover the
-enhancer's parameters only; the image gradient is never formed, since nothing
-before the aligner is trained.  irfft2 is numpy's real inverse FFT, a
-real-linear map on any half-spectrum, including one whose edge columns (0 and
-W/2) are no longer Hermitian-consistent after enhancement; its adjoint is
-written in closed form against it.
+I + lam * (I_enhanced - I), on images [..., H, W] whose leading axes are a
+batch: batch norm takes each image's own statistics, and the parameter
+gradients are summed over the images.  The first convolution has a single
+input channel, so batch norm folds into it: one product against the nine
+shifted copies of the magnitude gives the normalized activation, in train mode
+from the 9x9 covariance of those copies.  All gradients are hand-derived and
+cover the enhancer's parameters only; the image gradient is never formed,
+since nothing before the aligner is trained.  irfft2 is numpy's real inverse
+FFT, a real-linear map on any half-spectrum, including one whose edge columns
+(0 and W/2) are no longer Hermitian-consistent after enhancement; its adjoint
+is written in closed form against it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
 
 @dataclass
 class SmaConfig:
@@ -39,8 +45,6 @@ class EnhancerParams:
     bn_running_var: np.ndarray  # [C] buffer
     conv2_w: np.ndarray  # [1, C, 3, 3]
     conv2_b: np.ndarray  # [1]
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
     dropout_rate: float = 0.1
 
     def grad_keys(self):
@@ -69,9 +73,9 @@ def init_enhancer(rng: np.random.Generator, channels: int = 16, dropout_rate: fl
 
 
 def rfft2(image: np.ndarray) -> np.ndarray:
-    """Real 2D FFT onto the non-negative horizontal frequencies [H, W/2+1]."""
+    """Real 2D FFT of [..., H, W] onto the non-negative horizontal frequencies."""
     image = np.asarray(image)
-    H, W = image.shape
+    H, W = image.shape[-2:]
     if H < 2 or W < 2:
         raise ValueError("rfft2 needs H, W >= 2")
     if W % 2:
@@ -80,14 +84,14 @@ def rfft2(image: np.ndarray) -> np.ndarray:
 
 
 def irfft2(hs: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Inverse of rfft2: numpy's irfft2 of a half-spectrum [H, W/2+1] to [H, W].
+    """Inverse of rfft2: numpy's irfft2 of a half-spectrum [..., H, W/2+1].
 
     numpy inverts along H first, then takes the real inverse along W, which
     reads only the real part of columns 0 and W/2.  On a half-spectrum whose
     edge columns are not Hermitian-consistent this is the real part of the
     inverse 2D DFT of its Hermitian extension, a real-linear map.
     """
-    Hs, Wh = hs.shape
+    Hs, Wh = hs.shape[-2:]
     if Hs != H:
         raise ValueError(f"half-spectrum height {Hs} != H={H}")
     if Wh != W // 2 + 1 or W % 2:
@@ -95,16 +99,16 @@ def irfft2(hs: np.ndarray, H: int, W: int) -> np.ndarray:
     return np.fft.irfft2(hs, s=(H, W))
 
 
-def irfft2_adjoint(grad_image: np.ndarray, W: int) -> np.ndarray:
+def irfft2_adjoint(grad_image: np.ndarray) -> np.ndarray:
     """Adjoint of irfft2: real image gradient back to half-spectrum gradient.
 
     Interior columns appear twice in the Hermitian extension, hence the factor
     of two; columns 0 and W/2 appear once.
     """
     g = np.asarray(grad_image, dtype=np.float64)
-    H = g.shape[0]
+    H, W = g.shape[-2:]
     out = np.fft.rfft2(g) / (H * W)
-    out[:, 1 : W // 2] *= 2.0
+    out[..., 1 : W // 2] *= 2.0
     return out
 
 
@@ -123,61 +127,53 @@ def recombine(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 3x3 convolutions (stride 1, zero pad 1)
 #
-# A 3x3 convolution is one matrix product against nine shifted copies
-# ("taps") of its input or output, whichever has fewer channels: with C input
-# and O output channels, copying the C side costs 9C images, the O side 9O.
-# Tap k = 3i + j of x [C, H, W] is x_pad[:, i:i+H, j:j+W]; `_shift_add`, the
-# adjoint of `_taps`, adds tap k back at offset (i, j).  Reversing the tap
-# axis, k -> 8 - k, mirrors the kernel.
+# A 3x3 convolution is one matrix product of the [O * 9, C] kernel against the
+# input's channels, giving the nine shifted copies ("taps") of each output
+# channel.  Tap k = 3i + j of x [..., H, W] is x_pad[..., i:i+H, j:j+W];
+# `_shift_add`, the adjoint of `_taps`, adds tap k back at offset (i, j).
+# Reversing the tap axis, k -> 8 - k, mirrors the kernel.
 
 
 def _taps(x: np.ndarray) -> np.ndarray:
-    """[C, H, W] -> [C, 9, H, W], the nine zero-padded shifts of x."""
-    C, H, W = x.shape
-    xp = np.zeros((C, H + 2, W + 2))
-    xp[:, 1 : 1 + H, 1 : 1 + W] = x
-    out = np.empty((C, 9, H, W))
+    """[..., H, W] -> [..., 9, H, W], the nine zero-padded shifts of x."""
+    *lead, H, W = x.shape
+    xp = np.zeros((*lead, H + 2, W + 2))
+    xp[..., 1 : 1 + H, 1 : 1 + W] = x
+    out = np.empty((*lead, 9, H, W))
     for k in range(9):
         i, j = divmod(k, 3)
-        out[:, k] = xp[:, i : i + H, j : j + W]
+        out[..., k, :, :] = xp[..., i : i + H, j : j + W]
     return out
 
 
 def _shift_add(z: np.ndarray) -> np.ndarray:
-    """Adjoint of _taps: [C, 9, H, W] -> [C, H, W]."""
-    C, _, H, W = z.shape
-    out = np.zeros((C, H + 2, W + 2))
+    """Adjoint of _taps: [..., 9, H, W] -> [..., H, W]."""
+    *lead, _, H, W = z.shape
+    out = np.zeros((*lead, H + 2, W + 2))
     for k in range(9):
         i, j = divmod(k, 3)
-        out[:, i : i + H, j : j + W] += z[:, k]
-    return out[:, 1 : 1 + H, 1 : 1 + W]
+        out[..., i : i + H, j : j + W] += z[..., k, :, :]
+    return out[..., 1 : 1 + H, 1 : 1 + W]
 
 
 def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-correlation of x [C, H, W] with w [O, C, 3, 3], plus b [O]."""
-    C, H, W = x.shape
+    """Cross-correlation of x [..., C, H, W] with w [O, C, 3, 3], plus b [O]."""
+    *lead, C, H, W = x.shape
     O = w.shape[0]
-    if C <= O:
-        out = w.reshape(O, C * 9) @ _taps(x).reshape(C * 9, H * W)
-    else:  # each tap of the output is a product over the channels of x
-        z = w.transpose(0, 2, 3, 1).reshape(O * 9, C) @ x.reshape(C, H * W)
-        out = _shift_add(z.reshape(O, 9, H, W)[:, ::-1])
-    return out.reshape(O, H, W) + b[:, None, None]
+    z = w.transpose(0, 2, 3, 1).reshape(O * 9, C) @ x.reshape(*lead, C, H * W)
+    return _shift_add(z.reshape(*lead, O, 9, H, W)[..., ::-1, :, :]) + b[:, None, None]
 
 
 def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients wrt w, b and x, given g [O, H, W] of conv3x3's output."""
-    C, H, W = x.shape
+    """Gradients wrt w, b and x, given g [..., O, H, W] of conv3x3's output;
+    those of w and b keep the leading axes, one per sample."""
+    *lead, C, H, W = x.shape
     O = w.shape[0]
-    g2 = g.reshape(O, H * W)
-    if C <= O:
-        gw = g2 @ _taps(x).reshape(C * 9, H * W).T
-        gx = _shift_add((w.reshape(O, C * 9).T @ g2).reshape(C, 9, H, W))
-    else:
-        gtaps = _taps(g)[:, ::-1].reshape(O * 9, H * W)
-        gw = (gtaps @ x.reshape(C, H * W).T).reshape(O, 9, C).transpose(0, 2, 1)
-        gx = w.reshape(O, C, 9).transpose(1, 0, 2).reshape(C, O * 9) @ gtaps
-    return gw.reshape(w.shape), g.sum(axis=(1, 2)), gx.reshape(C, H, W)
+    gtaps = _taps(g)[..., ::-1, :, :].reshape(*lead, O * 9, H * W)
+    gw = (gtaps @ x.reshape(*lead, C, H * W).swapaxes(-1, -2)).reshape(*lead, O, 9, C)
+    gx = w.reshape(O, C, 9).transpose(1, 0, 2).reshape(C, O * 9) @ gtaps
+    return (gw.swapaxes(-1, -2).reshape(*lead, *w.shape), g.sum(axis=(-2, -1)),
+            gx.reshape(*lead, C, H, W))
 
 
 # ---------------------------------------------------------------------------
@@ -194,53 +190,55 @@ def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 
 def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=None):
-    """Conv -> BN -> ReLU -> dropout -> conv on the magnitude spectrum.
+    """Conv -> BN -> ReLU -> dropout -> conv on magnitude spectra [..., H, W/2+1].
 
     Returns (A_enhanced, cache); cache records everything backward needs,
     including the dropout mask, so train-mode gradients are exact.  Of the
-    [C, H, W/2+1] activations it keeps the masked one and its boolean mask
-    (ReLU and dropout together); backward rebuilds the taps from A.  The
+    [..., C, H, W/2+1] activations it keeps the masked one and its boolean
+    mask (ReLU and dropout together); backward rebuilds the taps from A.  The
     inverted-dropout scale is a scalar on conv2, so it scales conv2's weights.
+    The running statistics take one train-mode update per image, in order.
     """
     C = p.conv1_w.shape[0]
-    H, Wh = A.shape
+    *lead, H, Wh = A.shape
     n = H * Wh
     w1 = p.conv1_w.reshape(C, 9)
-    X = _taps(A[None]).reshape(9, n)
+    X = _taps(A).reshape(*lead, 9, n)
     S = None
     if train:
-        centre = X.mean(axis=1)
-        X -= centre[:, None]  # an uncentred Gram loses digits to a large offset
-        S = X @ X.T / n
-        mean = w1 @ centre + p.conv1_b
-        var = ((w1 @ S) * w1).sum(axis=1)  # population variance for normalization
+        centre = X.mean(axis=-1)
+        X -= centre[..., None]  # an uncentred Gram loses digits to a large offset
+        S = X @ X.swapaxes(-1, -2) / n
+        mean = (w1 @ centre[..., None])[..., 0] + p.conv1_b
+        var = ((w1 @ S) * w1).sum(axis=-1)  # population variance for normalization
         unbiased = var * n / max(n - 1, 1)
-        p.bn_running_mean = (1 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
-        p.bn_running_var = (1 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * unbiased
+        for m, u in zip(mean.reshape(-1, C), unbiased.reshape(-1, C)):
+            p.bn_running_mean = (1 - _BN_MOMENTUM) * p.bn_running_mean + _BN_MOMENTUM * m
+            p.bn_running_var = (1 - _BN_MOMENTUM) * p.bn_running_var + _BN_MOMENTUM * u
     else:
         centre = np.zeros(9)
         mean, var = p.bn_running_mean, p.bn_running_var
-    invstd = 1.0 / np.sqrt(var + p.bn_eps)
+    invstd = 1.0 / np.sqrt(var + _BN_EPS)
     scale = p.bn_gamma * invstd
-    d = p.conv1_b + w1 @ centre - mean  # conv1(A) - mean = w1 @ Xc + d
-    h = (scale[:, None] * w1) @ X + (scale * d + p.bn_beta)[:, None]
+    d = p.conv1_b + (w1 @ centre[..., None])[..., 0] - mean  # conv1(A) - mean = w1 @ Xc + d
+    h = (scale[..., None] * w1) @ X + (scale * d + p.bn_beta)[..., None]
     live = h > 0
     drop_scale = 1.0
     if train and p.dropout_rate > 0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        live &= rng.random((C, n)) >= p.dropout_rate
+        live &= rng.random((*lead, C, n)) >= p.dropout_rate
         drop_scale = 1.0 / (1.0 - p.dropout_rate)
     h *= live
-    a = h.reshape(C, H, Wh)
+    a = h.reshape(*lead, C, H, Wh)
     out = conv3x3(a, p.conv2_w * drop_scale, p.conv2_b)
     cache = {"A": A, "a": a, "live": live, "centre": centre, "S": S, "invstd": invstd,
              "d": d, "drop_scale": drop_scale}
-    return out[0], cache
+    return out[..., 0, :, :], cache
 
 
 def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
-    """Gradients of the enhancer wrt its parameters.
+    """Gradients of the enhancer wrt its parameters, summed over the images.
 
     With g the gradient of the batch norm's output (conv2's input gradient
     times the mask) and P = g @ Xc.T, the batch-norm and conv1 gradients
@@ -248,35 +246,32 @@ def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
     the activations beyond the mask and the two products.
     """
     a, live, invstd, d = cache["a"], cache["live"], cache["invstd"], cache["d"]
-    C, H, Wh = a.shape
+    *lead, C, H, Wh = a.shape
     s = cache["drop_scale"]
-    gw2, gb2, g = conv3x3_backward(g_out[None], a, p.conv2_w * s)
-    g = g.reshape(C, H * Wh)
+    gw2, gb2, g = conv3x3_backward(g_out[..., None, :, :], a, p.conv2_w * s)
+    g = g.reshape(*lead, C, H * Wh)
     g *= live
-    X = _taps(cache["A"][None]).reshape(9, H * Wh)
-    X -= cache["centre"][:, None]
+    X = _taps(cache["A"]).reshape(*lead, 9, H * Wh)
+    X -= cache["centre"][..., None]
     w1 = p.conv1_w.reshape(C, 9)
-    dbeta = g.sum(axis=1)
-    P = g @ X.T
-    dgamma = invstd * ((P * w1).sum(axis=1) + d * dbeta)
+    dbeta = g.sum(axis=-1)
+    P = g @ X.swapaxes(-1, -2)
+    dgamma = invstd * ((P * w1).sum(axis=-1) + d * dbeta)
     gs = p.bn_gamma * invstd
     if cache["S"] is None:  # eval mode: batch norm is a fixed affine map
-        gw1, gb1 = gs[:, None] * P, gs * dbeta
+        gw1, gb1 = gs[..., None] * P, gs * dbeta
     else:
         # conv1's output gradient is invstd * (gamma g - mean(gamma g) - xhat *
         # mean(gamma g xhat)) with xhat = invstd * w1 @ Xc (d is 0 here); the
         # centred taps sum to 0, so the mean terms leave gw1 only through
         # xhat @ Xc.T = n * invstd * w1 @ S, and gb1 is 0: BN removes conv1's bias
-        gw1 = gs[:, None] * (P - (invstd * dgamma)[:, None] * (w1 @ cache["S"]))
+        gw1 = gs[..., None] * (P - (invstd * dgamma)[..., None] * (w1 @ cache["S"]))
         gb1 = np.zeros(C)
-    return {
-        "conv1_w": gw1.reshape(p.conv1_w.shape),
-        "conv1_b": gb1,
-        "bn_gamma": dgamma,
-        "bn_beta": dbeta,
-        "conv2_w": gw2 * s,
-        "conv2_b": gb2,
-    }
+    grads = {"conv1_w": gw1, "conv1_b": gb1, "bn_gamma": dgamma, "bn_beta": dbeta,
+             "conv2_w": gw2 * s, "conv2_b": gb2}
+    # add the images up in order, as one-image calls would (np.sum may pair them)
+    return {k: np.add.accumulate(v.reshape(-1, *getattr(p, k).shape))[-1]
+            for k, v in grads.items()}
 
 
 def sma_forward(
@@ -286,9 +281,9 @@ def sma_forward(
     train: bool = False,
     rng=None,
 ):
-    """Full aligner pass; returns (blended image, cache for backward)."""
+    """Full aligner pass; returns (blended images, cache for backward)."""
     I = np.asarray(image, dtype=np.float64)
-    H, W = I.shape
+    H, W = I.shape[-2:]
     F = rfft2(I)
     A, phi = decompose(F)
     A_enh, enh_cache = enhancer_forward(A, p, train, rng)
@@ -299,7 +294,6 @@ def sma_forward(
         "phi": phi,
         "A_enh": A_enh,
         "enh": enh_cache,
-        "shape": (H, W),
         "lam": cfg.lam,
         "I_enh": I_enh,
     }
@@ -312,7 +306,6 @@ def sma_backward(grad_out: np.ndarray, cache, p: EnhancerParams):
     The input image's gradient is not formed: the aligner's input is the
     rendering, and nothing upstream of it is trainable.
     """
-    _, W = cache["shape"]
-    gFp = irfft2_adjoint(cache["lam"] * np.asarray(grad_out, dtype=np.float64), W)
+    gFp = irfft2_adjoint(cache["lam"] * np.asarray(grad_out, dtype=np.float64))
     gA_enh = gFp.real * np.cos(cache["phi"]) + gFp.imag * np.sin(cache["phi"])
     return enhancer_backward(gA_enh, cache["enh"], p)

@@ -147,6 +147,13 @@ class TestTrainEvalForecast:
         assert rc == 0
         lines = (out3 / "forecast.csv").read_text().strip().splitlines()
         assert len(lines) == 17  # header + pred_len
+        fj = json.loads((out3 / "forecast.json").read_text())
+        beta = fj["beta"]
+        assert 0.0 <= beta <= 1.0
+        assert np.shape(fj["y_structural"]) == np.shape(fj["y_spectral"]) == (16, 1)
+        # the fused forecast is the beta-blend of the branches, and squared
+        # error is convex
+        assert fj["mse"] <= beta * fj["mse_structural"] + (1 - beta) * fj["mse_spectral"] + 1e-12
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         rc = main(["forecast", *desk_args(), "--checkpoint", str(tmp_path / "no.ntf"),

@@ -324,6 +324,17 @@ class TestTraining:
             r.append(fc.train(model, ws[:5], ws[5:], fc.TrainConfig(lr=1e-3, batch_size=2, epochs=2, patience=5, seed=1)))
         assert r[0] == r[1]
 
+    def test_val_loss_chunks_equal_one_window_forwards(self):
+        model = desk_model(seed=3)
+        ws = toy_windows(7)
+        total = 0.0
+        for w in ws:
+            o = model.forward(w, train=False)
+            yhat = fc.fuse(o.y_structural, o.y_spectral, model.beta)
+            total += float(np.mean((yhat - normalize_target(w)) ** 2))
+        for chunk in (1, 3, len(ws)):
+            assert fc._val_loss(model, ws, chunk) == total / len(ws)
+
     def test_empty_split_rejected(self):
         model = desk_model()
         with pytest.raises(ValueError, match="at least one"):

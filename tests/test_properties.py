@@ -97,13 +97,13 @@ def test_reconstruct_adjoint(B, P, T, horizon, image_height, image_width, align_
 
 
 @PROPERTY
-@given(H=st.integers(1, 12), half_w=st.integers(1, 8), seed=seeds)
-def test_irfft2_adjoint(H, half_w, seed):
+@given(B=batches, H=st.integers(1, 12), half_w=st.integers(1, 8), seed=seeds)
+def test_irfft2_adjoint(B, H, half_w, seed):
     W = 2 * half_w
     rng = np.random.default_rng(seed)
-    F = complex_normal(rng, (H, half_w + 1))
-    g = rng.normal(size=(H, W))
-    assert_adjoint(sma.irfft2(F, H, W), g, F, sma.irfft2_adjoint(g, W))
+    F = complex_normal(rng, (*lead(B), H, half_w + 1))
+    g = rng.normal(size=(*lead(B), H, W))
+    assert_adjoint(sma.irfft2(F, H, W), g, F, sma.irfft2_adjoint(g))
 
 
 @PROPERTY
@@ -196,35 +196,43 @@ def conv_einsum_backward(g, x, w):
     return gw, g.sum(axis=(1, 2)), gxp[:, 1 : 1 + H, 1 : 1 + W]
 
 
-conv_shapes = dict(C=st.integers(1, 4), O=st.integers(1, 4), H=st.integers(2, 9),
+conv_shapes = dict(B=batches, C=st.integers(1, 4), O=st.integers(1, 4), H=st.integers(2, 9),
                    W=st.integers(2, 9), seed=seeds)
 
 
-def conv_case(C, O, H, W, seed):
+def conv_case(B, C, O, H, W, seed):
     rng = np.random.default_rng(seed)
-    return (rng.normal(size=(C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O),
-            rng.normal(size=(O, H, W)))
+    return (rng.normal(size=(*lead(B), C, H, W)), rng.normal(size=(O, C, 3, 3)),
+            rng.normal(size=O), rng.normal(size=(*lead(B), O, H, W)))
 
 
 @PROPERTY
 @given(**conv_shapes)
-def test_conv3x3_adjoint(C, O, H, W, seed):
-    """conv3x3 is bilinear in (x, w): its backward is the adjoint in each."""
-    x, w, _, g = conv_case(C, O, H, W, seed)
+def test_conv3x3_adjoint(B, C, O, H, W, seed):
+    """conv3x3 is bilinear in (x, w): its backward is the adjoint in each.
+    The weight gradient comes per sample, so w's adjoint is the sum."""
+    x, w, _, g = conv_case(B, C, O, H, W, seed)
     y = sma.conv3x3(x, w, np.zeros(O))
     gw, gb, gx = sma.conv3x3_backward(g, x, w)
     assert_adjoint(y, g, x, gx)
-    assert_adjoint(y, g, w, gw)
-    assert np.array_equal(gb, g.sum(axis=(1, 2)))
+    assert_adjoint(y, g, w, gw.reshape(-1, *w.shape).sum(axis=0))
+    assert np.array_equal(gb, g.sum(axis=(-2, -1)))
 
 
 @PROPERTY
 @given(**conv_shapes)
-def test_conv3x3_matches_einsum_reference(C, O, H, W, seed):
-    x, w, b, g = conv_case(C, O, H, W, seed)
-    assert rel_err(sma.conv3x3(x, w, b), conv_einsum(x, w, b)) <= 1e-12
-    for got, ref in zip(sma.conv3x3_backward(g, x, w), conv_einsum_backward(g, x, w)):
-        assert rel_err(got, ref) <= 1e-12
+def test_conv3x3_matches_einsum_reference(B, C, O, H, W, seed):
+    x, w, b, g = conv_case(B, C, O, H, W, seed)
+    y, grads = sma.conv3x3(x, w, b), sma.conv3x3_backward(g, x, w)
+    samples = list(zip(x.reshape(-1, C, H, W), g.reshape(-1, O, H, W)))
+    ref = np.stack([conv_einsum(xs, w, b) for xs, _ in samples])
+    assert rel_err(y, ref.reshape(y.shape)) <= 1e-12
+    refs = zip(*[conv_einsum_backward(gs, xs, w) for xs, gs in samples])
+    for got, expect in zip(grads, refs):
+        assert rel_err(got, np.stack(expect).reshape(got.shape)) <= 1e-12
+    assert_stacked(B, y, lambda xs: sma.conv3x3(xs, w, b), x)
+    for k in range(3):
+        assert_stacked(B, grads[k], lambda gs, xs: sma.conv3x3_backward(gs, xs, w)[k], g, x)
 
 
 def enhancer_reference(A, p, train, rng, g):
@@ -237,11 +245,11 @@ def enhancer_reference(A, p, train, rng, g):
     rm, rv = p.bn_running_mean, p.bn_running_var
     if train:
         mean, var = h1.mean(axis=(1, 2)), h1.var(axis=(1, 2))
-        rm = (1 - p.bn_momentum) * rm + p.bn_momentum * mean
-        rv = (1 - p.bn_momentum) * rv + p.bn_momentum * var * n / (n - 1)
+        rm = (1 - sma._BN_MOMENTUM) * rm + sma._BN_MOMENTUM * mean
+        rv = (1 - sma._BN_MOMENTUM) * rv + sma._BN_MOMENTUM * var * n / (n - 1)
     else:
         mean, var = rm, rv
-    invstd = (1.0 / np.sqrt(var + p.bn_eps))[:, None, None]
+    invstd = (1.0 / np.sqrt(var + sma._BN_EPS))[:, None, None]
     xhat = (h1 - mean[:, None, None]) * invstd
     h2 = p.bn_gamma[:, None, None] * xhat + p.bn_beta[:, None, None]
     mask = (h2 > 0).astype(float)
@@ -300,6 +308,37 @@ def test_enhancer_matches_layer_by_layer_reference(C, H, half_w, train, dropout,
 
 
 @PROPERTY
+@given(B=st.integers(1, 4), H=st.integers(2, 8), half_w=st.integers(1, 5), train=st.booleans(),
+       dropout=st.sampled_from([0.0, 0.1]), seed=seeds)
+def test_aligner_batch_equals_image_by_image(B, H, half_w, train, dropout, seed):
+    """The aligner on [B, H, W] computes B one-image calls in order: their
+    outputs, the running statistics they leave and the sum of their
+    gradients.  Its dropout masks are one draw of the one-image calls' stream."""
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(B, H, 2 * half_w))
+    g = rng.normal(size=images.shape)
+    p = sma.init_enhancer(rng, channels=3, dropout_rate=dropout)
+    p.bn_gamma[...] = rng.uniform(0.5, 1.5, size=3)
+    p.bn_beta[...] = rng.normal(size=3)
+    cfg = sma.SmaConfig(lam=0.3)
+    q, r = copy.deepcopy(p), copy.deepcopy(p)
+    out, cache = sma.sma_forward(images, q, cfg, train, np.random.default_rng(seed + 1))
+    grads = sma.sma_backward(g, cache, q)
+    draws = np.random.default_rng(seed + 1)
+    singles = [sma.sma_forward(image, r, cfg, train, draws) for image in images]
+    single_grads = [sma.sma_backward(gi, c, r) for gi, (_, c) in zip(g, singles)]
+    ref = np.stack([o for o, _ in singles])
+    if train:
+        assert rel_err(out, ref) <= 1e-12
+    else:
+        assert np.array_equal(out, ref)
+    assert rel_err(q.bn_running_mean, r.bn_running_mean) <= 1e-12
+    assert rel_err(q.bn_running_var, r.bn_running_var) <= 1e-12
+    for name in p.grad_keys():
+        assert rel_err(grads[name], sum(sg[name] for sg in single_grads)) <= 1e-12, name
+
+
+@PROPERTY
 @given(B=st.integers(1, 4), vis_cols=st.integers(1, 4), n_out=st.integers(1, 16), seed=seeds)
 def test_autoencode_batch_equals_stacked_samples(B, vis_cols, n_out, seed):
     cfg = toy_config()
@@ -324,7 +363,7 @@ def normalized_loss(model, w, outcome):
 @given(B=st.integers(1, 4), n_vars=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_batched_step_equals_mean_of_windows(B, n_vars, seed):
     """One batched step: each window's loss bit for bit, and the mean of the
-    one-window gradients.  The aligner draws its dropout masks image by image
+    one-window gradients.  The aligner draws its dropout masks for a variable
     in window order, which is the one-window calls' order for one variable;
     with several variables the step runs in eval mode."""
     train = n_vars == 1

@@ -61,7 +61,7 @@ class TestHalfSpectrum:
         H, W = 6, 8
         F = rng.normal(size=(H, W // 2 + 1)) + 1j * rng.normal(size=(H, W // 2 + 1))
         g = rng.normal(size=(H, W))
-        adj = sma.irfft2_adjoint(g, W)
+        adj = sma.irfft2_adjoint(g)
         lhs = np.sum(sma.irfft2(F, H, W) * g)
         rhs = np.sum(F.real * adj.real + F.imag * adj.imag)
         assert abs(lhs - rhs) < 1e-10
@@ -117,7 +117,7 @@ class TestEnhancer:
         A = rng.uniform(0, 2, size=(6, 6))
         out, _ = sma.enhancer_forward(A, p, train=False)
         h1 = conv_oracle(A[None], p.conv1_w, p.conv1_b)
-        inv = 1.0 / np.sqrt(p.bn_running_var + p.bn_eps)
+        inv = 1.0 / np.sqrt(p.bn_running_var + sma._BN_EPS)
         h2 = p.bn_gamma[:, None, None] * (h1 - p.bn_running_mean[:, None, None]) * inv[:, None, None] + p.bn_beta[:, None, None]
         h3 = np.maximum(h2, 0.0)
         expect = conv_oracle(h3, p.conv2_w, p.conv2_b)[0]

@@ -254,6 +254,12 @@ class TestPgm:
         assert img.shape == (2, 3)
         assert img[1, 2] == 250
 
+    def test_sidecar_inverts_the_header_maxval(self, tmp_path):
+        p = tmp_path / "s.pgm"
+        p.write_text("P2\n2 1\n255\n0 255\n")
+        (tmp_path / "s.pgm.txt").write_text("min = 0.0\nmax = 1.0\n")
+        assert np.array_equal(pgm.read_pgm(p), [[0.0, 1.0]])
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n4 4\n65535\n\x00\x01")
