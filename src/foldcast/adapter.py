@@ -97,12 +97,13 @@ def tga_forward(X: np.ndarray, p: TgaParams, table: np.ndarray):
 
 
 def tga_backward(grad_out: np.ndarray, cache, p: TgaParams):
-    """Gradients wrt W_proj, w_fusion, and the incoming tokens."""
+    """Gradients wrt W_proj and w_fusion.  The adapter adds to the tokens, so
+    the incoming tokens' gradient is `grad_out` itself."""
     g = cache["g"]
     summed = grad_out.reshape(-1, *grad_out.shape[-2:]).sum(axis=0)  # over the samples
     dW = g * summed.T @ cache["table"]
     dw_fusion = g * (1.0 - g) * float(np.sum(grad_out * cache["proj"]))
-    return {"W_proj": dW, "w_fusion": np.array([dw_fusion])}, grad_out
+    return {"W_proj": dW, "w_fusion": np.array([dw_fusion])}
 
 
 def lora_apply(W: np.ndarray, f: LoraFactor) -> np.ndarray:

@@ -71,6 +71,10 @@ class BackboneConfig:
     frozen: bool = True
 
     def __post_init__(self):
+        for name, least in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("patch_size", 1),
+                            ("e_layers", 0), ("d_layers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
@@ -250,11 +254,10 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
         y, c = adapter.lora_project(xin, p("w" + name), p("b" + name), factor, drop)
         proj[name] = y
         cache[name] = c
-    dh = cfg.d_model // cfg.n_heads
     q = _split_heads(proj["q"], cfg.n_heads)
     k = _split_heads(proj["k"], cfg.n_heads)
     v = _split_heads(proj["v"], cfg.n_heads)
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(dh)
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(cfg.d_model // cfg.n_heads)
     probs = _softmax(scores)
     ctx = probs @ v
     merged = _merge_heads(ctx)
@@ -262,9 +265,7 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
     drop_o = _dropout_scale(out.shape, cfg.dropout, train, rng)
     if drop_o is not None:
         out = out * drop_o
-    cache.update(
-        probs=probs, qh=q, kh=k, vh=v, merged=merged, drop_o=drop_o, dh=dh, rows=rows
-    )
+    cache.update(probs=probs, qh=q, kh=k, vh=v, merged=merged, drop_o=drop_o, rows=rows)
     return out, cache
 
 
@@ -281,7 +282,7 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
     gprobs = gctx @ np.swapaxes(v, -1, -2)
     gv = np.swapaxes(probs, -1, -2) @ gctx
     gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
-    gscores /= np.sqrt(cache["dh"])
+    gscores /= np.sqrt(cfg.d_model // cfg.n_heads)
     gq = gscores @ k
     gk = np.swapaxes(gscores, -1, -2) @ q
     gx = np.zeros_like(cache["x"])
@@ -431,7 +432,7 @@ def decode_with_mask_tokens(
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
     head_w, head_b = _head(params)
     out = n @ head_w.T + head_b
-    cache = {"blocks": caches, "ln": ln, "n": n, "vis_idx": vis_idx, "out_idx": out_idx, "L": L}
+    cache = {"blocks": caches, "ln": ln, "n": n, "vis_idx": vis_idx, "out_idx": out_idx}
     return out, cache
 
 
@@ -449,7 +450,7 @@ def decode_backward(gr, params, cfg, cache, base):
     gx = _layernorm_backward(gn, cache["ln"], base, "bb.dec_norm")
     for i in reversed(range(cfg.d_layers)):
         gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], None, base)
-    L, D = cache["L"], cfg.d_model
+    L, D = cfg.n_patches, cfg.d_model
     if not cache["blocks"]:
         gfull = np.zeros((*gx.shape[:-2], L, D))
         gfull[..., cache["out_idx"], :] = gx
@@ -502,14 +503,7 @@ def autoencode(
     full = np.zeros((*image.shape[:-2], cfg.n_patches, out_patches.shape[-1]))
     full[..., out_idx, :] = out_patches
     image_out = unpatchify(full, grid, cfg.patch_size)
-    cache = {
-        "patches": patches,
-        "tga": tga_cache,
-        "vis_idx": vis_idx,
-        "enc": enc_caches,
-        "dec": dec_cache,
-        "grid": grid,
-    }
+    cache = {"patches": patches, "tga": tga_cache, "enc": enc_caches, "dec": dec_cache}
     return image_out, cache
 
 
@@ -524,14 +518,14 @@ def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, t
     still receive theirs.
     """
     base = None if cfg.frozen else grads
-    vis_idx = cache["vis_idx"]
+    vis_idx = cache["dec"]["vis_idx"]
     gp = patchify(grad_image, cfg.patch_size)[..., cache["dec"]["out_idx"], :]
     glat = decode_backward(gp, params, cfg, cache["dec"], base)
     gvis = encode_backward(glat, params, cfg, cache["enc"], grads, base)
     if base is not None:
         base["bb.enc_pos"][vis_idx] += gvis.reshape(-1, *gvis.shape[-2:]).sum(axis=0)
     if cache["tga"] is not None:
-        tga_grads, gvis = adapter.tga_backward(gvis, cache["tga"], tga)
+        tga_grads = adapter.tga_backward(gvis, cache["tga"], tga)
         grads["tga.W_proj"] += tga_grads["W_proj"]
         grads["tga.w_fusion"] += tga_grads["w_fusion"]
     if base is not None:
@@ -541,7 +535,7 @@ def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, t
         base["bb.patch_embed.b"] += fold_rows(gvis).sum(axis=0)
     gpatches = np.zeros((*gvis.shape[:-2], cfg.n_patches, cache["patches"].shape[-1]))
     gpatches[..., vis_idx, :] = gvis @ _embed_weight(params)
-    return unpatchify(gpatches, cache["grid"], cfg.patch_size)
+    return unpatchify(gpatches, (cfg.grid_rows, cfg.grid_cols), cfg.patch_size)
 
 
 # ---------------------------------------------------------------------------

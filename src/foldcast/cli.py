@@ -313,10 +313,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.overrides)
         return args.fn(cfg, args)
-    except (ConfigError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FloatingPointError as e:

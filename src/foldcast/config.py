@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
-from .data import SplitSpec
+from .data import SplitSpec, read_utf8
 from .forecaster import ModelConfig, TrainConfig
 from .rendering import RenderSpec
 from .sma import SmaConfig
@@ -128,7 +128,7 @@ def parse_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -144,9 +144,20 @@ def parse_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     return RunConfig(values)
 
 
+def _late_float(key: str, text: str) -> float:
+    """`text` as a float, or a ConfigError naming `key`, for the values that
+    the config keeps as text and converts where they are used."""
+    try:
+        return float(text)
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key!r}: {e}") from None
+
+
 def amplitudes(cfg: RunConfig):
     parts = [p for p in str(cfg["synth_amplitude"]).split(",") if p.strip()]
-    vals = tuple(float(p) for p in parts)
+    if not parts:
+        raise ConfigError("bad value for 'synth_amplitude': no amplitude given")
+    vals = tuple(_late_float("synth_amplitude", p) for p in parts)
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -186,7 +197,7 @@ def model_config(cfg: RunConfig) -> ModelConfig:
         lora_dropout=cfg["lora_dropout"],
         use_tga=cfg["use_tga"],
         use_sma=cfg["use_sma"],
-        fixed_beta=float(fixed) if str(fixed).strip() else None,
+        fixed_beta=_late_float("fixed_beta", fixed) if str(fixed).strip() else None,
         beta_init=cfg["beta_init"],
     )
 

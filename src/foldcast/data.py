@@ -1,16 +1,17 @@
 """Dataset ingestion, chronological splitting, sliding windows, instance normalization.
 
-CSV layout: header row, first column named ``date`` (ISO-8601 strings), remaining
-columns numeric.  All values are parsed as float64.  Splits are chronological;
+CSV layout: UTF-8, a header row, a first column named ``date``, remaining
+columns numeric.  The date column must be present but is not kept: a Dataset
+holds only the values, parsed as float64.  Splits are chronological;
 val/test segments borrow `lookback` steps of context from the preceding segment
 so that every target point in a segment can be forecast.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,10 @@ SIGMA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class Dataset:
+    """A named multivariate series: `values` [T_total, N], float64, finite."""
+
     name: str
-    timestamps: tuple[str, ...]
-    values: np.ndarray  # [T_total, N] float64
-    frequency_hint: str = ""
+    values: np.ndarray
 
     def __post_init__(self):
         v = self.values
@@ -93,70 +94,65 @@ class TimeSeriesWindow:
     norm_const: float = 1.0
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; otherwise a ValueError naming the file and
+    the line of the first byte that does not decode."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: line {line} is not UTF-8") from None
+
+
 def load_csv(path, name: str | None = None) -> Dataset:
     """Parse an ETT-format CSV into a Dataset.
 
-    First header column must be a date column; every other column is numeric.
-    Raises ValueError naming the offending row/column for non-numeric cells and
-    ragged rows.
+    The first header column must be a date column; it is required but not
+    kept.  Every other column is numeric.  A malformed file raises ValueError
+    naming the file and the line, or the row and column: rows count the lines
+    after the header from 1, columns count from the date column at 0.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty file")
-        header = [c.strip() for c in header_line.rstrip("\r\n").split(",")]
-        if len(header) < 2:
-            raise ValueError(f"{path}: need a date column plus at least one value column")
-        n_cols = len(header)
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != n_cols:
+    fh = io.StringIO(read_utf8(path), newline="")
+    header_line = fh.readline()
+    if not header_line:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip() for c in header_line.rstrip("\r\n").split(",")]
+    if len(header) < 2:
+        raise ValueError(f"{path}: need a date column plus at least one value column")
+    n_cols = len(header)
+    rows: list[list[float]] = []
+    row_numbers: list[int] = []
+    for lineno, line in enumerate(fh, start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            raise ValueError(
+                f"{path}: ragged row {lineno} has {len(cells)} fields, expected {n_cols}"
+            )
+        parsed = []
+        for col, cell in enumerate(cells[1:], start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise ValueError(
-                    f"{path}: ragged row {lineno} has {len(cells)} fields, expected {n_cols}"
-                )
-            timestamps.append(cells[0].strip())
-            parsed = []
-            for col, cell in enumerate(cells[1:], start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
-                    ) from None
-            rows.append(parsed)
+                    f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
+                ) from None
+        rows.append(parsed)
+        row_numbers.append(lineno)
     values = np.asarray(rows, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 data rows")
-    return Dataset(
-        name=name or path.stem,
-        timestamps=tuple(timestamps),
-        values=values,
-        frequency_hint=_infer_frequency(timestamps),
-    )
-
-
-def _infer_frequency(timestamps) -> str:
-    if len(timestamps) < 2:
-        return ""
-    try:
-        t0 = datetime.fromisoformat(timestamps[0])
-        t1 = datetime.fromisoformat(timestamps[1])
-    except ValueError:
-        return ""
-    minutes = (t1 - t0).total_seconds() / 60.0
-    if minutes <= 0:
-        return ""
-    if minutes % 60 == 0:
-        return f"{int(minutes // 60)}h"
-    return f"{int(minutes)}min"
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: non-finite value at row {row_numbers[row]}, column {col + 1}")
+    return Dataset(name=name or path.stem, values=values)
 
 
 def chronological_split(ds: Dataset, spec: SplitSpec) -> tuple[Segment, Segment, Segment]:
@@ -237,16 +233,14 @@ def windows(segment: Segment, T: int, H: int, stride: int = 1, norm_const: float
     return out
 
 
-def normalize(w: TimeSeriesWindow, norm_const: float | None = None) -> np.ndarray:
-    """Per-variable z-score of the context, scaled by norm_const."""
-    c = w.norm_const if norm_const is None else norm_const
-    return (w.context - w.mean) / w.std * c
+def normalize(w: TimeSeriesWindow) -> np.ndarray:
+    """Per-variable z-score of the context, scaled by the window's norm_const."""
+    return (w.context - w.mean) / w.std * w.norm_const
 
 
-def normalize_target(w: TimeSeriesWindow, norm_const: float | None = None) -> np.ndarray:
+def normalize_target(w: TimeSeriesWindow) -> np.ndarray:
     """Target mapped through the context statistics (training-loss space)."""
-    c = w.norm_const if norm_const is None else norm_const
-    return (w.target - w.mean) / w.std * c
+    return (w.target - w.mean) / w.std * w.norm_const
 
 
 def denormalize(y_norm: np.ndarray, w: TimeSeriesWindow) -> np.ndarray:
@@ -298,10 +292,4 @@ def synth_series(
         raise ValueError(f"unknown kind {kind!r}")
     if noise_std > 0:
         x = x + rng.normal(0.0, noise_std, size=length)
-    stamps = tuple(f"t{i:08d}" for i in range(length))
-    return Dataset(
-        name=name or f"synth_{kind}",
-        timestamps=stamps,
-        values=x[:, None],
-        frequency_hint="1h",
-    )
+    return Dataset(name=name or f"synth_{kind}", values=x[:, None])

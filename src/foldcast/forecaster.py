@@ -11,7 +11,6 @@ Adam; metrics are reported on denormalized values.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +68,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
 
@@ -188,18 +191,20 @@ class ForecastModel:
     # -- forward / backward ----------------------------------------------
 
     def _branches(self, windows, train, rng, grads=None):
-        """Normalized-space branch outputs [B, H, N] of B windows.
+        """Normalized-space branch outputs and fused errors of B windows.
 
-        The windows must share their context length T, horizon H and
-        variable count N.  Variable by variable, they are rendered in one
-        call, run through each branch as one [B, H, W] batch and reconstructed
-        in one call.  With a `grads` dict, each variable's backward runs
-        right after its forward and adds the gradient of the windows' summed
-        losses into `grads`, so a variable's caches are released when the
-        next variable's forward rebinds them instead of piling up.  Backward
-        draws no random numbers and the aligner's running statistics change
-        only in forward, so the interleaving gives the same gradients as a
-        forward over every variable first.
+        Returns (y_st, y_sp, errors), each [B, H, N]: `errors` is the fused
+        forecast minus the normalized target.  The windows must share their
+        context length T, horizon H and variable count N.  Variable by
+        variable, they are rendered in one call, run through each branch as
+        one [B, H, W] batch and reconstructed in one call.  With a `grads`
+        dict, each variable's backward runs right after its forward and adds
+        the gradient of the windows' summed losses into `grads`, so a
+        variable's caches are released when the next variable's forward
+        rebinds them instead of piling up.  Backward draws no random numbers
+        and the aligner's running statistics change only in forward, so the
+        interleaving gives the same gradients as a forward over every
+        variable first.
         """
         (T, N), (H, _) = windows[0].context.shape, windows[0].target.shape
         for w in windows:
@@ -209,10 +214,11 @@ class ForecastModel:
                     f"target {w.target.shape} against {(T, N)} and {(H, N)}"
                 )
         x_norm = np.stack([normalize(w) for w in windows])
-        targets = None if grads is None else np.stack([normalize_target(w) for w in windows])
+        targets = np.stack([normalize_target(w) for w in windows])
         beta = self.beta
         y_st = np.zeros((len(windows), H, N))
         y_sp = np.zeros((len(windows), H, N))
+        errors = np.zeros((len(windows), H, N))
         tga = self.tga if self.cfg.use_tga else None
         for v in range(N):
             # T and H fix the geometry: one rendering describes every window
@@ -235,13 +241,13 @@ class ForecastModel:
             )
             y_st[:, :, v] = reconstruct(out_st, ri)
             y_sp[:, :, v] = reconstruct(out_sp, ri)
+            errors[:, :, v] = fuse(y_st[:, :, v], y_sp[:, :, v], beta) - targets[:, :, v]
             if grads is not None:
-                yhat = fuse(y_st[:, :, v], y_sp[:, :, v], beta)
-                g_yhat = 2.0 * (yhat - targets[:, :, v]) / (H * N)
+                g_yhat = 2.0 * errors[:, :, v] / (H * N)
                 self._backward_variable(
                     grads, ri, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
                 )
-        return y_st, y_sp
+        return y_st, y_sp, errors
 
     def _backward_variable(self, grads, ri, g_st, g_sp, c_st, c_sp, c_sma):
         """Add one variable's gradients, given those of its two branch outputs [B, H]."""
@@ -263,51 +269,41 @@ class ForecastModel:
 
     def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
         """Full dual-branch pass over every variable of one window."""
-        y_st, y_sp = self._branches([w], train, rng)
-        return self._outcome(w, y_st[0], y_sp[0])
-
-    def _outcome(self, w, y_st, y_sp) -> ForecastOutcome:
-        pred = denormalize(fuse(y_st, y_sp, self.beta), w)
+        y_st, y_sp, _ = self._branches([w], train, rng)
+        pred = denormalize(fuse(y_st[0], y_sp[0], self.beta), w)
         return ForecastOutcome(
             prediction=pred,
-            y_structural=y_st,
-            y_spectral=y_sp,
+            y_structural=y_st[0],
+            y_spectral=y_sp[0],
             mse=mse(pred, w.target),
             mae=mae(pred, w.target),
         )
-
-    def _errors(self, windows, y_st, y_sp):
-        """Normalized-space errors [B, H, N] of the fused branch outputs of B
-        windows, and each window's loss, the mean of its squared errors."""
-        diffs = fuse(y_st, y_sp, self.beta) - np.stack([normalize_target(w) for w in windows])
-        return diffs, [float(np.mean(diff**2)) for diff in diffs]
 
     def loss_and_grads(self, *windows: TimeSeriesWindow, rng=None, train: bool = True):
         """Normalized-space MSE loss and gradients of one window, or of several
         run as one batch.
 
-        Returns (loss, grads, outcome).  For several windows, which must share
-        T, H and N, the loss and every gradient are the means over the
-        windows, and `outcome` is a list of ForecastOutcome, one per window.
-        The gradient dict is one flat buffer that every backward adds into;
-        it holds exactly the tensors of `trainable_names()`: no `bb.*` key
-        when the backbone is frozen, no `sma.*`, `tga.*` or `fuse.beta` key
-        when that part is switched off or fixed.
+        Returns (loss, grads, (y_structural, y_spectral)).  The windows must
+        share T, H and N; the loss and every gradient are the means over the
+        windows, and the two branch outputs are normalized-space [B, H, N]
+        arrays.  The gradient dict is one flat buffer that every backward
+        adds into; it holds exactly the tensors of `trainable_names()`: no
+        `bb.*` key when the backbone is frozen, no `sma.*`, `tga.*` or
+        `fuse.beta` key when that part is switched off or fixed.
         """
         if not windows:
             raise ValueError("loss_and_grads needs at least one window")
         params = self.named_params()
         grads = {k: np.zeros_like(params[k]) for k in self.trainable_names()}
-        y_st, y_sp = self._branches(windows, train, rng, grads)
-        diffs, losses = self._errors(windows, y_st, y_sp)
+        y_st, y_sp, errors = self._branches(windows, train, rng, grads)
         if "fuse.beta" in grads:
-            for diff, st, sp in zip(diffs, y_st, y_sp):
-                g_yhat = 2.0 * diff / diff.size
+            for err, st, sp in zip(errors, y_st, y_sp):
+                g_yhat = 2.0 * err / err.size
                 grads["fuse.beta"][0] += float(np.sum(g_yhat * (st - sp)))
         for g in grads.values():
             g /= len(windows)
-        outcomes = [self._outcome(w, st, sp) for w, st, sp in zip(windows, y_st, y_sp)]
-        return sum(losses) / len(windows), grads, outcomes if len(windows) > 1 else outcomes[0]
+        loss = sum(float(np.mean(err**2)) for err in errors) / len(windows)
+        return loss, grads, (y_st, y_sp)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +363,9 @@ def _val_loss(model: ForecastModel, windows, batch_size: int) -> float:
     `batch_size` windows at a time."""
     total = 0.0
     for start in range(0, len(windows), batch_size):
-        chunk = windows[start : start + batch_size]
-        for loss in model._errors(chunk, *model._branches(chunk, train=False, rng=None))[1]:
-            total += loss
+        _, _, errors = model._branches(windows[start : start + batch_size], False, None)
+        for err in errors:
+            total += float(np.mean(err**2))
     return total / len(windows)
 
 
@@ -541,10 +537,10 @@ def _gradcheck_sma(seed, inject_fault):
     cfg = SmaConfig(lam=0.3)
 
     def loss():
-        out, _ = sma.sma_forward(img, copy.deepcopy(p), cfg)
+        out, _ = sma.sma_forward(img, p, cfg)
         return float(np.sum(out * gout))
 
-    _, cache = sma.sma_forward(img, copy.deepcopy(p), cfg)
+    _, cache = sma.sma_forward(img, p, cfg)
     grads = sma.sma_backward(gout, cache, p)
     if inject_fault:
         grads["conv1_w"] = grads["conv1_w"] * 1.1
@@ -567,7 +563,7 @@ def _gradcheck_tga(seed, inject_fault):
         return float(np.sum(out * gout))
 
     _, cache = adapter.tga_forward(X, p, table)
-    grads, _ = adapter.tga_backward(gout, cache, p)
+    grads = adapter.tga_backward(gout, cache, p)
     if inject_fault:
         grads["W_proj"] = grads["W_proj"] * 1.1
     return _fd_on_arrays(

@@ -31,6 +31,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.periodicity < 1:
             raise ValueError("periodicity must be positive")
+        if self.patch_size < 1:
+            raise ValueError(f"patch_size must be at least 1, got {self.patch_size}")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ValueError("image dims must be divisible by patch_size")
         if not 0.0 < self.align_const <= 1.0:
@@ -39,7 +41,7 @@ class RenderSpec:
 
 @dataclass(frozen=True)
 class RenderedImage:
-    pixels: np.ndarray  # [..., image_height, W_total]
+    pixels: np.ndarray  # [..., image_height, image_width]
     visible_width: int
     masked_width: int
     pad_len: int
@@ -47,10 +49,6 @@ class RenderedImage:
     context_len: int
     horizon_len: int
     spec: RenderSpec
-
-    @property
-    def total_width(self) -> int:
-        return self.visible_width + self.masked_width
 
     @property
     def periods_total(self) -> int:
@@ -71,9 +69,9 @@ class RenderedImage:
         P, p = spec.periodicity, spec.patch_size
         k = np.arange(self.horizon_len) + self.pad_len + self.context_len
         y0, y1, _ = _interp_weights(spec.image_height, P)
-        x0, x1, _ = _interp_weights(self.total_width, self.periods_total)
+        x0, x1, _ = _interp_weights(spec.image_width, self.periods_total)
         rows, cols = k % P, k // P
-        read = np.zeros((spec.image_height // p, self.total_width // p), dtype=bool)
+        read = np.zeros((spec.image_height // p, spec.image_width // p), dtype=bool)
         read[np.ix_(np.r_[y0[rows], y1[rows]] // p, np.r_[x0[cols], x1[cols]] // p)] = True
         return np.flatnonzero(read)
 
@@ -202,7 +200,7 @@ def reconstruct(decoded: np.ndarray, prov: RenderedImage) -> np.ndarray:
     """
     decoded = np.asarray(decoded, dtype=np.float64)
     spec = prov.spec
-    expect = (spec.image_height, prov.total_width)
+    expect = (spec.image_height, spec.image_width)
     if decoded.shape[-2:] != expect:
         raise ValueError(f"decoded image shape {decoded.shape} != rendered {expect}")
     P = spec.periodicity
@@ -221,4 +219,4 @@ def reconstruct_backward(grad_forecast: np.ndarray, prov: RenderedImage) -> np.n
     start = prov.pad_len + prov.context_len
     series_grad[..., start : start + prov.horizon_len] = grad_forecast
     grid_grad = fold_to_grid(series_grad, spec.periodicity)
-    return resize_bilinear_backward(grid_grad, spec.image_height, prov.total_width)
+    return resize_bilinear_backward(grid_grad, spec.image_height, spec.image_width)

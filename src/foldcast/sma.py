@@ -83,20 +83,17 @@ def rfft2(image: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(image)
 
 
-def irfft2(hs: np.ndarray, H: int, W: int) -> np.ndarray:
+def irfft2(hs: np.ndarray) -> np.ndarray:
     """Inverse of rfft2: numpy's irfft2 of a half-spectrum [..., H, W/2+1].
 
+    W is even, as rfft2 requires, so the half-spectrum's width fixes it.
     numpy inverts along H first, then takes the real inverse along W, which
     reads only the real part of columns 0 and W/2.  On a half-spectrum whose
     edge columns are not Hermitian-consistent this is the real part of the
     inverse 2D DFT of its Hermitian extension, a real-linear map.
     """
-    Hs, Wh = hs.shape[-2:]
-    if Hs != H:
-        raise ValueError(f"half-spectrum height {Hs} != H={H}")
-    if Wh != W // 2 + 1 or W % 2:
-        raise ValueError(f"half-spectrum width {Wh} does not match even W={W}")
-    return np.fft.irfft2(hs, s=(H, W))
+    H, Wh = hs.shape[-2:]
+    return np.fft.irfft2(hs, s=(H, 2 * (Wh - 1)))
 
 
 def irfft2_adjoint(grad_image: np.ndarray) -> np.ndarray:
@@ -283,12 +280,11 @@ def sma_forward(
 ):
     """Full aligner pass; returns (blended images, cache for backward)."""
     I = np.asarray(image, dtype=np.float64)
-    H, W = I.shape[-2:]
     F = rfft2(I)
     A, phi = decompose(F)
     A_enh, enh_cache = enhancer_forward(A, p, train, rng)
     Fp = recombine(A_enh, phi)
-    I_enh = irfft2(Fp, H, W)
+    I_enh = irfft2(Fp)
     out = I + cfg.lam * (I_enh - I)
     cache = {
         "phi": phi,

@@ -79,7 +79,7 @@ def test_criterion_3_fft_identities():
     worst_rt = worst_par = worst_oracle = 0.0
     for H, W in [(8, 8), (6, 10), (7, 4), (16, 16)]:
         x = rng.normal(size=(H, W))
-        worst_rt = max(worst_rt, float(np.abs(sma.irfft2(sma.rfft2(x), H, W) - x).max()))
+        worst_rt = max(worst_rt, float(np.abs(sma.irfft2(sma.rfft2(x)) - x).max()))
         par = abs(np.sum(x**2) - np.sum(spectral.power_centered(x)) / (H * W)) / np.sum(x**2)
         worst_par = max(worst_par, float(par))
     for H, W in [(4, 4), (8, 8), (3, 8)]:
@@ -197,10 +197,10 @@ def test_criterion_7_fusion_contracts():
     total = 80
     x = np.sin(2 * np.pi * np.arange(total) / 8.0) + 0.1 * np.random.default_rng(11).normal(size=total)
     ws = data.windows(data.Segment(x[:, None], 0, total), 48, 16, stride=8, norm_const=0.4)
-    _, grads, outcome = model.loss_and_grads(ws[0], train=False)
+    _, grads, (y_st, y_sp) = model.loss_and_grads(ws[0], train=False)
     target = normalize_target(ws[0])
-    yhat = fc.fuse(outcome.y_structural, outcome.y_spectral, model.beta)
-    closed = np.mean(2.0 * (yhat - target) * (outcome.y_structural - outcome.y_spectral))
+    yhat = fc.fuse(y_st[0], y_sp[0], model.beta)
+    closed = np.mean(2.0 * (yhat - target) * (y_st[0] - y_sp[0]))
     grad_ok = abs(grads["fuse.beta"][0] - closed) < 1e-10
     # beta stays in [0, 1] across a full training run
     report_t = fc.train(model, ws[:2], ws[2:3], fc.TrainConfig(lr=0.05, batch_size=2, epochs=4, patience=5, seed=2))

@@ -6,7 +6,7 @@ import pytest
 
 from foldcast import pgm
 from foldcast.cli import main
-from foldcast.config import ConfigError, model_config, parse_config, train_config
+from foldcast.config import ConfigError, amplitudes, model_config, parse_config, train_config
 from foldcast.forecaster import ForecastModel, ModelConfig, TrainConfig
 
 DESK = [
@@ -61,6 +61,20 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"lr = 0.01\nepochs = \xff\n")
+        with pytest.raises(ValueError, match=f"{p}: line 2 is not UTF-8"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("override, convert", [
+        ("fixed_beta=abc", model_config), ("synth_amplitude=1,x", amplitudes),
+        ("synth_amplitude=,", amplitudes)])
+    def test_values_converted_late_name_the_key(self, override, convert):
+        cfg = parse_config(None, [override])
+        with pytest.raises(ConfigError, match=repr(override.split("=")[0])):
+            convert(cfg)
 
 
 class TestRender:
@@ -175,6 +189,22 @@ class TestTrainEvalForecast:
         rc = main(["train", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("setting", [
+        "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1"])
+    def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
+        rc = main(["train", *desk_args(setting), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--config", "{dir}", "--out", "{dir}/x"],
+        ["forecast", *desk_args(), "--checkpoint", "{dir}", "--out", "{dir}/x"],
+        ["train", "-o", "csv={dir}", "--out", "{dir}/x"]])
+    def test_directory_in_place_of_a_file_exit_2(self, tmp_path, capsys, command):
+        rc = main([arg.format(dir=tmp_path) for arg in command])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_non_finite_step_exit_3(self, tmp_path, monkeypatch, capsys):
         real = ForecastModel.loss_and_grads
 
@@ -194,6 +224,10 @@ class TestGradcheckCommand:
         assert rc == 0
         rep = json.loads((tmp_path / "g" / "gradcheck.json").read_text())
         assert rep["passed"]
+
+    def test_out_naming_a_file_exit_2(self, tmp_path):
+        (tmp_path / "g").write_text("")
+        assert main(["gradcheck", "--component", "beta", "--out", str(tmp_path / "g")]) == 2
 
     def test_injected_fault_exit_1(self):
         rc = main(["gradcheck", "--component", "lora", "--inject-fault"])

@@ -33,12 +33,22 @@ class TestLoadCsv:
         ds = data.load_csv(p)
         assert ds.values.tolist() == [[1.0], [2.0], [3.0]]
         assert ds.n_variables == 1
-        assert ds.frequency_hint == "1h"
 
     def test_non_numeric_cell_names_row(self, tmp_path):
         rows = ["date,a,b"] + [f"t{i},1,2" for i in range(1, 5)] + ["t5,abc,2", "t6,1,2"]
         p = write_csv(tmp_path, "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="row 5"):
+            data.load_csv(p)
+
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path):
+        p = write_csv(tmp_path, "date,a,b\nt1,1,2\nt2,1,nan\nt3,1,2\n")
+        with pytest.raises(ValueError, match=f"{p}: non-finite value at row 2, column 2"):
+            data.load_csv(p)
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        p.write_bytes(b"date,a\nt1,1\nt2,\xff\n")
+        with pytest.raises(ValueError, match=f"{p}: line 3 is not UTF-8"):
             data.load_csv(p)
 
     def test_ragged_row(self, tmp_path):
@@ -58,11 +68,7 @@ class TestLoadCsv:
 
 def make_ds(n, n_vars=1, seed=0):
     rng = np.random.default_rng(seed)
-    return data.Dataset(
-        name="toy",
-        timestamps=tuple(f"t{i}" for i in range(n)),
-        values=rng.normal(size=(n, n_vars)),
-    )
+    return data.Dataset(name="toy", values=rng.normal(size=(n, n_vars)))
 
 
 class TestSplit:
@@ -155,19 +161,19 @@ class TestNormalize:
     def test_zero_mean(self):
         seg = data.Segment(np.array([1.0, 2.0, 3.0, 0.0, 0.0])[:, None], 0, 5)
         w = data.windows(seg, 3, 2)[0]
-        xn = data.normalize(w, 1.0)
+        xn = data.normalize(w)
         assert abs(xn.mean()) < 1e-6
 
     def test_constant_context_floored(self):
         seg = data.Segment(np.array([5.0, 5.0, 5.0, 1.0])[:, None], 0, 4)
         w = data.windows(seg, 3, 1)[0]
-        assert np.all(data.normalize(w, 1.0) == 0.0)
+        assert np.all(data.normalize(w) == 0.0)
 
     def test_population_sigma_hand_value(self):
         # context [0, 2]: mu=1, population sigma=1 -> x' = [-0.4, 0.4]
         seg = data.Segment(np.array([0.0, 2.0, 9.0])[:, None], 0, 3)
-        w = data.windows(seg, 2, 1)[0]
-        xn = data.normalize(w, 0.4)
+        w = data.windows(seg, 2, 1, norm_const=0.4)[0]
+        xn = data.normalize(w)
         assert np.allclose(xn[:, 0], [-0.4, 0.4], atol=1e-15)
 
     def test_round_trips(self):

@@ -2,8 +2,8 @@
 each hand-written linear map, exact render -> reconstruct round trips, a batch
 of samples computing what the samples compute one by one, the aligner against
 a direct conv -> BN -> ReLU -> dropout -> conv reference, the PSS spectrum and
-annuli against numpy's full FFT and an exhaustive binning, and the PGM reader
-on damaged files."""
+annuli against numpy's full FFT and an exhaustive binning, and the PGM, CSV
+and config readers on damaged files."""
 
 import copy
 import tempfile
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from foldcast import backbone as bb
 from foldcast import data, pgm, sma, spectral
+from foldcast.config import parse_config
 from foldcast import rendering as rd
 from foldcast.data import normalize_target
 from foldcast.forecaster import fuse
@@ -103,7 +104,7 @@ def test_irfft2_adjoint(B, H, half_w, seed):
     rng = np.random.default_rng(seed)
     F = complex_normal(rng, (*lead(B), H, half_w + 1))
     g = rng.normal(size=(*lead(B), H, W))
-    assert_adjoint(sma.irfft2(F, H, W), g, F, sma.irfft2_adjoint(g))
+    assert_adjoint(sma.irfft2(F), g, F, sma.irfft2_adjoint(g))
 
 
 @PROPERTY
@@ -353,9 +354,9 @@ def test_autoencode_batch_equals_stacked_samples(B, vis_cols, n_out, seed):
     assert rel_err(batched, one_by_one) <= 1e-12
 
 
-def normalized_loss(model, w, outcome):
+def normalized_loss(model, w, y_st, y_sp):
     """The loss `loss_and_grads` reports, from a window's branch outputs."""
-    yhat = fuse(outcome.y_structural, outcome.y_spectral, model.beta)
+    yhat = fuse(y_st, y_sp, model.beta)
     return float(np.mean((yhat - normalize_target(w)) ** 2))
 
 
@@ -373,12 +374,11 @@ def test_batched_step_equals_mean_of_windows(B, n_vars, seed):
         for f in factors.values():
             f.B[...] = factor_rng.normal(0.0, 0.1, size=f.B.shape)
     windows = toy_windows(B, n_vars=n_vars, seed=seed)
-    loss, grads, outcomes = model.loss_and_grads(
+    loss, grads, (y_st, y_sp) = model.loss_and_grads(
         *windows, rng=np.random.default_rng(seed), train=train)
-    outcomes = outcomes if B > 1 else [outcomes]
     rng = np.random.default_rng(seed)
     singles = [model.loss_and_grads(w, rng=rng, train=train) for w in windows]
-    assert [normalized_loss(model, w, o) for w, o in zip(windows, outcomes)] == \
+    assert [normalized_loss(model, *case) for case in zip(windows, y_st, y_sp)] == \
         [single_loss for single_loss, _, _ in singles]
     assert loss == sum(single_loss for single_loss, _, _ in singles) / B
     assert sorted(grads) == sorted(model.trainable_names())
@@ -503,3 +503,56 @@ def test_read_pgm_raises_only_value_errors_naming_the_file(
             assert str(path) in str(err)
         else:
             assert img.dtype == np.float64 and img.ndim == 2
+
+
+damage = dict(
+    flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    cut=st.none() | st.integers(0, 2**16),
+)
+
+
+def damaged(body: bytes, flips, cut) -> bytes:
+    """`body` with the bytes at `flips` replaced, then cut at `cut`."""
+    out = bytearray(body)
+    for pos, byte in flips:
+        out[pos % len(out)] = byte
+    if cut is not None:
+        del out[cut % (len(out) + 1):]
+    return bytes(out)
+
+
+def read_damaged(name, body, read):
+    """`read` of a file holding `body`, or None after a ValueError that names
+    the file; any other exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(body)
+        try:
+            return read(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+            return None
+
+
+VALID_CONFIG = (b"# desk run\nseq_len = 48\npred_len = 16  # horizon\nlr = 1e-3\n"
+                b"frozen = false\nsynth_amplitude = 1.0, 0.5\nfixed_beta = 0.3\n")
+
+
+@PROPERTY
+@given(**damage)
+@example(flips=[(9, 0xFF)], cut=None)
+def test_parse_config_raises_only_value_errors_naming_the_file(flips, cut):
+    read_damaged("run.cfg", damaged(VALID_CONFIG, flips, cut), parse_config)
+
+
+VALID_CSV = (b"date,a,b\n2020-01-01 00:00:00,1.5,-2\n2020-01-01 01:00:00,3,4e-1\n"
+             b"2020-01-01 02:00:00,5,6\n")
+
+
+@PROPERTY
+@given(**damage)
+@example(flips=[(9, 0xFF)], cut=None)
+@example(flips=[(29, ord("n")), (30, ord("a")), (31, ord("n"))], cut=None)
+def test_load_csv_raises_only_value_errors_naming_the_file(flips, cut):
+    ds = read_damaged("x.csv", damaged(VALID_CSV, flips, cut), data.load_csv)
+    assert ds is None or (ds.values.ndim == 2 and np.isfinite(ds.values).all())
