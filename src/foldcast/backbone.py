@@ -647,14 +647,14 @@ def read_weights(path, out: dict[str, np.ndarray] | None = None) -> dict[str, np
             }
         unknown = sorted(set(index) - set(out))
         if unknown:
-            raise ValueError(f"unknown tensor names: {unknown}")
+            raise ValueError(f"{path}: unknown tensor names: {unknown}")
         missing = sorted(set(out) - set(index))
         if missing:
-            raise ValueError(f"missing tensor names: {missing}")
+            raise ValueError(f"{path}: missing tensor names: {missing}")
         for name, (_, shape, _) in index.items():
             if shape != out[name].shape:
                 raise ValueError(
-                    f"tensor {name!r} has shape {shape}, expected {out[name].shape}"
+                    f"{path}: tensor {name!r} has shape {shape}, expected {out[name].shape}"
                 )
         for name, (dtype, shape, off) in index.items():
             fh.seek(off)

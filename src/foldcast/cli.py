@@ -2,7 +2,7 @@
 
 Subcommands: render, pss, synth-image, train, eval, forecast, gradcheck.
 Every subcommand writes machine-readable outputs (JSON/CSV/PGM) carrying the
-resolved config snapshot, plus a one-line human summary on stdout.  Exit codes:
+resolved config, plus a one-line human summary on stdout.  Exit codes:
 0 success, 1 validation/test failure, 2 I/O or config error, 3 a training
 step with a non-finite loss or gradient norm.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, forecaster as fc, pgm, spectral
-from .config import ConfigError, RunConfig, amplitudes, model_config, parse_config, render_spec, train_config
+from .config import ConfigError, model_config, parse_config, render_spec, train_config
 from .rendering import render
 
 
@@ -25,7 +25,7 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_dataset(cfg: RunConfig) -> data.Dataset:
+def _load_dataset(cfg: dict) -> data.Dataset:
     if cfg["csv"]:
         return data.load_csv(cfg["csv"])
     if cfg["synth_kind"]:
@@ -33,14 +33,14 @@ def _load_dataset(cfg: RunConfig) -> data.Dataset:
             cfg["synth_kind"],
             cfg["synth_length"],
             cfg["synth_period"],
-            amplitude=amplitudes(cfg),
+            amplitude=cfg["synth_amplitude"],
             noise_std=cfg["synth_noise_std"],
             seed=cfg["synth_seed"],
         )
     raise ConfigError("no input: set csv=PATH or synth_kind=...")
 
 
-def _split_windows(cfg: RunConfig, ds: data.Dataset):
+def _split_windows(cfg: dict, ds: data.Dataset):
     spec = data.SplitSpec(
         cfg["train_frac"], cfg["val_frac"], cfg["test_frac"],
         lookback=cfg["seq_len"], horizon=cfg["pred_len"],
@@ -62,87 +62,78 @@ def _split_windows(cfg: RunConfig, ds: data.Dataset):
 # subcommands
 
 
-def cmd_render(cfg: RunConfig, args) -> int:
+def _window(cfg: dict, ds: data.Dataset, start: int, h: int) -> data.TimeSeriesWindow:
+    """The window of `seq_len` context and `h` target steps from `start`."""
+    end = start + cfg["seq_len"] + h
+    if start < 0 or end > ds.n_steps:
+        raise ConfigError(f"window [{start}, {end}) lies outside the series [0, {ds.n_steps})")
+    seg = data.Segment(ds.values[start:end], start, end)
+    return data.windows(seg, cfg["seq_len"], h, norm_const=cfg["norm_const"])[0]
+
+
+def cmd_render(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
-    T, H = cfg["seq_len"], cfg["pred_len"]
-    start = args.start
-    if start + T > ds.n_steps:
-        raise ConfigError(f"window [{start}, {start + T}) exceeds series length {ds.n_steps}")
-    spec = render_spec(cfg)
+    w = _window(cfg, ds, args.start, 0)
+    ri = render(data.normalize(w).T, cfg["pred_len"], render_spec(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = ds.values[start : start + T]
-    mean = ctx.mean(axis=0)
-    std = np.maximum(ctx.std(axis=0), data.SIGMA_FLOOR)
     files = []
-    meta = None
-    for v in range(ds.n_variables):
-        xn = (ctx[:, v] - mean[v]) / std[v] * cfg["norm_const"]
-        ri = render(xn, H, spec)
+    for v, pixels in enumerate(ri.pixels):
         path = out / f"{ds.name}_var{v}.pgm"
-        pgm.write_pgm16(path, ri.pixels)
+        pgm.write_pgm16(path, pixels)
         files.append(path.name)
-        meta = {
-            "visible_width": ri.visible_width,
-            "masked_width": ri.masked_width,
-            "pad_len": ri.pad_len,
-            "periods_context": ri.periods_context,
-        }
+    layout = {
+        k: getattr(ri, k) for k in ("visible_width", "masked_width", "pad_len", "periods_context")
+    }
     _write_json(out / "render.json", {
-        "config": cfg.snapshot(), "dataset": ds.name, "start": start,
-        "layout": meta, "files": files,
+        "config": cfg, "dataset": ds.name, "start": args.start,
+        "layout": layout, "files": files,
     })
-    print(f"rendered {len(files)} variable(s) from {ds.name}[{start}:{start + T}] into {out}")
+    end = args.start + cfg["seq_len"]
+    print(f"rendered {len(files)} variable(s) from {ds.name}[{args.start}:{end}] into {out}")
     return 0
 
 
-def _pss_images(args, cfg: RunConfig):
-    samples = []
+def _pss_images(args, cfg: dict):
+    """(sample id, alpha, r_squared) of every sample; the series mode's
+    r_squared is None."""
+    if cfg["pss_samples"] < 1:
+        raise ConfigError(f"pss_samples must be at least 1, got {cfg['pss_samples']}")
+    size = cfg["image_size"]
     if args.images:
         paths = sorted(Path(args.images).glob("*.pgm"))
         if not paths:
             raise ConfigError(f"no .pgm files under {args.images}")
-        size = cfg["image_size"]
-        for p in paths:
-            img = spectral.load_grayscale_image(p, size, size)
-            samples.append((p.stem, spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])))
+        images = ((p.stem, spectral.load_grayscale_image(p, size, size)) for p in paths)
     elif args.text:
         text = Path(args.text).read_text(encoding="utf-8", errors="replace")
-        size = cfg["image_size"]
         chunk = size * size
         n = max(min(cfg["pss_samples"], len(text) // chunk), 1)
-        for i in range(n):
-            img = spectral.ascii_text_to_image(text[i * chunk : (i + 1) * chunk] or text, size, size)
-            samples.append((f"chunk{i:04d}", spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])))
+        images = (
+            (f"chunk{i:04d}", spectral.ascii_text_to_image(text[i * chunk : (i + 1) * chunk] or text, size, size))
+            for i in range(n)
+        )
     else:
-        ds = _load_dataset(cfg)
-        spec = render_spec(cfg)
         stats = spectral.pss_of_series(
-            ds, spec, cfg["pss_samples"], cfg["seq_len"], seed=cfg["seed"],
-            horizon=cfg["pred_len"], f_lo=cfg["f_lo"], f_hi=cfg["f_hi"],
+            _load_dataset(cfg), render_spec(cfg), cfg["pss_samples"], cfg["seq_len"],
+            seed=cfg["seed"], horizon=cfg["pred_len"], f_lo=cfg["f_lo"], f_hi=cfg["f_hi"],
             workers=cfg["workers"],
         )
-        return [(f"window{i:04d}", a) for i, a in enumerate(stats.alphas)], None
-    return samples, True
+        return [(f"window{i:04d}", a, None) for i, a in enumerate(stats.alphas)]
+    fits = [(sid, spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])) for sid, img in images]
+    return [(sid, fit.alpha, fit.r_squared) for sid, fit in fits]
 
 
-def cmd_pss(cfg: RunConfig, args) -> int:
+def cmd_pss(cfg: dict, args) -> int:
+    rows = _pss_images(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    samples, has_fits = _pss_images(args, cfg)
     lines = ["sample_id,alpha,r_squared"]
-    alphas = []
-    for sid, fit in samples:
-        if has_fits:
-            lines.append(f"{sid},{fit.alpha!r},{fit.r_squared!r}")
-            alphas.append(fit.alpha)
-        else:
-            lines.append(f"{sid},{fit!r},")
-            alphas.append(fit)
+    lines += [f"{sid},{a!r}," + ("" if r2 is None else repr(r2)) for sid, a, r2 in rows]
     (out / "pss_samples.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    stats = spectral.summarize_alphas(np.array(alphas))
+    stats = spectral.summarize_alphas(np.array([a for _, a, _ in rows]))
     _write_json(out / "pss_summary.json", {
-        "config": cfg.snapshot(),
+        "config": cfg,
         "mean_alpha": stats.mean, "std_alpha": stats.std, "n": stats.n,
         "f_lo": cfg["f_lo"], "f_hi": cfg["f_hi"],
     })
@@ -150,26 +141,26 @@ def cmd_pss(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_synth_image(cfg: RunConfig, args) -> int:
+def cmd_synth_image(cfg: dict, args) -> int:
     img = spectral.synth_power_law_image(args.alpha, cfg["image_size"], cfg["image_size"], seed=cfg["seed"])
     pgm.write_pgm16(args.out, img)
     fit = spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])
     _write_json(Path(args.out).with_suffix(".json"), {
-        "config": cfg.snapshot(), "target_alpha": args.alpha,
+        "config": cfg, "target_alpha": args.alpha,
         "measured_alpha": fit.alpha, "r_squared": fit.r_squared,
     })
     print(f"wrote {args.out}: target alpha {args.alpha}, measured {fit.alpha:.4f}")
     return 0
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def cmd_train(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
     trw, vaw, tew = _split_windows(cfg, ds)
     model = fc.ForecastModel(model_config(cfg), seed=cfg["seed"])
     report = fc.train(model, trw, vaw, train_config(cfg))
     test = fc.evaluate(tew, fc.model_predict_fn(model), workers=cfg["workers"])
     report["test"] = test
-    report["config"] = cfg.snapshot()
+    report["config"] = cfg
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "model.ntf")
@@ -181,7 +172,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_model(cfg: RunConfig, checkpoint) -> fc.ForecastModel:
+def _load_model(cfg: dict, checkpoint) -> fc.ForecastModel:
     path = Path(checkpoint)
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
@@ -190,27 +181,23 @@ def _load_model(cfg: RunConfig, checkpoint) -> fc.ForecastModel:
     return model
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
     _, _, tew = _split_windows(cfg, ds)
     model = _load_model(cfg, args.checkpoint)
     test = fc.evaluate(tew, fc.model_predict_fn(model), workers=cfg["workers"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "eval.json", {"config": cfg.snapshot(), "test": test})
+    _write_json(out / "eval.json", {"config": cfg, "test": test})
     print(f"test mse {test['mse']:.6f} mae {test['mae']:.6f} over {test['n_windows']} windows")
     return 0
 
 
-def cmd_forecast(cfg: RunConfig, args) -> int:
+def cmd_forecast(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
     model = _load_model(cfg, args.checkpoint)
     T, H = cfg["seq_len"], cfg["pred_len"]
-    start = args.start
-    if start + T + H > ds.n_steps:
-        raise ConfigError(f"window [{start}, {start + T + H}) exceeds series length {ds.n_steps}")
-    seg = data.Segment(ds.values[start : start + T + H], start, start + T + H)
-    w = data.windows(seg, T, H, norm_const=cfg["norm_const"])[0]
+    w = _window(cfg, ds, args.start, H)
     outcome = model.forward(w, train=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,20 +206,20 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
         lines.append(f"{h}," + ",".join(repr(x) for x in outcome.prediction[h]))
     (out / "forecast.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "forecast.json", {
-        "config": cfg.snapshot(), "start": start,
+        "config": cfg, "start": args.start,
         "mse": outcome.mse, "mae": outcome.mae, "beta": model.beta,
         "y_structural": outcome.y_structural.tolist(),
         "y_spectral": outcome.y_spectral.tolist(),
         "mse_structural": fc.mse(data.denormalize(outcome.y_structural, w), w.target),
         "mse_spectral": fc.mse(data.denormalize(outcome.y_spectral, w), w.target),
     })
-    print(f"forecast {H} steps from t={start + T}: mse {outcome.mse:.6f} mae {outcome.mae:.6f}")
+    print(f"forecast {H} steps from t={args.start + T}: mse {outcome.mse:.6f} mae {outcome.mae:.6f}")
     return 0
 
 
-def cmd_gradcheck(cfg: RunConfig, args) -> int:
+def cmd_gradcheck(cfg: dict, args) -> int:
     report = fc.gradcheck(args.component, seed=cfg["seed"], inject_fault=args.inject_fault)
-    report["config"] = cfg.snapshot()
+    report["config"] = cfg
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ config objects are built.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
@@ -34,6 +33,17 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    vals = tuple(float(p) for p in text.split(",") if p.strip())
+    if not vals:
+        raise ValueError("no number given")
+    return vals
+
+
 _SPLIT, _MODEL, _TRAIN = SplitSpec(), ModelConfig(), TrainConfig()
 _RENDER, _BACKBONE = _MODEL.render, _MODEL.backbone
 
@@ -54,7 +64,7 @@ REGISTRY: dict[str, tuple] = {
     "synth_kind": ("", str, "synthetic kind: sinusoid_mix | trend_plus_season | noise"),
     "synth_length": (5000, int, "synthetic series length"),
     "synth_period": (24, int, "synthetic base period"),
-    "synth_amplitude": ("1.0", str, "amplitude or comma-separated component amplitudes"),
+    "synth_amplitude": ((1.0,), _floats, "amplitude or comma-separated component amplitudes"),
     "synth_noise_std": (0.1, float, "synthetic noise standard deviation"),
     "synth_seed": (7, int, "synthetic generator seed"),
     # rendering
@@ -77,7 +87,7 @@ REGISTRY: dict[str, tuple] = {
     "lora_dropout": (_MODEL.lora_dropout, float, "dropout on the low-rank path"),
     "use_tga": (_MODEL.use_tga, _bool, "enable the temporal grounding adapter"),
     "use_sma": (_MODEL.use_sma, _bool, "enable the spectral magnitude aligner"),
-    "fixed_beta": ("", str, "pin fusion beta to a constant (empty = learnable)"),
+    "fixed_beta": (_MODEL.fixed_beta, _optional_float, "pin fusion beta to a constant (empty = learnable)"),
     "beta_init": (_MODEL.beta_init, float, "initial fusion beta"),
     # training
     "lr": (_TRAIN.lr, float, "learning rate (desk default; paper-scale uses 2e-6)"),
@@ -97,18 +107,6 @@ REGISTRY: dict[str, tuple] = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def snapshot(self) -> dict:
-        """JSON-ready copy of every resolved value."""
-        return dict(sorted(self.values.items()))
-
-
 def _set(values: dict, key: str, raw: str, where: str):
     if key not in REGISTRY:
         near = difflib.get_close_matches(key, REGISTRY, n=1)
@@ -121,8 +119,11 @@ def _set(values: dict, key: str, raw: str, where: str):
         raise ConfigError(f"{where}: bad value for {key!r}: {e}") from None
 
 
-def parse_config(path=None, overrides: list[str] | None = None) -> RunConfig:
-    """Defaults, then file entries, then `key=value` overrides (flags win)."""
+def parse_config(path=None, overrides: list[str] | None = None) -> dict:
+    """Defaults, then file entries, then `key=value` overrides (flags win).
+
+    Every value is converted as it is read, so the dict holds final typed
+    values and a bad one fails here with its file:line or override."""
     values = {k: v[0] for k, v in REGISTRY.items()}
     if path:
         path = Path(path)
@@ -141,27 +142,10 @@ def parse_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, raw = [s.strip() for s in item.split("=", 1)]
         _set(values, key, raw, f"override {item!r}")
-    return RunConfig(values)
+    return values
 
 
-def _late_float(key: str, text: str) -> float:
-    """`text` as a float, or a ConfigError naming `key`, for the values that
-    the config keeps as text and converts where they are used."""
-    try:
-        return float(text)
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key!r}: {e}") from None
-
-
-def amplitudes(cfg: RunConfig):
-    parts = [p for p in str(cfg["synth_amplitude"]).split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("bad value for 'synth_amplitude': no amplitude given")
-    vals = tuple(_late_float("synth_amplitude", p) for p in parts)
-    return vals[0] if len(vals) == 1 else vals
-
-
-def render_spec(cfg: RunConfig) -> RenderSpec:
+def render_spec(cfg: dict) -> RenderSpec:
     return RenderSpec(
         periodicity=cfg["periodicity"],
         image_height=cfg["image_size"],
@@ -171,7 +155,7 @@ def render_spec(cfg: RunConfig) -> RenderSpec:
     )
 
 
-def backbone_config(cfg: RunConfig) -> BackboneConfig:
+def backbone_config(cfg: dict) -> BackboneConfig:
     return BackboneConfig(
         image_height=cfg["image_size"],
         image_width=cfg["image_size"],
@@ -186,8 +170,7 @@ def backbone_config(cfg: RunConfig) -> BackboneConfig:
     )
 
 
-def model_config(cfg: RunConfig) -> ModelConfig:
-    fixed = cfg["fixed_beta"]
+def model_config(cfg: dict) -> ModelConfig:
     return ModelConfig(
         render=render_spec(cfg),
         backbone=backbone_config(cfg),
@@ -197,12 +180,12 @@ def model_config(cfg: RunConfig) -> ModelConfig:
         lora_dropout=cfg["lora_dropout"],
         use_tga=cfg["use_tga"],
         use_sma=cfg["use_sma"],
-        fixed_beta=_late_float("fixed_beta", fixed) if str(fixed).strip() else None,
+        fixed_beta=cfg["fixed_beta"],
         beta_init=cfg["beta_init"],
     )
 
 
-def train_config(cfg: RunConfig) -> TrainConfig:
+def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         lr=cfg["lr"],
         batch_size=cfg["batch_size"],

@@ -217,6 +217,8 @@ def windows(segment: Segment, T: int, H: int, stride: int = 1, norm_const: float
         raise ValueError(f"segment of {n} steps too short for T+H = {T + H}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if not 0.0 < norm_const < math.inf:
+        raise ValueError(f"norm_const must be positive and finite, got {norm_const}")
     out = []
     count = (n - T - H) // stride + 1
     for k in range(count):

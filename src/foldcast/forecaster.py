@@ -11,6 +11,7 @@ Adam; metrics are reported on denormalized values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,10 @@ class ModelConfig:
             or self.render.image_width != self.backbone.image_width
         ):
             raise ValueError("render and backbone image dims differ")
+        for name in ("fixed_beta", "beta_init"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -85,6 +90,13 @@ def fuse(y_st: np.ndarray, y_sp: np.ndarray, beta: float) -> np.ndarray:
     if y_st.shape != y_sp.shape:
         raise ValueError(f"branch shapes differ: {y_st.shape} vs {y_sp.shape}")
     return beta * y_st + (1.0 - beta) * y_sp
+
+
+def beta_grad(err: np.ndarray, y_st: np.ndarray, y_sp: np.ndarray) -> float:
+    """Gradient of one window's mean(err**2) with respect to beta, where
+    err = fuse(y_st, y_sp, beta) - target."""
+    g_yhat = 2.0 * err / err.size
+    return float(np.sum(g_yhat * (y_st - y_sp)))
 
 
 def mse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -298,8 +310,7 @@ class ForecastModel:
         y_st, y_sp, errors = self._branches(windows, train, rng, grads)
         if "fuse.beta" in grads:
             for err, st, sp in zip(errors, y_st, y_sp):
-                g_yhat = 2.0 * err / err.size
-                grads["fuse.beta"][0] += float(np.sum(g_yhat * (st - sp)))
+                grads["fuse.beta"][0] += beta_grad(err, st, sp)
         for g in grads.values():
             g /= len(windows)
         loss = sum(float(np.mean(err**2)) for err in errors) / len(windows)
@@ -599,8 +610,7 @@ def _gradcheck_beta(seed, inject_fault):
     target = rng.normal(size=(12, 2))
     beta = 0.37
     yhat = fuse(y_st, y_sp, beta)
-    g_yhat = 2.0 * (yhat - target) / yhat.size
-    analytic = float(np.sum(g_yhat * (y_st - y_sp)))
+    analytic = beta_grad(yhat - target, y_st, y_sp)
     if inject_fault:
         analytic *= 1.1
     # closed form: d/dbeta mean((beta*(y_st-y_sp) + y_sp - target)^2)

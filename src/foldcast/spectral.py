@@ -203,6 +203,8 @@ def pss_of_series(
     above the bilinear-interpolation rolloff and saturate alpha for any input.
     """
     n_steps, n_vars = ds.values.shape
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if n_steps < T:
         raise ValueError(f"dataset of {n_steps} steps too short for windows of T={T}")
     rng = np.random.default_rng(seed)

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foldcast import pgm
+from foldcast import data, pgm
 from foldcast.cli import main
-from foldcast.config import ConfigError, amplitudes, model_config, parse_config, train_config
+from foldcast.config import ConfigError, model_config, parse_config, render_spec, train_config
 from foldcast.forecaster import ForecastModel, ModelConfig, TrainConfig
+from foldcast.rendering import render
 
 DESK = [
     "synth_kind=sinusoid_mix", "synth_length=400", "synth_period=8",
@@ -68,13 +69,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{p}: line 2 is not UTF-8"):
             parse_config(p)
 
-    @pytest.mark.parametrize("override, convert", [
-        ("fixed_beta=abc", model_config), ("synth_amplitude=1,x", amplitudes),
-        ("synth_amplitude=,", amplitudes)])
-    def test_values_converted_late_name_the_key(self, override, convert):
-        cfg = parse_config(None, [override])
-        with pytest.raises(ConfigError, match=repr(override.split("=")[0])):
-            convert(cfg)
+    @pytest.mark.parametrize("override", ["fixed_beta=abc", "synth_amplitude=1,x", "synth_amplitude=,"])
+    def test_typed_value_names_the_key(self, override):
+        with pytest.raises(ConfigError, match=f"bad value for {override.split('=')[0]!r}"):
+            parse_config(None, [override])
+
+    def test_values_are_typed(self):
+        cfg = parse_config(None, ["synth_amplitude=1.0, 0.5", "fixed_beta=0.3"])
+        assert cfg["synth_amplitude"] == (1.0, 0.5) and cfg["fixed_beta"] == 0.3
+        assert parse_config(None, ["fixed_beta="])["fixed_beta"] is None
 
 
 class TestRender:
@@ -89,7 +92,38 @@ class TestRender:
         assert img.shape == (32, 32)
         meta = json.loads((out / "render.json").read_text())
         assert meta["layout"]["visible_width"] + meta["layout"]["masked_width"] == 32
-        assert "config" in meta
+        assert meta["config"]["fixed_beta"] is None
+        assert meta["config"]["synth_amplitude"] == [1.0]
+
+    def test_matches_per_variable_reference(self, tmp_path):
+        # every variable's PGM, sidecar and the layout equal a window
+        # normalized and rendered one variable at a time
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(120, 3)) * [1.0, 5.0, 0.01] + [0.0, -3.0, 7.0]
+        csv = tmp_path / "multi.csv"
+        csv.write_text("date,a,b,c\n" + "".join(
+            f"t{i}," + ",".join(map(str, row.tolist())) + "\n" for i, row in enumerate(values)))
+        settings = [f"csv={csv}", "seq_len=48", "pred_len=16", "periodicity=8",
+                    "image_size=32", "patch_size=8", "align_const=1.0"]
+        out = tmp_path / "r"
+        assert main(["render", *[a for kv in settings for a in ("-o", kv)],
+                     "--start", "30", "--out", str(out)]) == 0
+        cfg = parse_config(None, settings)
+        ctx = data.load_csv(csv).values[30:78]
+        mean, std = ctx.mean(axis=0), np.maximum(ctx.std(axis=0), data.SIGMA_FLOOR)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for v in range(3):
+            ri = render((ctx[:, v] - mean[v]) / std[v] * cfg["norm_const"], 16, render_spec(cfg))
+            pgm.write_pgm16(ref / f"multi_var{v}.pgm", ri.pixels)
+            for name in (f"multi_var{v}.pgm", f"multi_var{v}.pgm.txt"):
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
+        meta = json.loads((out / "render.json").read_text())
+        assert meta["files"] == [f"multi_var{v}.pgm" for v in range(3)]
+        assert meta["layout"] == {
+            "visible_width": ri.visible_width, "masked_width": ri.masked_width,
+            "pad_len": ri.pad_len, "periods_context": ri.periods_context,
+        }
 
 
 class TestPss:
@@ -122,6 +156,14 @@ class TestPss:
         rc = main(["pss", "-o", "image_size=32", "--text", str(txt), "--out", str(out)])
         assert rc == 0
         assert (out / "pss_summary.json").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--images", "{dir}"], ["--text", "{dir}/t.txt"]])
+    def test_no_samples_exit_2(self, tmp_path, capsys, mode):
+        (tmp_path / "t.txt").write_text("abc")
+        mode = [arg.format(dir=tmp_path) for arg in mode]
+        rc = main(["pss", *desk_args("pss_samples=0"), *mode, "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert "pss_samples" in capsys.readouterr().err
 
     def test_deterministic_bytes(self, tmp_path):
         outs = []
@@ -190,11 +232,30 @@ class TestTrainEvalForecast:
         assert rc == 2
 
     @pytest.mark.parametrize("setting", [
-        "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1"])
+        "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1",
+        "norm_const=0", "norm_const=inf", "fixed_beta=nan", "beta_init=inf"])
     def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
         rc = main(["train", *desk_args(setting), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "forecast"])
+    def test_negative_start_exit_2(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "m.ntf"
+        ForecastModel(model_config(parse_config(None, DESK))).save(ckpt)
+        extra = ["--checkpoint", str(ckpt)] if command == "forecast" else []
+        rc = main([command, *desk_args(), *extra, "--start", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "window [-1, " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        (["pss"], "fixed_beta=abc"), (["synth-image", "--alpha", "2"], "synth_amplitude=,"),
+        (["gradcheck"], "fixed_beta=abc")])
+    def test_bad_value_exit_2_in_every_subcommand(self, tmp_path, capsys, command, override):
+        rc = main([*command, *desk_args(override), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"bad value for {override.split('=')[0]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["train", "--config", "{dir}", "--out", "{dir}/x"],

@@ -150,6 +150,12 @@ class TestWindows:
         with pytest.raises(ValueError, match="too short"):
             data.windows(seg, 4, 2)
 
+    @pytest.mark.parametrize("norm_const", [0.0, -0.4, float("inf"), float("nan")])
+    def test_norm_const_positive_and_finite(self, norm_const):
+        seg = data.Segment(np.arange(6, dtype=float)[:, None], 0, 6)
+        with pytest.raises(ValueError, match="norm_const"):
+            data.windows(seg, 4, 2, norm_const=norm_const)
+
     def test_window_offsets(self):
         seg = data.Segment(np.arange(12, dtype=float)[:, None], 0, 12)
         ws = data.windows(seg, 4, 2, stride=3)

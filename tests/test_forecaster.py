@@ -398,6 +398,11 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="unknown"):
             fc.gradcheck("warp")
 
+    def test_beta_checks_the_models_own_gradient(self, monkeypatch):
+        real = fc.beta_grad
+        monkeypatch.setattr(fc, "beta_grad", lambda *args: 1.1 * real(*args))
+        assert not fc.gradcheck("beta")["passed"]
+
 
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):

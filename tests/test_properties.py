@@ -2,8 +2,8 @@
 each hand-written linear map, exact render -> reconstruct round trips, a batch
 of samples computing what the samples compute one by one, the aligner against
 a direct conv -> BN -> ReLU -> dropout -> conv reference, the PSS spectrum and
-annuli against numpy's full FFT and an exhaustive binning, and the PGM, CSV
-and config readers on damaged files."""
+annuli against numpy's full FFT and an exhaustive binning, and the PGM, CSV,
+config and checkpoint readers on damaged files."""
 
 import copy
 import tempfile
@@ -556,3 +556,22 @@ VALID_CSV = (b"date,a,b\n2020-01-01 00:00:00,1.5,-2\n2020-01-01 01:00:00,3,4e-1\
 def test_load_csv_raises_only_value_errors_naming_the_file(flips, cut):
     ds = read_damaged("x.csv", damaged(VALID_CSV, flips, cut), data.load_csv)
     assert ds is None or (ds.values.ndim == 2 and np.isfinite(ds.values).all())
+
+
+def valid_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ntf"
+        desk_model().save(path)
+        return path.read_bytes()
+
+
+VALID_NTF = valid_checkpoint()
+
+
+@PROPERTY
+@given(**damage)
+@example(flips=[(10, ord("x"))], cut=None)  # the first tensor's name
+@example(flips=[(28, 8)], cut=None)  # the first tensor's first dimension
+def test_read_weights_raises_only_value_errors_naming_the_file(flips, cut):
+    read_damaged("m.ntf", damaged(VALID_NTF, flips, cut),
+                 lambda path: bb.read_weights(path, out=desk_model().state_tensors()))

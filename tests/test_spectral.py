@@ -319,6 +319,12 @@ class TestPssOfSeries:
         with pytest.raises(ValueError, match="too short"):
             spectral.pss_of_series(ds, spec, 3, 500)
 
+    def test_needs_a_sample(self):
+        ds = data.synth_series("noise", 100, 10, noise_std=1.0, seed=0)
+        spec = RenderSpec(periodicity=10, image_height=32, image_width=32, patch_size=16)
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            spectral.pss_of_series(ds, spec, 0, 50)
+
     def test_sample_std_convention(self):
         stats = spectral.summarize_alphas(np.array([1.0, 2.0, 3.0]))
         assert stats.std == pytest.approx(1.0)  # ddof=1
