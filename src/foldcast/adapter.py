@@ -136,7 +136,8 @@ def lora_project(
     input only.  A zero-initialized B adds an exact zero, so the output equals
     the base projection bit for bit.
     """
-    y = x @ W.T + b
+    y = x @ W.T
+    y += b
     cache = {"x": x, "xa": None, "drop_scale": drop_scale}
     if f is not None:
         xd = x * drop_scale if drop_scale is not None else x
@@ -144,7 +145,7 @@ def lora_project(
         cache["xa"] = xa
         cache["xd"] = xd
         cache["factor"] = f
-        y = y + f.scale * (xa @ f.B.T)
+        y += f.scale * (xa @ f.B.T)
     return y, cache
 
 

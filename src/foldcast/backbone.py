@@ -26,10 +26,22 @@ patches are embedded, adapted and encoded.
 Every function takes leading batch axes: tokens are [..., L, D] and images
 [..., H, W], and a 2-D input is the batch-free case of the same code.  The
 samples of a batch share `vis_idx` and `out_idx`.  Matrix products against a
-weight broadcast over the leading axes, so each sample's forward is
-computed exactly as it would be alone; weight and bias gradients fold the
-leading axes into the token axis, `g.reshape(-1, D).T @ x.reshape(-1, D)`,
-and so sum over every sample of the batch.
+weight broadcast over the leading axes, one product per sample, so each
+sample's forward is computed exactly as it would be alone; weight and bias
+gradients fold the leading axes into the token axis,
+`g.reshape(-1, D).T @ x.reshape(-1, D)`, and so sum over every sample of the
+batch.  Folding the leading axes into the forward's products as well would
+change the last bits of a sample with the batch size.
+
+Every patch outside `vis_idx` enters decoder block 0 as `mask_token +
+dec_pos`, the same in every sample, so that block forms their LN1, K and V
+once per call, as [n_mask, D] products, and places them into the batch; its
+cache holds the same fields as any block's, so backward is unchanged.  A
+forward that no backward follows passes `keep_cache=False`: it keeps no
+cache, and each block's activations are freed as the next block runs.
+Elementwise chains (layer norm, GELU, softmax, the bias after a product)
+write into their own buffers in the operation order of their formulas, so
+the results are bitwise those of the formulas.
 
 Parameters live in a flat name -> float64 array dict so that optimization,
 freezing, and serialization stay uniform.  The backward functions add into
@@ -178,11 +190,20 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np
 
 
 def _layernorm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """Row-wise layer norm of x [..., D]; returns (output, cache).
+
+    The variance comes from the centred copy, squared and summed, which is
+    what `np.var` computes; the centred copy is then scaled in place into
+    `xhat`, so the result is bitwise `g * (x - mu) / sqrt(var + eps) + b`.
+    """
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     invstd = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * invstd
-    return g * xhat + b, {"xhat": xhat, "invstd": invstd, "g": g}
+    xhat *= invstd
+    out = xhat * g
+    out += b
+    return out, {"xhat": xhat, "invstd": invstd, "g": g}
 
 
 def _layernorm_backward(gr, cache, base, name):
@@ -198,9 +219,19 @@ def _layernorm_backward(gr, cache, base, name):
 
 
 def _gelu(x):
-    u = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), t
+    """tanh-approximated GELU; returns (output, tanh(u)).
+
+    u = C0 * (x + C1 * x³) is formed in one buffer, in the operation order of
+    that formula, and the output is (0.5 * x) * (1 + tanh(u))."""
+    t = x * x
+    t *= x
+    t *= _GELU_C1
+    t += x
+    t *= _GELU_C0
+    np.tanh(t, out=t)
+    a = np.multiply(x, 0.5)
+    a *= 1.0 + t
+    return a, t
 
 
 def _gelu_backward(gr, x, t):
@@ -217,9 +248,11 @@ def _dropout_scale(shape, rate, train, rng):
 
 
 def _softmax(s):
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in s."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def _split_heads(x, n_heads):
@@ -238,12 +271,18 @@ def _merge_heads(x):
 # attention / MLP / block
 
 
-def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0):
-    """Attention output for the rows `rows` of x; keys and values see every row."""
+def _attn_forward(
+    x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0, kv=None
+):
+    """Attention output for the rows `rows` of x; keys and values see every row.
+
+    `kv`, when given, maps "k" and "v" to their (projection, cache) pairs,
+    formed by the caller; only Q is projected here then.
+    """
     p = lambda n: params[f"{prefix}.attn.{n}"]
     cache = {"x": x}
     proj = {}
-    for name in ("q", "k", "v"):
+    for name in ("q",) if kv else ("q", "k", "v"):
         xin = x[..., rows, :] if name == "q" else x
         factor = lora.get(name) if lora else None
         drop = (
@@ -251,20 +290,24 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
             if (factor is not None and lora_drop > 0.0)
             else None
         )
-        y, c = adapter.lora_project(xin, p("w" + name), p("b" + name), factor, drop)
-        proj[name] = y
-        cache[name] = c
+        proj[name], cache[name] = adapter.lora_project(
+            xin, p("w" + name), p("b" + name), factor, drop
+        )
+    for name, (y, c) in (kv or {}).items():
+        proj[name], cache[name] = y, c
     q = _split_heads(proj["q"], cfg.n_heads)
     k = _split_heads(proj["k"], cfg.n_heads)
     v = _split_heads(proj["v"], cfg.n_heads)
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(cfg.d_model // cfg.n_heads)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= np.sqrt(cfg.d_model // cfg.n_heads)
     probs = _softmax(scores)
     ctx = probs @ v
     merged = _merge_heads(ctx)
-    out = merged @ p("wo").T + p("bo")
+    out = merged @ p("wo").T
+    out += p("bo")
     drop_o = _dropout_scale(out.shape, cfg.dropout, train, rng)
     if drop_o is not None:
-        out = out * drop_o
+        out *= drop_o
     cache.update(probs=probs, qh=q, kh=k, vh=v, merged=merged, drop_o=drop_o, rows=rows)
     return out, cache
 
@@ -303,14 +346,17 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
 def _mlp_forward(x, params, prefix, cfg, train=False, rng=None):
     w1, b1 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]
     w2, b2 = params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]
-    h = x @ w1.T + b1
+    h = x @ w1.T
+    h += b1
     a, tanh_u = _gelu(h)
     drop_h = _dropout_scale(a.shape, cfg.dropout, train, rng)
-    ad = a * drop_h if drop_h is not None else a
-    y = ad @ w2.T + b2
+    if drop_h is not None:
+        a *= drop_h
+    y = a @ w2.T
+    y += b2
     drop_y = _dropout_scale(y.shape, cfg.dropout, train, rng)
     if drop_y is not None:
-        y = y * drop_y
+        y *= drop_y
     return y, {"x": x, "h": h, "tanh_u": tanh_u, "drop_h": drop_h, "drop_y": drop_y}
 
 
@@ -335,18 +381,71 @@ def _mlp_backward(gr, params, prefix, cache, base):
     return gh @ w1
 
 
-def _block_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0):
+def _place_rows(own, common, shared):
+    """Per-sample rows [..., n_own, F] and rows [n_common, F] common to every
+    sample, placed at the row indices of `shared` in one [..., L, F] array."""
+    own_idx, common_idx, _ = shared
+    out = np.empty((*own.shape[:-2], own_idx.size + common_idx.size, own.shape[-1]))
+    out[..., own_idx, :] = own
+    out[..., common_idx, :] = common
+    return out
+
+
+def _ln1_kv_shared(x, params, prefix, shared):
+    """LN1 of every row of x and the K and V projections of it, with the rows
+    that every sample shares formed once; returns (n1, ln1 cache, kv).
+
+    LN1 is row-wise and each sample's K and V are its own products, so every
+    row is what `_layernorm` and `lora_project` give on the whole of x, and
+    the caches hold the same fields.
+    """
+    own_idx, _, x_common = shared
+    g, b = params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"]
+    n_own, c_own = _layernorm(x[..., own_idx, :], g, b)
+    n_common, c_common = _layernorm(x_common, g, b)
+    n1 = _place_rows(n_own, n_common, shared)
+    ln1 = {k: _place_rows(c_own[k], c_common[k], shared) for k in ("xhat", "invstd")}
+    ln1["g"] = g
+    kv = {}
+    for name in ("k", "v"):
+        w, bias = params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"]
+        y_own, cache = adapter.lora_project(n_own, w, bias, None)
+        y_common, _ = adapter.lora_project(n_common, w, bias, None)
+        cache["x"] = n1
+        kv[name] = (_place_rows(y_own, y_common, shared), cache)
+    return n1, ln1, kv
+
+
+def _block_forward(
+    x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0,
+    keep_cache=True, shared=None,
+):
     """One pre-norm block whose output holds only the rows `rows` of x.
 
     LN1, K and V run on every row; Q, the attention output, the residual, LN2
-    and the MLP only on `rows`.  `slice(None)` keeps every row.
+    and the MLP only on `rows`.  `slice(None)` keeps every row.  `shared`,
+    when given, is (own_idx, common_idx, x_common): the rows `common_idx` of
+    x hold x_common [n, D] in every sample, so their LN1, K and V are formed
+    once, as [n, D] products, while the rows `own_idx` run per sample; it
+    serves no block with LoRA factors.  Returns (output, cache), the cache
+    None unless `keep_cache`.
     """
-    n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    a, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop)
-    x2 = x[..., rows, :] + a
+    if shared is None:
+        n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+        kv = None
+    else:
+        n1, ln1, kv = _ln1_kv_shared(x, params, prefix, shared)
+    # the attention output, to which the residual is added in place
+    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop, kv)
+    x2 += x[..., rows, :]
+    if not keep_cache:  # free the attention's activations before the MLP forms its own
+        del n1, ln1, kv, attn
     n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    m, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng)
-    return x2 + m, {"ln1": ln1, "attn": attn, "ln2": ln2, "mlp": mlp}
+    out, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng)
+    out += x2
+    if not keep_cache:
+        return out, None
+    return out, {"ln1": ln1, "attn": attn, "ln2": ln2, "mlp": mlp}
 
 
 def _block_backward(gr, params, prefix, cfg, cache, grads, base):
@@ -379,20 +478,28 @@ def _head(params) -> tuple[np.ndarray, np.ndarray]:
 
 def embed(patches: np.ndarray, params: dict) -> np.ndarray:
     """Affine projection of single-channel pixel patches [..., L, p²] to token space."""
-    return patches @ _embed_weight(params).T + params["patch_embed.b"]
+    tokens = patches @ _embed_weight(params).T
+    tokens += params["patch_embed.b"]
+    return tokens
 
 
-def encode(tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None, lora_drop=0.0):
-    """Run encoder blocks over (visible) tokens; returns (latent, caches)."""
+def encode(
+    tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None, lora_drop=0.0,
+    keep_cache=True,
+):
+    """Run encoder blocks over (visible) tokens; returns (latent, caches).
+
+    Without `keep_cache` the caches are None, and each block's activations
+    are freed as the next block runs."""
     x = tokens
     caches = []
     for i in range(cfg.e_layers):
         layer_lora = lora.get(f"enc{i}") if lora else None
         x, c = _block_forward(
-            x, params, f"enc{i}", cfg, slice(None), layer_lora, train, rng, lora_drop
+            x, params, f"enc{i}", cfg, slice(None), layer_lora, train, rng, lora_drop, keep_cache
         )
         caches.append(c)
-    return x, caches
+    return x, caches if keep_cache else None
 
 
 def encode_backward(gr, params, cfg, caches, grads, base):
@@ -404,7 +511,8 @@ def encode_backward(gr, params, cfg, caches, grads, base):
 
 
 def decode_with_mask_tokens(
-    latent, vis_idx, out_idx, params, cfg: BackboneConfig, train=False, rng=None
+    latent, vis_idx, out_idx, params, cfg: BackboneConfig, train=False, rng=None,
+    keep_cache=True,
 ):
     """Scatter visible latents into the full grid, fill the rest with the mask
     token, add decoder positions, decode, and project to single-channel patch
@@ -412,26 +520,36 @@ def decode_with_mask_tokens(
 
     Every decoder block but the last runs on all L rows; the last one outputs
     only the rows `out_idx`, and `dec_norm` and the head run on those rows.
+    The mask-token rows, `mask_token + dec_pos`, are the same in every
+    sample, so block 0 forms their LN1, K and V once.  Returns (patches,
+    cache), the cache None unless `keep_cache`.
     """
     L = cfg.n_patches
     if latent.shape[-2] != vis_idx.shape[0]:
         raise ValueError(
             f"latent count {latent.shape[-2]} != visible count {vis_idx.shape[0]}"
         )
-    full = np.empty((*latent.shape[:-2], L, cfg.d_model))
-    full[...] = params["mask_token"]
-    full[..., vis_idx, :] = latent
-    x = full + params["dec_pos"]
+    mask_idx = np.setdiff1d(np.arange(L), vis_idx)
+    x_mask = params["mask_token"] + params["dec_pos"][mask_idx]
+    x = np.empty((*latent.shape[:-2], L, cfg.d_model))
+    x[..., vis_idx, :] = latent + params["dec_pos"][vis_idx]
+    x[..., mask_idx, :] = x_mask
     caches = []
     for i in range(cfg.d_layers):
         rows = out_idx if i == cfg.d_layers - 1 else slice(None)
-        x, c = _block_forward(x, params, f"dec{i}", cfg, rows, None, train, rng)
+        x, c = _block_forward(
+            x, params, f"dec{i}", cfg, rows, None, train, rng, keep_cache=keep_cache,
+            shared=(vis_idx, mask_idx, x_mask) if i == 0 else None,
+        )
         caches.append(c)
     if not caches:  # no block to restrict
         x = x[..., out_idx, :]
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
     head_w, head_b = _head(params)
-    out = n @ head_w.T + head_b
+    out = n @ head_w.T
+    out += head_b
+    if not keep_cache:
+        return out, None
     cache = {"blocks": caches, "ln": ln, "n": n, "vis_idx": vis_idx, "out_idx": out_idx}
     return out, cache
 
@@ -480,13 +598,15 @@ def autoencode(
     train: bool = False,
     rng=None,
     lora_drop: float = 0.0,
+    keep_cache: bool = True,
 ):
     """Image [..., H, W] -> visible patches -> tokens (-> TGA) -> +pos ->
-    encode -> decode -> image [..., H, W].
+    encode -> decode -> image [..., H, W]; returns (image, cache).
 
     Only the visible patches are embedded.  The returned image is exact on
     the patches `out_idx` (row-major indices) and zero elsewhere;
-    `np.arange(cfg.n_patches)` decodes the whole image.
+    `np.arange(cfg.n_patches)` decodes the whole image.  When no backward
+    follows, `keep_cache=False` keeps no cache and returns None in its place.
     """
     grid = (cfg.grid_rows, cfg.grid_cols)
     vis_idx = visible_indices(grid, vis_cols)
@@ -495,19 +615,23 @@ def autoencode(
     tga_cache = None
     if tga is not None:
         tokens, tga_cache = adapter.tga_forward(tokens, tga, tga_table[vis_idx])
-    tokens = tokens + params["enc_pos"][vis_idx]
-    latent, enc_caches = encode(tokens, params, cfg, lora, train, rng, lora_drop)
+    tokens += params["enc_pos"][vis_idx]
+    latent, enc_caches = encode(tokens, params, cfg, lora, train, rng, lora_drop, keep_cache)
     out_patches, dec_cache = decode_with_mask_tokens(
-        latent, vis_idx, out_idx, params, cfg, train, rng
+        latent, vis_idx, out_idx, params, cfg, train, rng, keep_cache
     )
     full = np.zeros((*image.shape[:-2], cfg.n_patches, out_patches.shape[-1]))
     full[..., out_idx, :] = out_patches
     image_out = unpatchify(full, grid, cfg.patch_size)
+    if not keep_cache:
+        return image_out, None
     cache = {"patches": patches, "tga": tga_cache, "enc": enc_caches, "dec": dec_cache}
     return image_out, cache
 
 
-def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, tga=None):
+def autoencode_backward(
+    grad_image, params, cfg: BackboneConfig, cache, grads, tga=None, image_grad=True
+):
     """Add the gradients of one branch to `grads`; return the image gradient.
 
     The exact adjoint of autoencode: `grad_image` is read only on the
@@ -515,7 +639,8 @@ def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, t
     visible patches.  `grads` is the flat gradient buffer described in the
     module docstring.  When cfg.frozen the base-weight gradients are never
     formed and `grads` needs no `bb.*` entry; the adapters and the image
-    still receive theirs.
+    still receive theirs.  With `image_grad=False` the image gradient is not
+    formed and None comes back.
     """
     base = None if cfg.frozen else grads
     vis_idx = cache["dec"]["vis_idx"]
@@ -533,6 +658,8 @@ def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, t
         pw = base["bb.patch_embed.w"].reshape(cfg.d_model, 3, -1)
         pw += (fold_rows(gvis).T @ fold_rows(cache["patches"]))[:, None, :]
         base["bb.patch_embed.b"] += fold_rows(gvis).sum(axis=0)
+    if not image_grad:
+        return None
     gpatches = np.zeros((*gvis.shape[:-2], cfg.n_patches, cache["patches"].shape[-1]))
     gpatches[..., vis_idx, :] = gvis @ _embed_weight(params)
     return unpatchify(gpatches, (cfg.grid_rows, cfg.grid_cols), cfg.patch_size)

@@ -73,7 +73,7 @@ def _window(cfg: dict, ds: data.Dataset, start: int, h: int) -> data.TimeSeriesW
 
 def cmd_render(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
-    w = _window(cfg, ds, args.start, 0)
+    w = _window(cfg, ds, args.start, cfg["pred_len"])
     ri = render(data.normalize(w).T, cfg["pred_len"], render_spec(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +119,7 @@ def _pss_images(args, cfg: dict):
             seed=cfg["seed"], horizon=cfg["pred_len"], f_lo=cfg["f_lo"], f_hi=cfg["f_hi"],
             workers=cfg["workers"],
         )
-        return [(f"window{i:04d}", a, None) for i, a in enumerate(stats.alphas)]
+        return [(f"window{i:04d}", float(a), None) for i, a in enumerate(stats.alphas)]
     fits = [(sid, spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])) for sid, img in images]
     return [(sid, fit.alpha, fit.r_squared) for sid, fit in fits]
 
@@ -154,9 +154,10 @@ def cmd_synth_image(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
+    mcfg = model_config(cfg)
     ds = _load_dataset(cfg)
     trw, vaw, tew = _split_windows(cfg, ds)
-    model = fc.ForecastModel(model_config(cfg), seed=cfg["seed"])
+    model = fc.ForecastModel(mcfg, seed=cfg["seed"])
     report = fc.train(model, trw, vaw, train_config(cfg))
     test = fc.evaluate(tew, fc.model_predict_fn(model), workers=cfg["workers"])
     report["test"] = test
@@ -182,9 +183,9 @@ def _load_model(cfg: dict, checkpoint) -> fc.ForecastModel:
 
 
 def cmd_eval(cfg: dict, args) -> int:
+    model = _load_model(cfg, args.checkpoint)
     ds = _load_dataset(cfg)
     _, _, tew = _split_windows(cfg, ds)
-    model = _load_model(cfg, args.checkpoint)
     test = fc.evaluate(tew, fc.model_predict_fn(model), workers=cfg["workers"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,8 +195,8 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_forecast(cfg: dict, args) -> int:
-    ds = _load_dataset(cfg)
     model = _load_model(cfg, args.checkpoint)
+    ds = _load_dataset(cfg)
     T, H = cfg["seq_len"], cfg["pred_len"]
     w = _window(cfg, ds, args.start, H)
     outcome = model.forward(w, train=False)

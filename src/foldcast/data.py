@@ -61,7 +61,10 @@ class SplitSpec:
             if not 0.0 <= f <= 1.0:
                 raise ValueError("split fractions must lie in [0, 1]")
         if self.lookback < 1 or self.horizon < 1:
-            raise ValueError("lookback and horizon must be positive")
+            raise ValueError(
+                f"lookback (seq_len) and horizon (pred_len) must be at least 1, "
+                f"got {self.lookback} and {self.horizon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,10 @@ def windows(segment: Segment, T: int, H: int, stride: int = 1, norm_const: float
     Normalization statistics (mean, population std) are computed per window per
     variable over the context only.
     """
+    if T < 1:
+        raise ValueError(f"context length seq_len must be at least 1, got {T}")
+    if H < 1:
+        raise ValueError(f"horizon pred_len must be at least 1, got {H}")
     vals = segment.values
     n = vals.shape[0]
     if n < T + H:

@@ -53,6 +53,11 @@ class ModelConfig:
             or self.render.image_width != self.backbone.image_width
         ):
             raise ValueError("render and backbone image dims differ")
+        if self.use_sma and self.render.image_width % 2:
+            raise ValueError(
+                f"image_size {self.render.image_width} is odd: the spectral aligner "
+                "(use_sma) needs an even image width"
+            )
         for name in ("fixed_beta", "beta_init"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -207,16 +212,24 @@ class ForecastModel:
 
         Returns (y_st, y_sp, errors), each [B, H, N]: `errors` is the fused
         forecast minus the normalized target.  The windows must share their
-        context length T, horizon H and variable count N.  Variable by
-        variable, they are rendered in one call, run through each branch as
-        one [B, H, W] batch and reconstructed in one call.  With a `grads`
-        dict, each variable's backward runs right after its forward and adds
-        the gradient of the windows' summed losses into `grads`, so a
-        variable's caches are released when the next variable's forward
-        rebinds them instead of piling up.  Backward draws no random numbers
-        and the aligner's running statistics change only in forward, so the
-        interleaving gives the same gradients as a forward over every
-        variable first.
+        context length T, horizon H and variable count N.  The variables run
+        in groups: a group's contexts [B, n, T] are rendered in one call, run
+        through each branch as one [B, n, H_img, W_img] batch and
+        reconstructed in one call.  Each sample's forward is computed exactly
+        as it would be alone.
+
+        Without `grads` every variable is in one group and no cache is kept,
+        so each layer's activations are freed as the next one runs.  With a
+        `grads` dict each variable is a group of its own, and its backward
+        runs right after its forward and adds the gradient of the windows'
+        summed losses into `grads`, so a variable's caches are released when
+        the next variable's forward rebinds them instead of piling up.
+        Backward draws no random numbers and the aligner's running statistics
+        change only in forward, so the interleaving gives the same gradients
+        as a forward over every variable first.  A train-mode pass draws its
+        dropout masks and updates the running statistics in batch order:
+        window-major over every variable without `grads`, one variable's
+        windows at a time with them.
         """
         (T, N), (H, _) = windows[0].context.shape, windows[0].target.shape
         for w in windows:
@@ -225,62 +238,70 @@ class ForecastModel:
                     f"a batch needs windows of one shape: context {w.context.shape} and "
                     f"target {w.target.shape} against {(T, N)} and {(H, N)}"
                 )
-        x_norm = np.stack([normalize(w) for w in windows])
+        x_norm = np.stack([normalize(w) for w in windows]).swapaxes(1, 2)  # [B, N, T]
         targets = np.stack([normalize_target(w) for w in windows])
         beta = self.beta
         y_st = np.zeros((len(windows), H, N))
         y_sp = np.zeros((len(windows), H, N))
         errors = np.zeros((len(windows), H, N))
         tga = self.tga if self.cfg.use_tga else None
-        for v in range(N):
+        keep = grads is not None
+        for vs in [slice(v, v + 1) for v in range(N)] if keep else [slice(None)]:
             # T and H fix the geometry: one rendering describes every window
-            ri = render(x_norm[:, :, v], H, self.cfg.render)
+            ri = render(x_norm[:, vs], H, self.cfg.render)
             vis_cols = ri.visible_width // self.cfg.render.patch_size
             read = ri.read_patches
             out_st, c_st = bb.autoencode(
                 ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
                 tga=tga, tga_table=self.tga_table, train=train, rng=rng,
-                lora_drop=self.cfg.lora_dropout,
+                lora_drop=self.cfg.lora_dropout, keep_cache=keep,
             )
             if self.cfg.use_sma:
                 aligned, c_sma = sma.sma_forward(
-                    ri.pixels, self.enhancer, self.cfg.sma, train=train, rng=rng
+                    ri.pixels, self.enhancer, self.cfg.sma, train=train, rng=rng, keep_cache=keep
                 )
             else:
                 aligned, c_sma = ri.pixels, None
             out_sp, c_sp = bb.autoencode(
-                aligned, self.bb_params, self.cfg.backbone, vis_cols, read, train=train, rng=rng
+                aligned, self.bb_params, self.cfg.backbone, vis_cols, read, train=train,
+                rng=rng, keep_cache=keep,
             )
-            y_st[:, :, v] = reconstruct(out_st, ri)
-            y_sp[:, :, v] = reconstruct(out_sp, ri)
-            errors[:, :, v] = fuse(y_st[:, :, v], y_sp[:, :, v], beta) - targets[:, :, v]
-            if grads is not None:
-                g_yhat = 2.0 * errors[:, :, v] / (H * N)
+            y_st[:, :, vs] = reconstruct(out_st, ri).swapaxes(1, 2)
+            y_sp[:, :, vs] = reconstruct(out_sp, ri).swapaxes(1, 2)
+            errors[:, :, vs] = fuse(y_st[:, :, vs], y_sp[:, :, vs], beta) - targets[:, :, vs]
+            if keep:
+                g_yhat = (2.0 * errors[:, :, vs] / (H * N)).swapaxes(1, 2)
                 self._backward_variable(
                     grads, ri, beta * g_yhat, (1.0 - beta) * g_yhat, c_st, c_sp, c_sma
                 )
         return y_st, y_sp, errors
 
     def _backward_variable(self, grads, ri, g_st, g_sp, c_st, c_sp, c_sma):
-        """Add one variable's gradients, given those of its two branch outputs [B, H]."""
+        """Add one variable's gradients, given those of its two branch outputs [B, 1, H]."""
         cfg = self.cfg.backbone
         tga = self.tga if self.cfg.use_tga else None
+        # nothing upstream of the structural branch trains: its image gradient is not formed
         bb.autoencode_backward(
-            reconstruct_backward(g_st, ri), self.bb_params, cfg, c_st, grads, tga=tga
+            reconstruct_backward(g_st, ri), self.bb_params, cfg, c_st, grads, tga=tga,
+            image_grad=False,
         )
         # the spectral branch has no adapters: its backward feeds only the
         # base weights and the aligner
         if cfg.frozen and not self.cfg.use_sma:
             return
         g_aligned = bb.autoencode_backward(
-            reconstruct_backward(g_sp, ri), self.bb_params, cfg, c_sp, grads
+            reconstruct_backward(g_sp, ri), self.bb_params, cfg, c_sp, grads,
+            image_grad=self.cfg.use_sma,
         )
         if self.cfg.use_sma:
             for k, val in sma.sma_backward(g_aligned, c_sma, self.enhancer).items():
                 grads[f"sma.{k}"] += val
 
     def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
-        """Full dual-branch pass over every variable of one window."""
+        """Full dual-branch pass over every variable of one window, run as one
+        batch.  With `train=True` it draws its dropout masks and updates the
+        aligner's running statistics over the variables at once, not one
+        variable at a time as `loss_and_grads` does."""
         y_st, y_sp, _ = self._branches([w], train, rng)
         pred = denormalize(fuse(y_st[0], y_sp[0], self.beta), w)
         return ForecastOutcome(

@@ -218,7 +218,9 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=
     invstd = 1.0 / np.sqrt(var + _BN_EPS)
     scale = p.bn_gamma * invstd
     d = p.conv1_b + (w1 @ centre[..., None])[..., 0] - mean  # conv1(A) - mean = w1 @ Xc + d
-    h = (scale[..., None] * w1) @ X + (scale * d + p.bn_beta)[..., None]
+    h = (scale[..., None] * w1) @ X
+    del X  # backward rebuilds the taps; freed before conv2 forms its own
+    h += (scale * d + p.bn_beta)[..., None]
     live = h > 0
     drop_scale = 1.0
     if train and p.dropout_rate > 0:
@@ -277,8 +279,12 @@ def sma_forward(
     cfg: SmaConfig,
     train: bool = False,
     rng=None,
+    keep_cache: bool = True,
 ):
-    """Full aligner pass; returns (blended images, cache for backward)."""
+    """Full aligner pass; returns (blended images, cache for backward).
+
+    When no backward follows, `keep_cache=False` keeps no cache and returns
+    None in its place."""
     I = np.asarray(image, dtype=np.float64)
     F = rfft2(I)
     A, phi = decompose(F)
@@ -286,6 +292,8 @@ def sma_forward(
     Fp = recombine(A_enh, phi)
     I_enh = irfft2(Fp)
     out = I + cfg.lam * (I_enh - I)
+    if not keep_cache:
+        return out, None
     cache = {
         "phi": phi,
         "A_enh": A_enh,

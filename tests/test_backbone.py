@@ -296,6 +296,16 @@ class TestBaselineEquivalence:
         b, _ = bb.autoencode(img, params, cfg, vis_cols=3, out_idx=ALL)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("d_layers", [0, 1, 2])
+    def test_no_cache_without_backward(self, d_layers):
+        cfg = toy_config(d_layers=d_layers)
+        params = bb.init_backbone(cfg, np.random.default_rng(20))
+        img = np.random.default_rng(21).normal(size=(3, 32, 32))
+        kept, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
+        out, none = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, keep_cache=False)
+        assert none is None and cache is not None
+        assert np.array_equal(out, kept)
+
     def test_dropout_train_vs_eval(self):
         cfg = toy_config(dropout=0.3)
         params = bb.init_backbone(cfg, np.random.default_rng(20))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,10 @@ class TestPss:
         lines = (out / "pss_samples.csv").read_text().strip().splitlines()
         assert lines[0] == "sample_id,alpha,r_squared"
         assert len(lines) == 6
+        rows = [line.split(",") for line in lines[1:]]
+        alphas = [float(alpha) for _, alpha, _ in rows]  # plain numbers, not numpy reprs
+        assert np.mean(alphas) == pytest.approx(summary["mean_alpha"], rel=1e-12)
+        assert all(r2 == "" for _, _, r2 in rows)
 
     def test_image_directory(self, tmp_path):
         imgs = tmp_path / "imgs"
@@ -238,6 +243,26 @@ class TestTrainEvalForecast:
         rc = main(["train", *desk_args(setting), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "train", "forecast"])
+    @pytest.mark.parametrize("setting", ["seq_len=0", "pred_len=0"])
+    def test_length_below_one_exit_2(self, tmp_path, capsys, command, setting):
+        ckpt = tmp_path / "m.ntf"
+        ForecastModel(model_config(parse_config(None, DESK))).save(ckpt)
+        extra = ["--checkpoint", str(ckpt)] if command == "forecast" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            rc = main([command, *desk_args(setting), *extra, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    def test_odd_width_with_aligner_exit_2_before_reading_data(self, tmp_path, capsys):
+        missing = tmp_path / "no.csv"
+        rc = main(["train", *desk_args("image_size=25", "patch_size=5", f"csv={missing}"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "image_size 25 is odd" in err and "no.csv" not in err
 
     @pytest.mark.parametrize("command", ["render", "forecast"])
     def test_negative_start_exit_2(self, tmp_path, capsys, command):

@@ -156,6 +156,13 @@ class TestWindows:
         with pytest.raises(ValueError, match="norm_const"):
             data.windows(seg, 4, 2, norm_const=norm_const)
 
+    @pytest.mark.parametrize("T,H,key", [(0, 2, "seq_len"), (-1, 2, "seq_len"),
+                                         (4, 0, "pred_len"), (4, -3, "pred_len")])
+    def test_length_below_one_names_the_key(self, T, H, key):
+        seg = data.Segment(np.arange(6, dtype=float)[:, None], 0, 6)
+        with pytest.raises(ValueError, match=f"{key} must be at least 1, got {min(T, H)}"):
+            data.windows(seg, T, H)
+
     def test_window_offsets(self):
         seg = data.Segment(np.arange(12, dtype=float)[:, None], 0, 12)
         ws = data.windows(seg, 4, 2, stride=3)

@@ -180,6 +180,44 @@ class TestForward:
         out2 = m2.forward(w)
         assert np.abs(out.prediction - out2.prediction).max() < 1e-12
 
+    def test_batched_forward_equals_per_variable_branches(self):
+        # forward runs the 5 variables as one batch; loss_and_grads runs them
+        # one variable at a time, each with its backward
+        model = desk_model(seed=4)
+        w = toy_windows(1, n_vars=5)[0]
+        out = model.forward(w)
+        _, _, (y_st, y_sp) = model.loss_and_grads(w, train=False)
+        assert np.array_equal(out.y_structural, y_st[0])
+        assert np.array_equal(out.y_spectral, y_sp[0])
+
+    def test_forward_keeps_no_cache(self):
+        # a 6-variable forward of a model with 64 patches and d_model 32:
+        # measured at 1.7 MiB without caches and 8.3 MiB when the batched
+        # forward keeps every autoencode and aligner cache
+        rspec = RenderSpec(periodicity=8, image_height=32, image_width=32,
+                           align_const=1.0, patch_size=4)
+        bcfg = BackboneConfig(image_height=32, image_width=32, patch_size=4, d_model=32,
+                              n_heads=2, e_layers=2, d_layers=1, d_ff=128, dropout=0.0)
+        model = fc.ForecastModel(fc.ModelConfig(render=rspec, backbone=bcfg, lora_rank=2,
+                                                lora_alpha=8.0, lora_dropout=0.0), seed=0)
+        w = toy_windows(1, n_vars=6)[0]
+        model.forward(w)  # warm-up: one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            model.forward(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_odd_width_with_aligner_rejected(self):
+        rspec = RenderSpec(periodicity=8, image_height=25, image_width=25, patch_size=5)
+        bcfg = BackboneConfig(image_height=25, image_width=25, patch_size=5, d_model=16,
+                              n_heads=2, e_layers=1, d_layers=1, d_ff=32)
+        with pytest.raises(ValueError, match="image_size 25 is odd"):
+            fc.ModelConfig(render=rspec, backbone=bcfg)
+        fc.ModelConfig(render=rspec, backbone=bcfg, use_sma=False)
+
     def test_lora_b_zero_end_to_end_bitwise(self):
         model = desk_model()
         w = toy_windows(1)[0]

@@ -340,9 +340,15 @@ def test_aligner_batch_equals_image_by_image(B, H, half_w, train, dropout, seed)
 
 
 @PROPERTY
-@given(B=st.integers(1, 4), vis_cols=st.integers(1, 4), n_out=st.integers(1, 16), seed=seeds)
-def test_autoencode_batch_equals_stacked_samples(B, vis_cols, n_out, seed):
-    cfg = toy_config()
+@given(B=st.integers(1, 4), vis_cols=st.integers(1, 4), n_out=st.integers(1, 16), seed=seeds,
+       d_layers=st.sampled_from((0, 1, 2)))
+@example(B=3, vis_cols=2, n_out=5, seed=0, d_layers=0)
+@example(B=3, vis_cols=2, n_out=5, seed=0, d_layers=1)
+@example(B=3, vis_cols=2, n_out=5, seed=0, d_layers=2)
+def test_autoencode_batch_equals_stacked_samples(B, vis_cols, n_out, seed, d_layers):
+    """Decoder block 0 forms the mask-token rows once per call and places
+    them into every sample; each sample still decodes as it would alone."""
+    cfg = toy_config(d_layers=d_layers)
     rng = np.random.default_rng(seed)
     params = bb.init_backbone(cfg, rng)
     images = rng.normal(size=(B, cfg.image_height, cfg.image_width))

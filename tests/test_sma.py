@@ -176,6 +176,13 @@ class TestAligner:
         b, _ = sma.sma_forward(self.img, self.p, SmaConfig(lam=0.3))
         assert np.array_equal(a, b)
 
+    def test_no_cache_without_backward(self):
+        cfg = SmaConfig(lam=0.3)
+        a, cache = sma.sma_forward(self.img, self.p, cfg)
+        b, none = sma.sma_forward(self.img, self.p, cfg, keep_cache=False)
+        assert none is None and cache is not None
+        assert np.array_equal(a, b)
+
     def test_train_dropout_reproducible_under_seed(self):
         cfg = SmaConfig(lam=0.3)
         a, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, train=True, rng=np.random.default_rng(5))
