@@ -38,10 +38,14 @@ dec_pos`, the same in every sample, so that block forms their LN1, K and V
 once per call, as [n_mask, D] products, and places them into the batch; its
 cache holds the same fields as any block's, so backward is unchanged.  A
 forward that no backward follows passes `keep_cache=False`: it keeps no
-cache, and each block's activations are freed as the next block runs.
+cache, and each block's activations are freed as the next block runs, and
+its MLP forms the GELU output in the buffers of its input and of tanh(u).
 Elementwise chains (layer norm, GELU, softmax, the bias after a product)
 write into their own buffers in the operation order of their formulas, so
-the results are bitwise those of the formulas.
+the results are bitwise those of the formulas.  The visible patch indices
+and the decoder's mask-token rows depend only on the grid and are cached
+read-only, the first keyed by the grid's ints and the second by the bytes of
+the visible indices.
 
 Parameters live in a flat name -> float64 array dict so that optimization,
 freezing, and serialization stay uniform.  The backward functions add into
@@ -58,6 +62,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,13 +138,34 @@ def unpatchify(patches: np.ndarray, grid_shape: tuple[int, int], patch: int) -> 
     return np.swapaxes(x, -3, -2).reshape(*lead, gh * patch, gw * patch)
 
 
+@lru_cache(maxsize=16)
 def visible_indices(grid_shape: tuple[int, int], vis_cols: int) -> np.ndarray:
-    """Row-major indices of patches whose grid column lies in the visible region."""
+    """Row-major indices of patches whose grid column lies in the visible
+    region; cached read-only."""
     gh, gw = grid_shape
     if not 1 <= vis_cols <= gw:
         raise ValueError(f"vis_cols {vis_cols} outside [1, {gw}]")
     cols = np.arange(gh * gw) % gw
-    return np.nonzero(cols < vis_cols)[0]
+    return _read_only(np.nonzero(cols < vis_cols)[0])
+
+
+@lru_cache(maxsize=16)
+def _hidden_indices(n_patches: int, vis_key: bytes) -> np.ndarray:
+    """The sorted indices in [0, n_patches) outside the visible indices whose
+    int64 bytes are `vis_key`; cached read-only."""
+    hidden = np.ones(n_patches, dtype=bool)
+    hidden[np.frombuffer(vis_key, dtype=np.int64)] = False
+    return _read_only(np.flatnonzero(hidden))
+
+
+def _mask_indices(n_patches: int, vis_idx: np.ndarray) -> np.ndarray:
+    """The rows of the decoder's L that take the mask token: those outside `vis_idx`."""
+    return _hidden_indices(n_patches, np.asarray(vis_idx, dtype=np.int64).tobytes())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +244,24 @@ def _layernorm_backward(gr, cache, base, name):
     return invstd * (gg - mg - xhat * mgx)
 
 
-def _gelu(x):
+def _gelu(x, in_place=False):
     """tanh-approximated GELU; returns (output, tanh(u)).
 
     u = C0 * (x + C1 * x³) is formed in one buffer, in the operation order of
-    that formula, and the output is (0.5 * x) * (1 + tanh(u))."""
+    that formula, and the output is (0.5 * x) * (1 + tanh(u)).  With
+    `in_place` the output is formed in x's buffer and tanh(u)'s is spent on
+    1 + tanh(u), so it returns (x, None)."""
     t = x * x
     t *= x
     t *= _GELU_C1
     t += x
     t *= _GELU_C0
     np.tanh(t, out=t)
+    if in_place:
+        t += 1.0
+        x *= 0.5
+        x *= t
+        return x, None
     a = np.multiply(x, 0.5)
     a *= 1.0 + t
     return a, t
@@ -343,12 +376,14 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
     return gx
 
 
-def _mlp_forward(x, params, prefix, cfg, train=False, rng=None):
+def _mlp_forward(x, params, prefix, cfg, train=False, rng=None, keep_cache=True):
+    """Returns (output, cache), the cache None unless `keep_cache`; without
+    it the GELU runs in its input's buffer, as no backward reads that."""
     w1, b1 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]
     w2, b2 = params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]
     h = x @ w1.T
     h += b1
-    a, tanh_u = _gelu(h)
+    a, tanh_u = _gelu(h, in_place=not keep_cache)
     drop_h = _dropout_scale(a.shape, cfg.dropout, train, rng)
     if drop_h is not None:
         a *= drop_h
@@ -357,6 +392,8 @@ def _mlp_forward(x, params, prefix, cfg, train=False, rng=None):
     drop_y = _dropout_scale(y.shape, cfg.dropout, train, rng)
     if drop_y is not None:
         y *= drop_y
+    if not keep_cache:
+        return y, None
     return y, {"x": x, "h": h, "tanh_u": tanh_u, "drop_h": drop_h, "drop_y": drop_y}
 
 
@@ -441,7 +478,7 @@ def _block_forward(
     if not keep_cache:  # free the attention's activations before the MLP forms its own
         del n1, ln1, kv, attn
     n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    out, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng)
+    out, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng, keep_cache)
     out += x2
     if not keep_cache:
         return out, None
@@ -529,7 +566,7 @@ def decode_with_mask_tokens(
         raise ValueError(
             f"latent count {latent.shape[-2]} != visible count {vis_idx.shape[0]}"
         )
-    mask_idx = np.setdiff1d(np.arange(L), vis_idx)
+    mask_idx = _mask_indices(L, vis_idx)
     x_mask = params["mask_token"] + params["dec_pos"][mask_idx]
     x = np.empty((*latent.shape[:-2], L, cfg.d_model))
     x[..., vis_idx, :] = latent + params["dec_pos"][vis_idx]
@@ -576,9 +613,7 @@ def decode_backward(gr, params, cfg, cache, base):
     vis_idx = cache["vis_idx"]
     if base is not None:
         base["bb.dec_pos"] += gx.reshape(-1, L, D).sum(axis=0)
-        masked = np.ones(L, dtype=bool)
-        masked[vis_idx] = False
-        base["bb.mask_token"] += fold_rows(gx[..., masked, :]).sum(axis=0)
+        base["bb.mask_token"] += fold_rows(gx[..., _mask_indices(L, vis_idx), :]).sum(axis=0)
     return gx[..., vis_idx, :]
 
 

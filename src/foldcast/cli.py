@@ -4,7 +4,8 @@ Subcommands: render, pss, synth-image, train, eval, forecast, gradcheck.
 Every subcommand writes machine-readable outputs (JSON/CSV/PGM) carrying the
 resolved config, plus a one-line human summary on stdout.  Exit codes:
 0 success, 1 validation/test failure, 2 I/O or config error, 3 a training
-step with a non-finite loss or gradient norm.
+step with a non-finite loss or gradient norm (`train` still writes its
+report so far to report.json, with the failing step and the error).
 """
 
 from __future__ import annotations
@@ -158,11 +159,16 @@ def cmd_train(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
     trw, vaw, tew = _split_windows(cfg, ds)
     model = fc.ForecastModel(mcfg, seed=cfg["seed"])
-    report = fc.train(model, trw, vaw, train_config(cfg))
+    out = Path(args.out)
+    try:
+        report = fc.train(model, trw, vaw, train_config(cfg))
+    except FloatingPointError as e:  # the partial report, then exit 3
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "report.json", {**e.report, "error": str(e), "config": cfg})
+        raise
     test = fc.evaluate(tew, fc.model_predict_fn(model), workers=cfg["workers"])
     report["test"] = test
     report["config"] = cfg
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "model.ntf")
     _write_json(out / "report.json", report)

@@ -212,7 +212,8 @@ def windows(segment: Segment, T: int, H: int, stride: int = 1, norm_const: float
     """Sliding windows over a segment; count = floor((len-T-H)/stride) + 1.
 
     Normalization statistics (mean, population std) are computed per window per
-    variable over the context only.
+    variable over the context only, for every window at once by
+    `_window_stats`; each window's `mean` and `std` are rows of its arrays.
     """
     if T < 1:
         raise ValueError(f"context length seq_len must be at least 1, got {T}")
@@ -226,20 +227,43 @@ def windows(segment: Segment, T: int, H: int, stride: int = 1, norm_const: float
         raise ValueError("stride must be >= 1")
     if not 0.0 < norm_const < math.inf:
         raise ValueError(f"norm_const must be positive and finite, got {norm_const}")
-    out = []
     count = (n - T - H) // stride + 1
-    for k in range(count):
-        s = k * stride
-        ctx = vals[s : s + T]
-        tgt = vals[s + T : s + T + H]
-        mean = ctx.mean(axis=0)
-        std = np.maximum(ctx.std(axis=0), SIGMA_FLOOR)  # population convention
-        out.append(
-            TimeSeriesWindow(
-                context=ctx, target=tgt, mean=mean, std=std, norm_const=norm_const
-            )
+    mean, std = _window_stats(vals[: (count - 1) * stride + T], T, stride)
+    return [
+        TimeSeriesWindow(
+            context=vals[s : s + T], target=vals[s + T : s + T + H], mean=mean[k],
+            std=std[k], norm_const=norm_const,
         )
-    return out
+        for k, s in enumerate(range(0, count * stride, stride))
+    ]
+
+
+# values per chunk of _window_stats' [windows, T, N] temporaries: 2 MiB
+_STATS_CHUNK = 1 << 18
+
+
+def _window_stats(vals: np.ndarray, T: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std, floored at SIGMA_FLOOR, of the contexts
+    vals[s : s + T] for s = 0, stride, ...: two [count, N] arrays.
+
+    One pass over a sliding-window view, in chunks of at most `_STATS_CHUNK`
+    values.  Each context is a [T, N] view with the strides of the window's
+    own slice, and is reduced over T as `np.mean` and `np.std` reduce it
+    (sum, divide; centre, square, sum, divide, sqrt), so the statistics are
+    bitwise theirs."""
+    ctx = np.lib.stride_tricks.sliding_window_view(vals, T, axis=0)[::stride].swapaxes(1, 2)
+    mean = np.empty(ctx.shape[::2])
+    var = np.empty(ctx.shape[::2])
+    step = max(1, _STATS_CHUNK // (T * ctx.shape[2]))
+    for a in range(0, ctx.shape[0], step):
+        c, m, v = ctx[a : a + step], mean[a : a + step], var[a : a + step]
+        np.add.reduce(c, axis=1, out=m)
+        m /= T
+        d = c - m[:, None, :]
+        np.multiply(d, d, out=d)
+        np.add.reduce(d, axis=1, out=v)
+        v /= T
+    return mean, np.maximum(np.sqrt(var), SIGMA_FLOOR)
 
 
 def normalize(w: TimeSeriesWindow) -> np.ndarray:

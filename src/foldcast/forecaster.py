@@ -422,7 +422,9 @@ def train(model: ForecastModel, train_windows, val_windows, cfg: TrainConfig) ->
     chunks of the same size, so memory grows with `batch_size`.  Beta is
     clamped to [0, 1] right after every optimizer step (projected gradient).
     The best-validation snapshot is restored before returning.  A non-finite
-    loss or gradient norm stops training with FloatingPointError.
+    loss or gradient norm stops training with FloatingPointError; its
+    `report` attribute holds the report so far, with the failing step under
+    `failed_step`.
     """
     if not train_windows or not val_windows:
         raise ValueError("need at least one train and one val window")
@@ -443,7 +445,12 @@ def train(model: ForecastModel, train_windows, val_windows, cfg: TrainConfig) ->
             batch = [train_windows[i] for i in order[start : start + cfg.batch_size]]
             loss, grads, _ = model.loss_and_grads(*batch, rng=rng)
             step += 1
-            _check_finite(step, loss, grads)
+            try:
+                _check_finite(step, loss, grads)
+            except FloatingPointError as e:
+                report["failed_step"] = step
+                e.report = report
+                raise
             epoch_loss += loss * len(batch)
             adam_step(params, grads, state, cfg)
             np.clip(model.beta_raw, 0.0, 1.0, out=model.beta_raw)

@@ -11,11 +11,17 @@ Every function takes leading batch axes: contexts [..., T], grids and images
 [..., H, W], forecasts [..., H].  The samples of a batch share one geometry
 (T, the horizon and the spec), so one rendering describes them all, and a
 1-D context is the batch-free case of the same code.
+
+The tables that depend only on the geometry (each axis's interpolation
+sources and weights, its interpolation matrix, the patches that reconstruct
+reads) are built once per geometry, keyed by plain ints, and cached
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,17 +69,33 @@ class RenderedImage:
         The horizon's period-grid rows and columns interpolate between their
         i0 and i1 source pixels on each axis (i1 counts even at weight 0); a
         patch is read when its patch row holds a source row and its patch
-        column a source column.
+        column a source column.  The array is cached and read-only.
         """
         spec = self.spec
-        P, p = spec.periodicity, spec.patch_size
-        k = np.arange(self.horizon_len) + self.pad_len + self.context_len
-        y0, y1, _ = _interp_weights(spec.image_height, P)
-        x0, x1, _ = _interp_weights(spec.image_width, self.periods_total)
-        rows, cols = k % P, k // P
-        read = np.zeros((spec.image_height // p, spec.image_width // p), dtype=bool)
-        read[np.ix_(np.r_[y0[rows], y1[rows]] // p, np.r_[x0[cols], x1[cols]] // p)] = True
-        return np.flatnonzero(read)
+        return _read_patches(
+            spec.image_height, spec.image_width, spec.patch_size, spec.periodicity,
+            self.periods_total, self.pad_len + self.context_len, self.horizon_len,
+        )
+
+
+@lru_cache(maxsize=16)
+def _read_patches(
+    img_h: int, img_w: int, p: int, P: int, periods_total: int, start: int, horizon_len: int
+) -> np.ndarray:
+    """`RenderedImage.read_patches` of the horizon steps [start, start +
+    horizon_len) of a P x periods_total grid, resized to img_h x img_w."""
+    k = np.arange(horizon_len) + start
+    y0, y1, _, _ = _interp_weights(img_h, P)
+    x0, x1, _, _ = _interp_weights(img_w, periods_total)
+    rows, cols = k % P, k // P
+    read = np.zeros((img_h // p, img_w // p), dtype=bool)
+    read[np.ix_(np.r_[y0[rows], y1[rows]] // p, np.r_[x0[cols], x1[cols]] // p)] = True
+    return _read_only(np.flatnonzero(read))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def pad_left_replicate(x: np.ndarray, P: int) -> np.ndarray:
@@ -111,13 +133,13 @@ def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=np.float64)
     in_h, in_w = grid.shape[-2:]
-    y0, y1, ty = _interp_weights(in_h, out_h)
-    x0, x1, tx = _interp_weights(in_w, out_w)
-    ty = ty[:, None]
+    y0, y1, ty, uy = _interp_weights(in_h, out_h)
+    x0, x1, tx, ux = _interp_weights(in_w, out_w)
+    ty, uy = ty[:, None], uy[:, None]
     top, bot = grid[..., y0, :], grid[..., y1, :]
-    top = top[..., x0] * (1 - tx) + top[..., x1] * tx
-    bot = bot[..., x0] * (1 - tx) + bot[..., x1] * tx
-    return top * (1 - ty) + bot * ty
+    top = top[..., x0] * ux + top[..., x1] * tx
+    bot = bot[..., x0] * ux + bot[..., x1] * tx
+    return top * uy + bot * ty
 
 
 def resize_bilinear_backward(grad_out: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
@@ -127,24 +149,29 @@ def resize_bilinear_backward(grad_out: np.ndarray, in_h: int, in_w: int) -> np.n
     return _interp_matrix(in_h, out_h).T @ grad_out @ _interp_matrix(in_w, out_w)
 
 
+@lru_cache(maxsize=32)
 def _interp_weights(n_in: int, n_out: int):
     """Per output i along one axis: the two source samples i0, i1 it
-    interpolates between and the weight t of i1 (i0 gets 1 - t)."""
+    interpolates between, the weight t of i1 and the weight 1 - t of i0;
+    cached read-only."""
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
     i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, src - i0
+    t = src - i0
+    return tuple(_read_only(a) for a in (i0, i1, t, 1 - t))
 
 
+@lru_cache(maxsize=16)
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """[n_out, n_in] bilinear weights along one axis, from _interp_weights."""
-    i0, i1, t = _interp_weights(n_in, n_out)
+    """[n_out, n_in] bilinear weights along one axis, from _interp_weights;
+    cached read-only."""
+    i0, i1, t, u = _interp_weights(n_in, n_out)
     rows = np.arange(n_out)
     m = np.zeros((n_out, n_in))
-    m[rows, i0] = 1.0 - t
+    m[rows, i0] = u
     m[rows, i1] += t
-    return m
+    return _read_only(m)
 
 
 def layout_widths(T: int, H: int, spec: RenderSpec) -> tuple[int, int]:

@@ -306,6 +306,24 @@ class TestBaselineEquivalence:
         assert none is None and cache is not None
         assert np.array_equal(out, kept)
 
+    def test_no_cache_block_forms_gelu_in_place(self):
+        # 256 rows x d_ff 512: each [rows, d_ff] array is 1 MiB.  Measured peak
+        # without a cache: 2.2 MiB (h and tanh(u)); 4.2 MiB when the GELU
+        # output and 1 + tanh(u) take buffers of their own; 4.8 MiB with a cache
+        cfg = toy_config(patch_size=4, d_model=32, e_layers=1, d_layers=0, d_ff=512)
+        params = bb.init_backbone(cfg, np.random.default_rng(22))
+        x = np.random.default_rng(23).normal(size=(4, 64, 32))
+        kept, _ = bb._block_forward(x, params, "enc0", cfg, slice(None))
+        tracemalloc.start()
+        try:
+            out, none = bb._block_forward(x, params, "enc0", cfg, slice(None), keep_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert none is None
+        assert np.array_equal(out, kept)
+        assert peak < 3 * 2**20, peak
+
     def test_dropout_train_vs_eval(self):
         cfg = toy_config(dropout=0.3)
         params = bb.init_backbone(cfg, np.random.default_rng(20))

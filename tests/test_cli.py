@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -301,7 +302,15 @@ class TestTrainEvalForecast:
         monkeypatch.setattr(ForecastModel, "loss_and_grads", nan_loss)
         rc = main(["train", *desk_args(), "--out", str(tmp_path / "x")])
         assert rc == 3
-        assert "optimizer step 1: loss nan" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "optimizer step 1: loss nan" in err
+        report = json.loads((tmp_path / "x" / "report.json").read_text())
+        assert report["failed_step"] == 1
+        assert report["error"] in err
+        assert report["epochs"] == []
+        assert math.isfinite(report["epoch0_val_mse"])
+        assert report["config"]["seed"] == 0
+        assert not (tmp_path / "x" / "model.ntf").exists()
 
 
 class TestGradcheckCommand:

@@ -167,6 +167,50 @@ def test_reconstruct_reads_only_read_patches(**geometry):
                           rd.reconstruct(decoded, ri))
 
 
+def windows_reference(seg, T, H, stride, norm_const):
+    """`data.windows` as one loop over the windows, with numpy's own mean and std."""
+    vals = seg.values
+    out = []
+    for s in range(0, vals.shape[0] - T - H + 1, stride):
+        ctx = vals[s : s + T]
+        out.append(data.TimeSeriesWindow(
+            context=ctx, target=vals[s + T : s + T + H], mean=ctx.mean(axis=0),
+            std=np.maximum(ctx.std(axis=0), data.SIGMA_FLOOR), norm_const=norm_const))
+    return out
+
+
+@PROPERTY
+@given(N=st.integers(1, 7), T=st.integers(1, 300), H=st.integers(1, 50),
+       stride=st.integers(1, 40), count=st.integers(1, 30), spare=st.integers(0, 39),
+       layout=st.sampled_from(["whole", "row slice", "column view"]),
+       scale=st.sampled_from([0.0, 1e-9, 1.0, 1e6]), seed=seeds)
+@example(N=1, T=5, H=2, stride=1, count=1, spare=0, layout="whole", scale=1.0, seed=0)
+@example(N=3, T=9000, H=1, stride=4000, count=3, spare=0, layout="row slice", scale=1.0,
+         seed=1)  # contexts longer than numpy's 8192-element reduction buffer
+@example(N=7, T=24, H=24, stride=24, count=9, spare=3, layout="whole", scale=1.0, seed=2)
+def test_windows_equal_a_per_window_loop(N, T, H, stride, count, spare, layout, scale, seed):
+    """The statistics of every window come out bitwise as a loop over the windows
+    computes them, for any variable count, window geometry and memory layout
+    (a `[n, 1]` column view of a 1-D series has a zero stride)."""
+    n = T + H + (count - 1) * stride + spare % stride
+    rng = np.random.default_rng(seed)
+    if layout == "column view":
+        vals = (rng.normal(size=n * N) * scale + 3.0).reshape(N, n).T
+        if N == 1:
+            vals = vals[:, 0][:, None]
+    else:
+        vals = rng.normal(size=(n + 5, N)) * scale + 3.0
+        vals = vals[5:] if layout == "row slice" else vals[:n]
+    seg = data.Segment(vals, 0, n)
+    got = data.windows(seg, T, H, stride, norm_const=0.4)
+    want = windows_reference(seg, T, H, stride, 0.4)
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        for field in ("context", "target", "mean", "std"):
+            assert np.array_equal(getattr(g, field), getattr(w, field)), field
+        assert g.norm_const == w.norm_const
+
+
 def rel_err(a, ref):
     """Largest difference relative to the reference's largest entry; 0 when both are zero."""
     return np.abs(a - ref).max() / max(np.abs(ref).max(), np.finfo(float).tiny)
