@@ -41,8 +41,6 @@ class LoraFactor:
 
 
 def init_tga(rng: np.random.Generator, D: int) -> TgaParams:
-    if D % 2:
-        raise ValueError("embedding dim must be even for sinusoid pairing")
     bound = 1.0 / np.sqrt(D)
     return TgaParams(
         W_proj=rng.uniform(-bound, bound, size=(D, D)), w_fusion=np.zeros(1)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, forecaster as fc, pgm, spectral
-from .config import ConfigError, model_config, parse_config, render_spec, train_config
+from .config import REGISTRY, ConfigError, model_config, parse_config, render_spec, train_config
 from .rendering import render
 
 
@@ -47,10 +47,7 @@ def _split_windows(cfg: dict, ds: data.Dataset):
         lookback=cfg["seq_len"], horizon=cfg["pred_len"],
     )
     tr, va, te = data.chronological_split(ds, spec)
-    if cfg["few_shot_ratio"] < 1.0:
-        tr = data.few_shot_subset(
-            tr, cfg["few_shot_ratio"], min_window=cfg["seq_len"] + cfg["pred_len"]
-        )
+    tr = data.few_shot_subset(tr, cfg["few_shot_ratio"], min_window=cfg["seq_len"] + cfg["pred_len"])
     nc = cfg["norm_const"]
     return (
         data.windows(tr, cfg["seq_len"], cfg["pred_len"], cfg["stride"], nc),
@@ -155,13 +152,13 @@ def cmd_synth_image(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
-    mcfg = model_config(cfg)
+    mcfg, tcfg = model_config(cfg), train_config(cfg)
     ds = _load_dataset(cfg)
     trw, vaw, tew = _split_windows(cfg, ds)
     model = fc.ForecastModel(mcfg, seed=cfg["seed"])
     out = Path(args.out)
     try:
-        report = fc.train(model, trw, vaw, train_config(cfg))
+        report = fc.train(model, trw, vaw, tcfg)
     except FloatingPointError as e:  # the partial report, then exit 3
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "report.json", {**e.report, "error": str(e), "config": cfg})
@@ -244,61 +241,66 @@ def cmd_gradcheck(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _settings_help() -> str:
+    """Every config key, its default as a config file writes it, and its help."""
+    def text(value):
+        if isinstance(value, tuple):
+            return ",".join(map(str, value))
+        if isinstance(value, bool):
+            return str(value).lower()
+        return "" if value is None else str(value)
+
+    rows = [(f"{key} = {text(k.default)}", k.help) for key, k in REGISTRY.items()]
+    width = max(len(left) for left, _ in rows)
+    return "settings (--config FILE or -o KEY=VALUE) and their defaults:\n" + "\n".join(
+        f"  {left:<{width}}  {help}" for left, help in rows)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="foldcast")
     sub = ap.add_subparsers(dest="command", required=True)
+    epilog = _settings_help()
 
-    def common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("-o", "--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("render", help="render one window per variable to 16-bit PGM")
-    common(p)
+    p = command("render", cmd_render, "render one window per variable to 16-bit PGM")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_render)
 
-    p = sub.add_parser("pss", help="power-spectrum-slope analysis")
-    common(p)
+    p = command("pss", cmd_pss, "power-spectrum-slope analysis")
     p.add_argument("--images", default=None, help="directory of PGM images")
     p.add_argument("--text", default=None, help="text file mapped through ASCII codes")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_pss)
 
-    p = sub.add_parser("synth-image", help="write a synthetic 1/f^alpha PGM")
-    common(p)
+    p = command("synth-image", cmd_synth_image, "write a synthetic 1/f^alpha PGM")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_synth_image)
 
-    p = sub.add_parser("train", help="train the dual-branch forecaster")
-    common(p)
+    p = command("train", cmd_train, "train the dual-branch forecaster")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("forecast", help="forecast one window with a checkpoint")
-    common(p)
+    p = command("forecast", cmd_forecast, "forecast one window with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_forecast)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
     p.add_argument("--component", default="all",
                    choices=["all", "sma", "tga", "lora", "beta", "backbone"])
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one analytic gradient to prove the check can fail")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_gradcheck)
-
     return ap
 
 

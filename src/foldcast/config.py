@@ -1,22 +1,25 @@
 """Flat run configuration: `key = value` files, '#' comments, flag overrides.
 
-Every key is registered with a type and default; unknown keys are rejected
-with a nearest-key suggestion.  A key that sets a field of a config dataclass
-takes its default from that dataclass, so the CLI and the Python API agree.
-Values are re-validated by the owning module's constructors when the typed
-config objects are built.
+`REGISTRY` is the one table of keys, which each subcommand's `--help` lists:
+a key's default, parser, help text and the typed-config fields it sets, as
+dotted paths under `model` (a `ModelConfig`) or `train` (a `TrainConfig`).
+Such a key's default is its first field's, and `render_spec`, `model_config`
+and `train_config` fill each field from the key the table names for it.
+Unknown keys get a nearest-key suggestion; the dataclasses validate values.
 """
 
 from __future__ import annotations
 
 import difflib
+from dataclasses import fields
+from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-from .backbone import BackboneConfig
 from .data import SplitSpec, read_utf8
 from .forecaster import ModelConfig, TrainConfig
 from .rendering import RenderSpec
-from .sma import SmaConfig
 from .spectral import DEFAULT_F_HI, DEFAULT_F_LO
 
 
@@ -44,77 +47,98 @@ def _floats(text: str) -> tuple[float, ...]:
     return vals
 
 
-_SPLIT, _MODEL, _TRAIN = SplitSpec(), ModelConfig(), TrainConfig()
-_RENDER, _BACKBONE = _MODEL.render, _MODEL.backbone
+class Key(NamedTuple):
+    default: object
+    parser: Callable[[str], object]
+    help: str
+    fields: tuple[str, ...] = ()  # the typed-config fields the key sets
 
-# key -> (default, parser, help)
-REGISTRY: dict[str, tuple] = {
+
+_DEFAULTS = SimpleNamespace(model=ModelConfig(), train=TrainConfig())
+
+
+def _sets(parser, help: str, *paths: str) -> Key:
+    """A key that sets the fields at `paths`, with the first one's default."""
+    return Key(reduce(getattr, paths[0].split("."), _DEFAULTS), parser, help, paths)
+
+
+REGISTRY: dict[str, Key] = {
     # data
-    "csv": ("", str, "dataset CSV path (ETT layout)"),
-    "train_frac": (_SPLIT.train_frac, float, "chronological train fraction"),
-    "val_frac": (_SPLIT.val_frac, float, "chronological val fraction"),
-    "test_frac": (_SPLIT.test_frac, float, "chronological test fraction"),
-    "few_shot_ratio": (1.0, float, "fraction of the training segment to keep (earliest-first)"),
-    "seq_len": (1440, int, "context length T"),
-    "pred_len": (96, int, "horizon length H"),
-    "stride": (24, int, "training window stride"),
-    "eval_stride": (48, int, "val/test window stride"),
-    "norm_const": (0.4, float, "normalization coefficient"),
+    "csv": Key("", str, "dataset CSV path (ETT layout)"),
+    "train_frac": Key(SplitSpec.train_frac, float, "chronological train fraction"),
+    "val_frac": Key(SplitSpec.val_frac, float, "chronological val fraction"),
+    "test_frac": Key(SplitSpec.test_frac, float, "chronological test fraction"),
+    "few_shot_ratio": Key(1.0, float, "fraction of the training segment to keep (earliest-first)"),
+    "seq_len": Key(1440, int, "context length T"),
+    "pred_len": Key(96, int, "horizon length H"),
+    "stride": Key(24, int, "training window stride"),
+    "eval_stride": Key(48, int, "val/test window stride"),
+    "norm_const": Key(0.4, float, "normalization coefficient"),
     # synthetic data
-    "synth_kind": ("", str, "synthetic kind: sinusoid_mix | trend_plus_season | noise"),
-    "synth_length": (5000, int, "synthetic series length"),
-    "synth_period": (24, int, "synthetic base period"),
-    "synth_amplitude": ((1.0,), _floats, "amplitude or comma-separated component amplitudes"),
-    "synth_noise_std": (0.1, float, "synthetic noise standard deviation"),
-    "synth_seed": (7, int, "synthetic generator seed"),
+    "synth_kind": Key("", str, "synthetic kind: sinusoid_mix | trend_plus_season | noise"),
+    "synth_length": Key(5000, int, "synthetic series length"),
+    "synth_period": Key(24, int, "synthetic base period"),
+    "synth_amplitude": Key((1.0,), _floats, "amplitude or comma-separated component amplitudes"),
+    "synth_noise_std": Key(0.1, float, "synthetic noise standard deviation"),
+    "synth_seed": Key(7, int, "synthetic generator seed"),
     # rendering
-    "periodicity": (_RENDER.periodicity, int, "fold periodicity P"),
-    "image_size": (_RENDER.image_height, int, "square image side"),
-    "align_const": (_RENDER.align_const, float, "visible-width proportional scale"),
-    "patch_size": (_RENDER.patch_size, int, "backbone patch size"),
+    "periodicity": _sets(int, "fold periodicity P", "model.render.periodicity"),
+    "image_size": _sets(int, "square image side", "model.render.image_height",
+                        "model.render.image_width", "model.backbone.image_height",
+                        "model.backbone.image_width"),
+    "align_const": _sets(float, "visible-width proportional scale", "model.render.align_const"),
+    "patch_size": _sets(int, "backbone patch size",
+                        "model.render.patch_size", "model.backbone.patch_size"),
     # backbone
-    "d_model": (_BACKBONE.d_model, int, "hidden width"),
-    "n_heads": (_BACKBONE.n_heads, int, "attention heads"),
-    "e_layers": (_BACKBONE.e_layers, int, "encoder layers"),
-    "d_layers": (_BACKBONE.d_layers, int, "decoder layers"),
-    "d_ff": (_BACKBONE.d_ff, int, "feed-forward width"),
-    "dropout": (_BACKBONE.dropout, float, "block dropout rate"),
-    "frozen": (_BACKBONE.frozen, _bool, "freeze backbone base weights"),
+    "d_model": _sets(int, "hidden width", "model.backbone.d_model"),
+    "n_heads": _sets(int, "attention heads", "model.backbone.n_heads"),
+    "e_layers": _sets(int, "encoder layers", "model.backbone.e_layers"),
+    "d_layers": _sets(int, "decoder layers", "model.backbone.d_layers"),
+    "d_ff": _sets(int, "feed-forward width", "model.backbone.d_ff"),
+    "dropout": _sets(float, "block dropout rate", "model.backbone.dropout"),
+    "frozen": _sets(_bool, "freeze backbone base weights", "model.backbone.frozen"),
     # adapters / fusion
-    "residual_weight": (_MODEL.sma.lam, float, "spectral-aligner residual blend weight"),
-    "lora_rank": (_MODEL.lora_rank, int, "low-rank adapter rank"),
-    "lora_alpha": (_MODEL.lora_alpha, float, "low-rank adapter scaling factor"),
-    "lora_dropout": (_MODEL.lora_dropout, float, "dropout on the low-rank path"),
-    "use_tga": (_MODEL.use_tga, _bool, "enable the temporal grounding adapter"),
-    "use_sma": (_MODEL.use_sma, _bool, "enable the spectral magnitude aligner"),
-    "fixed_beta": (_MODEL.fixed_beta, _optional_float, "pin fusion beta to a constant (empty = learnable)"),
-    "beta_init": (_MODEL.beta_init, float, "initial fusion beta"),
+    "residual_weight": _sets(float, "spectral-aligner residual blend weight", "model.sma.lam"),
+    "lora_rank": _sets(int, "low-rank adapter rank", "model.lora_rank"),
+    "lora_alpha": _sets(float, "low-rank adapter scaling factor", "model.lora_alpha"),
+    "lora_dropout": _sets(float, "dropout on the low-rank path", "model.lora_dropout"),
+    "use_tga": _sets(_bool, "enable the temporal grounding adapter", "model.use_tga"),
+    "use_sma": _sets(_bool, "enable the spectral magnitude aligner", "model.use_sma"),
+    "fixed_beta": _sets(_optional_float, "pin fusion beta to a constant (empty = learnable)",
+                        "model.fixed_beta"),
+    "beta_init": _sets(float, "initial fusion beta", "model.beta_init"),
     # training
-    "lr": (_TRAIN.lr, float, "learning rate (desk default; paper-scale uses 2e-6)"),
-    "batch_size": (_TRAIN.batch_size, int, "windows per optimizer step"),
-    "epochs": (_TRAIN.epochs, int, "training epochs"),
-    "patience": (_TRAIN.patience, int, "early-stopping patience"),
-    "seed": (_TRAIN.seed, int, "global seed"),
-    "adam_beta1": (_TRAIN.beta1, float, "Adam first-moment decay"),
-    "adam_beta2": (_TRAIN.beta2, float, "Adam second-moment decay"),
-    "adam_eps": (_TRAIN.eps, float, "Adam epsilon"),
+    "lr": _sets(float, "learning rate (desk default; paper-scale uses 2e-6)", "train.lr"),
+    "batch_size": _sets(int, "windows per optimizer step", "train.batch_size"),
+    "epochs": _sets(int, "training epochs", "train.epochs"),
+    "patience": _sets(int, "early-stopping patience", "train.patience"),
+    "seed": _sets(int, "global seed", "train.seed"),
+    "adam_beta1": _sets(float, "Adam first-moment decay", "train.beta1"),
+    "adam_beta2": _sets(float, "Adam second-moment decay", "train.beta2"),
+    "adam_eps": _sets(float, "Adam epsilon", "train.eps"),
     # spectral analysis
-    "pss_samples": (100, int, "number of sampled windows for PSS"),
-    "f_lo": (DEFAULT_F_LO, float, "power-law fit mask lower bound"),
-    "f_hi": (DEFAULT_F_HI, float, "power-law fit mask upper bound"),
+    "pss_samples": Key(100, int, "number of sampled windows for PSS"),
+    "f_lo": Key(DEFAULT_F_LO, float, "power-law fit mask lower bound"),
+    "f_hi": Key(DEFAULT_F_HI, float, "power-law fit mask upper bound"),
     # execution
-    "workers": (1, int, "worker count (results are worker-count independent)"),
+    "workers": Key(1, int, "worker count (results are worker-count independent)"),
 }
 
+_KEY_OF = {path: key for key, k in REGISTRY.items() for path in k.fields}
 
-def _set(values: dict, key: str, raw: str, where: str):
+
+def _set(values: dict, entry: str, where: str, form: str):
+    """Convert one `key = value` entry into `values`; `form` is the syntax
+    its error names."""
+    if "=" not in entry:
+        raise ConfigError(f"{where}: expected {form}")
+    key, raw = [s.strip() for s in entry.split("=", 1)]
     if key not in REGISTRY:
         near = difflib.get_close_matches(key, REGISTRY, n=1)
         hint = f"; nearest known key: {near[0]!r}" if near else ""
         raise ConfigError(f"{where}: unknown key {key!r}{hint}")
-    _, parser, _ = REGISTRY[key]
     try:
-        values[key] = parser(raw.strip())
+        values[key] = REGISTRY[key].parser(raw)
     except ValueError as e:
         raise ConfigError(f"{where}: bad value for {key!r}: {e}") from None
 
@@ -124,75 +148,37 @@ def parse_config(path=None, overrides: list[str] | None = None) -> dict:
 
     Every value is converted as it is read, so the dict holds final typed
     values and a bad one fails here with its file:line or override."""
-    values = {k: v[0] for k, v in REGISTRY.items()}
+    values = {key: k.default for key, k in REGISTRY.items()}
     if path:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = [s.strip() for s in line.split("=", 1)]
-            _set(values, key, raw, f"{path}:{lineno}")
+            if line:
+                _set(values, line, f"{path}:{lineno}", "'key = value'")
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, raw = [s.strip() for s in item.split("=", 1)]
-        _set(values, key, raw, f"override {item!r}")
+        _set(values, item, f"override {item!r}", "key=value")
     return values
 
 
+def _build(cfg: dict, path: str, default):
+    """The dataclass `default` at `path`, each field set from its key's value
+    in `cfg` and each nested dataclass built the same way, in field order."""
+    kwargs = {}
+    for f in fields(default):
+        sub, nested = f"{path}.{f.name}", getattr(default, f.name)
+        kwargs[f.name] = cfg[_KEY_OF[sub]] if sub in _KEY_OF else _build(cfg, sub, nested)
+    return type(default)(**kwargs)
+
+
 def render_spec(cfg: dict) -> RenderSpec:
-    return RenderSpec(
-        periodicity=cfg["periodicity"],
-        image_height=cfg["image_size"],
-        image_width=cfg["image_size"],
-        align_const=cfg["align_const"],
-        patch_size=cfg["patch_size"],
-    )
-
-
-def backbone_config(cfg: dict) -> BackboneConfig:
-    return BackboneConfig(
-        image_height=cfg["image_size"],
-        image_width=cfg["image_size"],
-        patch_size=cfg["patch_size"],
-        d_model=cfg["d_model"],
-        n_heads=cfg["n_heads"],
-        e_layers=cfg["e_layers"],
-        d_layers=cfg["d_layers"],
-        d_ff=cfg["d_ff"],
-        dropout=cfg["dropout"],
-        frozen=cfg["frozen"],
-    )
+    return _build(cfg, "model.render", _DEFAULTS.model.render)
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        render=render_spec(cfg),
-        backbone=backbone_config(cfg),
-        sma=SmaConfig(lam=cfg["residual_weight"]),
-        lora_rank=cfg["lora_rank"],
-        lora_alpha=cfg["lora_alpha"],
-        lora_dropout=cfg["lora_dropout"],
-        use_tga=cfg["use_tga"],
-        use_sma=cfg["use_sma"],
-        fixed_beta=cfg["fixed_beta"],
-        beta_init=cfg["beta_init"],
-    )
+    return _build(cfg, "model", _DEFAULTS.model)
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-        beta1=cfg["adam_beta1"],
-        beta2=cfg["adam_beta2"],
-        eps=cfg["adam_eps"],
-    )
+    return _build(cfg, "train", _DEFAULTS.train)

@@ -190,7 +190,7 @@ def chronological_split(ds: Dataset, spec: SplitSpec) -> tuple[Segment, Segment,
 def few_shot_subset(segment: Segment, ratio: float, min_window: int | None = None) -> Segment:
     """Earliest `ratio` fraction of a training segment (prefix, deterministic)."""
     if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+        raise ValueError(f"ratio (few_shot_ratio) must lie in (0, 1], got {ratio}")
     if ratio == 1.0:
         return segment
     keep = int(math.floor(ratio * len(segment)))

@@ -58,7 +58,14 @@ class ModelConfig:
                 f"image_size {self.render.image_width} is odd: the spectral aligner "
                 "(use_sma) needs an even image width"
             )
-        for name in ("fixed_beta", "beta_init"):
+        D = self.backbone.d_model
+        if D % 2:  # the grounding adapter's sinusoid table pairs sines and cosines
+            raise ValueError(f"d_model must be even, got {D}")
+        if not 1 <= self.lora_rank <= D:
+            raise ValueError(f"lora_rank must lie in [1, d_model = {D}], got {self.lora_rank}")
+        if not 0.0 <= self.lora_dropout < 1.0:
+            raise ValueError(f"lora_dropout must lie in [0, 1), got {self.lora_dropout}")
+        for name in ("lora_alpha", "fixed_beta", "beta_init"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -76,14 +83,20 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} (adam_{name}) must lie in [0, 1), got {value}")
+        if not self.eps > 0:
+            raise ValueError(f"eps (adam_eps) must be positive, got {self.eps}")
 
 
 def clamp_beta(beta: float) -> float:

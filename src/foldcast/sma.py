@@ -32,7 +32,7 @@ class SmaConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
+            raise ValueError(f"lam (residual_weight) must lie in [0, 1], got {self.lam}")
 
 
 @dataclass

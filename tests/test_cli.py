@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -8,9 +10,13 @@ import pytest
 
 from foldcast import data, pgm
 from foldcast.cli import main
-from foldcast.config import ConfigError, model_config, parse_config, render_spec, train_config
+from foldcast.config import (
+    REGISTRY, ConfigError, model_config, parse_config, render_spec, train_config,
+)
 from foldcast.forecaster import ForecastModel, ModelConfig, TrainConfig
 from foldcast.rendering import render
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DESK = [
     "synth_kind=sinusoid_mix", "synth_length=400", "synth_period=8",
@@ -20,6 +26,16 @@ DESK = [
     "d_model=16", "n_heads=2", "e_layers=1", "d_layers=1", "d_ff=32",
     "dropout=0.0", "frozen=false", "lora_rank=2", "lora_alpha=8",
     "lora_dropout=0.0", "batch_size=4", "epochs=1", "lr=1e-3",
+]
+
+
+# out-of-range settings that a typed config rejects; the settings before the
+# last one only bring it into reach
+CONFIG_SETTINGS = [
+    "fixed_beta=nan", "beta_init=inf", "lora_dropout=1.0", "lora_dropout=1.5",
+    "lora_dropout=-0.2", "lora_alpha=nan", "adam_beta1=1.0", "adam_beta2=1.5", "adam_eps=-1",
+    "residual_weight=2", "lora_rank=0", "lora_rank=17", "n_heads=3 use_tga=false d_model=15",
+    "lr=nan", "lr=inf",
 ]
 
 
@@ -43,6 +59,51 @@ class TestConfig:
         # one source of defaults: the CLI registry agrees with the dataclasses
         assert model_config(cfg) == ModelConfig()
         assert train_config(cfg) == TrainConfig()
+
+    def test_every_field_is_set_by_exactly_one_key(self):
+        def scalar_paths(obj, path):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from scalar_paths(value, f"{path}.{f.name}")
+                else:
+                    yield f"{path}.{f.name}"
+
+        fields = [*scalar_paths(ModelConfig(), "model"), *scalar_paths(TrainConfig(), "train")]
+        set_by_keys = [path for k in REGISTRY.values() for path in k.fields]
+        assert sorted(set_by_keys) == sorted(fields)
+
+    def test_every_key_a_config_sets_builds_its_fields(self):
+        cfg = parse_config(None, DESK + ["residual_weight=0.3", "adam_beta1=0.8"])
+        mcfg, tcfg = model_config(cfg), train_config(cfg)
+        assert mcfg.render == render_spec(cfg)
+        assert (mcfg.render.image_height, mcfg.render.image_width) == (32, 32)
+        assert (mcfg.backbone.image_height, mcfg.backbone.image_width) == (32, 32)
+        assert mcfg.render.patch_size == mcfg.backbone.patch_size == 8
+        assert (mcfg.sma.lam, mcfg.lora_rank, mcfg.backbone.frozen) == (0.3, 2, False)
+        assert (tcfg.beta1, tcfg.batch_size, tcfg.epochs) == (0.8, 4, 1)
+
+    @pytest.mark.parametrize("command", ["render", "pss", "synth-image", "train", "eval",
+                                         "forecast", "gradcheck"])
+    def test_help_lists_every_key_with_its_default(self, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        out = capsys.readouterr().out
+        for key, k in REGISTRY.items():
+            line = re.search(rf"^  {key} = (.*?) +{re.escape(k.help)}$", out, re.M)
+            assert line, key
+            # the default is shown as a config file writes it
+            assert parse_config(None, [f"{key}={line[1]}"])[key] == k.default, key
+
+    def test_docs_name_only_known_keys(self):
+        cfg_files = sorted((ROOT / "demos").glob("*.cfg"))
+        assert cfg_files
+        for cfg_file in cfg_files:
+            parse_config(cfg_file)  # an unknown key raises, naming its line
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        keys = set(re.findall(r"-o ([a-z_]\w*)=", readme)) - {"key"}  # `-o key=value`: the syntax
+        assert keys and sorted(keys - set(REGISTRY)) == []
 
     def test_file_then_override(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -239,11 +300,24 @@ class TestTrainEvalForecast:
 
     @pytest.mark.parametrize("setting", [
         "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1",
-        "norm_const=0", "norm_const=inf", "fixed_beta=nan", "beta_init=inf"])
+        "norm_const=0", "norm_const=inf", "few_shot_ratio=nan", "few_shot_ratio=2",
+        *CONFIG_SETTINGS])
     def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
-        rc = main(["train", *desk_args(setting), "--out", str(tmp_path / "x")])
+        settings = setting.split()
+        rc = main(["train", *desk_args(*settings), "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert setting.split("=")[0] in capsys.readouterr().err
+        assert settings[-1].split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", CONFIG_SETTINGS)
+    def test_config_setting_exit_2_before_reading_data(self, tmp_path, capsys, setting):
+        settings = setting.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            rc = main(["train", *desk_args(*settings, f"csv={tmp_path / 'no.csv'}"),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert settings[-1].split("=")[0] in err and "no.csv" not in err
 
     @pytest.mark.parametrize("command", ["render", "train", "forecast"])
     @pytest.mark.parametrize("setting", ["seq_len=0", "pred_len=0"])

@@ -1,13 +1,15 @@
 """Properties over random shapes: the adjoint identity <Ax, y> = <x, A^T y> of
 each hand-written linear map, exact render -> reconstruct round trips, a batch
 of samples computing what the samples compute one by one, the aligner against
-a direct conv -> BN -> ReLU -> dropout -> conv reference, the PSS spectrum and
+a direct conv -> BN -> ReLU -> dropout -> conv reference, the whole model's
+gradient against a central difference, the PSS spectrum and
 annuli against numpy's full FFT and an exhaustive binning, and the PGM, CSV,
 config and checkpoint readers on damaged files."""
 
 import copy
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from foldcast import backbone as bb
 from foldcast import data, pgm, sma, spectral
+from foldcast import forecaster as fc
 from foldcast.config import parse_config
 from foldcast import rendering as rd
 from foldcast.data import normalize_target
@@ -438,6 +441,79 @@ def test_batched_step_equals_mean_of_windows(B, n_vars, seed):
         # batch norm that cancel them: zero in exact arithmetic, round-off here
         if not name.endswith(("attn.bk", "conv1_b")):
             assert rel_err(g, mean) <= 1e-12, name
+
+
+@PROPERTY
+@given(
+    rows=st.integers(1, 3), cols=st.integers(2, 4), P=st.integers(1, 5),
+    e_layers=st.integers(0, 2), d_layers=st.integers(0, 2), frozen=st.booleans(),
+    use_tga=st.booleans(), use_sma=st.booleans(),
+    fixed_beta=st.one_of(st.none(), st.floats(0.0, 1.0)), beta_init=st.floats(0.1, 0.9),
+    n_vars=st.integers(1, 3), n_windows=st.integers(1, 3), seed=seeds,
+)
+@example(rows=2, cols=3, P=1, e_layers=2, d_layers=2, frozen=False, use_tga=True, use_sma=True,
+         fixed_beta=None, beta_init=0.5, n_vars=2, n_windows=2, seed=0)
+@example(rows=3, cols=2, P=4, e_layers=0, d_layers=0, frozen=True, use_tga=False,
+         use_sma=False, fixed_beta=0.3, beta_init=0.5, n_vars=1, n_windows=1, seed=1)
+def test_loss_and_grads_match_a_central_difference(
+    rows, cols, P, e_layers, d_layers, frozen, use_tga, use_sma, fixed_beta, beta_init,
+    n_vars, n_windows, seed,
+):
+    """The whole model's gradient along a random direction d equals a central
+    difference of the eval-mode loss with h = 1e-5.  The error is taken
+    relative to the summed magnitudes of the per-tensor terms <grad_g, d_g>,
+    so terms that cancel cannot inflate it."""
+    patch, h = 4, 1e-5
+    size = dict(image_height=rows * patch, image_width=cols * patch, patch_size=patch)
+    model = fc.ForecastModel(fc.ModelConfig(
+        render=RenderSpec(periodicity=P, align_const=1.0, **size),
+        backbone=bb.BackboneConfig(**size, d_model=8, n_heads=2, e_layers=e_layers,
+                                   d_layers=d_layers, d_ff=16, dropout=0.0, frozen=frozen),
+        lora_rank=2, lora_alpha=4.0, lora_dropout=0.0, use_tga=use_tga, use_sma=use_sma,
+        fixed_beta=fixed_beta, beta_init=beta_init,
+    ), seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    for factors in model.lora.values():  # a zero B would zero every A gradient
+        for f in factors.values():
+            f.B[...] = rng.normal(0.0, 0.1, size=f.B.shape)
+    # with zero biases and running mean, the aligner's ReLU sits on its kink
+    # wherever a magnitude is 0, as on every row frequency of a P = 1 image
+    e = model.enhancer
+    for arr in (e.conv1_b, e.bn_beta, e.bn_running_mean):
+        arr[...] = rng.normal(0.0, 0.1, size=arr.shape)
+    windows = toy_windows(n_windows, T=6 + seed % 19, H=1 + seed % 7, n_vars=n_vars, seed=seed)
+    params = model.named_params()
+    direction = {name: rng.normal(size=params[name].shape) for name in model.trainable_names()}
+    norm = np.sqrt(sum(np.sum(d**2) for d in direction.values()))
+    direction = {name: d / norm for name, d in direction.items()}  # a step of length h
+    masks = []  # the aligner's ReLU masks, one list per loss evaluation
+    real_forward = sma.enhancer_forward
+
+    def recording(*args, **kw):
+        out, cache = real_forward(*args, **kw)
+        masks[-1].append(cache["live"])
+        return out, cache
+
+    def loss_at(step):
+        saved = {name: params[name].copy() for name in direction}
+        for name, d in direction.items():
+            params[name] += step * d
+        masks.append([])
+        loss, grads, _ = model.loss_and_grads(*windows, train=False)
+        for name, value in saved.items():
+            params[name][...] = value
+        return loss, grads
+
+    with mock.patch.object(sma, "enhancer_forward", recording):
+        (loss, grads), (up, _), (down, _) = loss_at(0.0), loss_at(h), loss_at(-h)
+    # the loss is smooth only between the ReLU's kinks: a step across one has
+    # no derivative to compare with
+    assume(all(np.array_equal(a, b) for step in masks[1:] for a, b in zip(masks[0], step)))
+    terms = [float(np.sum(g * direction[name])) for name, g in grads.items()]
+    central = (up - down) / (2 * h)
+    # a floor for the rounding of the two losses, where every term is 0
+    rounding = 100 * np.finfo(float).eps * loss / h
+    assert abs(central - sum(terms)) <= 1e-5 * sum(abs(t) for t in terms) + rounding
 
 
 spectrum_shapes = dict(H=st.integers(1, 40), W=st.integers(1, 40), seed=seeds)
