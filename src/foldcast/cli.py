@@ -42,6 +42,9 @@ def _load_dataset(cfg: dict) -> data.Dataset:
 
 
 def _split_windows(cfg: dict, ds: data.Dataset):
+    for key in ("stride", "eval_stride"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     spec = data.SplitSpec(
         cfg["train_frac"], cfg["val_frac"], cfg["test_frac"],
         lookback=cfg["seq_len"], horizon=cfg["pred_len"],
@@ -295,11 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
+    p = command("gradcheck", cmd_gradcheck, "gradient verification: one directional central "
+                "difference per trainable tensor of a small whole model")
     p.add_argument("--component", default="all",
                    choices=["all", "sma", "tga", "lora", "beta", "backbone"])
     p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one analytic gradient to prove the check can fail")
+                   help="scale the checked analytic gradients by 1.1 to prove the check can fail")
     p.add_argument("--out", default=None)
     return ap
 

@@ -304,8 +304,12 @@ def synth_series(
     plus a sinusoid at `period`.
     kind = "noise": white Gaussian noise only.
     """
+    if period < 1:
+        raise ValueError(f"period (synth_period) must be at least 1, got {period}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std (synth_noise_std) must be >= 0 and finite, got {noise_std}")
     if length < 2 * period:
-        raise ValueError(f"length {length} must be at least 2*period = {2 * period}")
+        raise ValueError(f"length (synth_length) {length} must be at least 2*period = {2 * period}")
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64)
     if kind == "sinusoid_mix":

@@ -301,6 +301,7 @@ class TestTrainEvalForecast:
     @pytest.mark.parametrize("setting", [
         "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1",
         "norm_const=0", "norm_const=inf", "few_shot_ratio=nan", "few_shot_ratio=2",
+        "synth_period=0", "synth_noise_std=-1", "synth_length=10", "eval_stride=-3",
         *CONFIG_SETTINGS])
     def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
         settings = setting.split()
