@@ -33,19 +33,15 @@ gradients fold the leading axes into the token axis,
 batch.  Folding the leading axes into the forward's products as well would
 change the last bits of a sample with the batch size.
 
-Every patch outside `vis_idx` enters decoder block 0 as `mask_token +
-dec_pos`, the same in every sample, so that block forms their LN1, K and V
-once per call, as [n_mask, D] products, and places them into the batch; its
-cache holds the same fields as any block's, so backward is unchanged.  A
-forward that no backward follows passes `keep_cache=False`: it keeps no
+A forward that no backward follows passes `keep_cache=False`: it keeps no
 cache, and each block's activations are freed as the next block runs, and
 its MLP forms the GELU output in the buffers of its input and of tanh(u).
 Elementwise chains (layer norm, GELU, softmax, the bias after a product)
 write into their own buffers in the operation order of their formulas, so
 the results are bitwise those of the formulas.  The visible patch indices
-and the decoder's mask-token rows depend only on the grid and are cached
-read-only, the first keyed by the grid's ints and the second by the bytes of
-the visible indices.
+and the indices of the decoder's mask-token rows depend only on the grid and
+are cached read-only, the first keyed by the grid's ints and the second by
+the bytes of the visible indices.
 
 Parameters live in a flat name -> float64 array dict so that optimization,
 freezing, and serialization stay uniform.  The backward functions add into
@@ -89,7 +85,7 @@ class BackboneConfig:
 
     def __post_init__(self):
         for name, least in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("patch_size", 1),
-                            ("e_layers", 0), ("d_layers", 0)):
+                            ("e_layers", 0), ("d_layers", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
@@ -304,18 +300,12 @@ def _merge_heads(x):
 # attention / MLP / block
 
 
-def _attn_forward(
-    x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0, kv=None
-):
-    """Attention output for the rows `rows` of x; keys and values see every row.
-
-    `kv`, when given, maps "k" and "v" to their (projection, cache) pairs,
-    formed by the caller; only Q is projected here then.
-    """
+def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0):
+    """Attention output for the rows `rows` of x; keys and values see every row."""
     p = lambda n: params[f"{prefix}.attn.{n}"]
     cache = {"x": x}
     proj = {}
-    for name in ("q",) if kv else ("q", "k", "v"):
+    for name in ("q", "k", "v"):
         xin = x[..., rows, :] if name == "q" else x
         factor = lora.get(name) if lora else None
         drop = (
@@ -326,8 +316,6 @@ def _attn_forward(
         proj[name], cache[name] = adapter.lora_project(
             xin, p("w" + name), p("b" + name), factor, drop
         )
-    for name, (y, c) in (kv or {}).items():
-        proj[name], cache[name] = y, c
     q = _split_heads(proj["q"], cfg.n_heads)
     k = _split_heads(proj["k"], cfg.n_heads)
     v = _split_heads(proj["v"], cfg.n_heads)
@@ -418,65 +406,22 @@ def _mlp_backward(gr, params, prefix, cache, base):
     return gh @ w1
 
 
-def _place_rows(own, common, shared):
-    """Per-sample rows [..., n_own, F] and rows [n_common, F] common to every
-    sample, placed at the row indices of `shared` in one [..., L, F] array."""
-    own_idx, common_idx, _ = shared
-    out = np.empty((*own.shape[:-2], own_idx.size + common_idx.size, own.shape[-1]))
-    out[..., own_idx, :] = own
-    out[..., common_idx, :] = common
-    return out
-
-
-def _ln1_kv_shared(x, params, prefix, shared):
-    """LN1 of every row of x and the K and V projections of it, with the rows
-    that every sample shares formed once; returns (n1, ln1 cache, kv).
-
-    LN1 is row-wise and each sample's K and V are its own products, so every
-    row is what `_layernorm` and `lora_project` give on the whole of x, and
-    the caches hold the same fields.
-    """
-    own_idx, _, x_common = shared
-    g, b = params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"]
-    n_own, c_own = _layernorm(x[..., own_idx, :], g, b)
-    n_common, c_common = _layernorm(x_common, g, b)
-    n1 = _place_rows(n_own, n_common, shared)
-    ln1 = {k: _place_rows(c_own[k], c_common[k], shared) for k in ("xhat", "invstd")}
-    ln1["g"] = g
-    kv = {}
-    for name in ("k", "v"):
-        w, bias = params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"]
-        y_own, cache = adapter.lora_project(n_own, w, bias, None)
-        y_common, _ = adapter.lora_project(n_common, w, bias, None)
-        cache["x"] = n1
-        kv[name] = (_place_rows(y_own, y_common, shared), cache)
-    return n1, ln1, kv
-
-
 def _block_forward(
     x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0,
-    keep_cache=True, shared=None,
+    keep_cache=True,
 ):
     """One pre-norm block whose output holds only the rows `rows` of x.
 
     LN1, K and V run on every row; Q, the attention output, the residual, LN2
-    and the MLP only on `rows`.  `slice(None)` keeps every row.  `shared`,
-    when given, is (own_idx, common_idx, x_common): the rows `common_idx` of
-    x hold x_common [n, D] in every sample, so their LN1, K and V are formed
-    once, as [n, D] products, while the rows `own_idx` run per sample; it
-    serves no block with LoRA factors.  Returns (output, cache), the cache
-    None unless `keep_cache`.
+    and the MLP only on `rows`.  `slice(None)` keeps every row.  Returns
+    (output, cache), the cache None unless `keep_cache`.
     """
-    if shared is None:
-        n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-        kv = None
-    else:
-        n1, ln1, kv = _ln1_kv_shared(x, params, prefix, shared)
+    n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     # the attention output, to which the residual is added in place
-    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop, kv)
+    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop)
     x2 += x[..., rows, :]
     if not keep_cache:  # free the attention's activations before the MLP forms its own
-        del n1, ln1, kv, attn
+        del n1, ln1, attn
     n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     out, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng, keep_cache)
     out += x2
@@ -557,9 +502,7 @@ def decode_with_mask_tokens(
 
     Every decoder block but the last runs on all L rows; the last one outputs
     only the rows `out_idx`, and `dec_norm` and the head run on those rows.
-    The mask-token rows, `mask_token + dec_pos`, are the same in every
-    sample, so block 0 forms their LN1, K and V once.  Returns (patches,
-    cache), the cache None unless `keep_cache`.
+    Returns (patches, cache), the cache None unless `keep_cache`.
     """
     L = cfg.n_patches
     if latent.shape[-2] != vis_idx.shape[0]:
@@ -567,20 +510,16 @@ def decode_with_mask_tokens(
             f"latent count {latent.shape[-2]} != visible count {vis_idx.shape[0]}"
         )
     mask_idx = _mask_indices(L, vis_idx)
-    x_mask = params["mask_token"] + params["dec_pos"][mask_idx]
     x = np.empty((*latent.shape[:-2], L, cfg.d_model))
     x[..., vis_idx, :] = latent + params["dec_pos"][vis_idx]
-    x[..., mask_idx, :] = x_mask
+    x[..., mask_idx, :] = params["mask_token"] + params["dec_pos"][mask_idx]
     caches = []
     for i in range(cfg.d_layers):
         rows = out_idx if i == cfg.d_layers - 1 else slice(None)
         x, c = _block_forward(
-            x, params, f"dec{i}", cfg, rows, None, train, rng, keep_cache=keep_cache,
-            shared=(vis_idx, mask_idx, x_mask) if i == 0 else None,
+            x, params, f"dec{i}", cfg, rows, None, train, rng, keep_cache=keep_cache
         )
         caches.append(c)
-    if not caches:  # no block to restrict
-        x = x[..., out_idx, :]
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
     head_w, head_b = _head(params)
     out = n @ head_w.T
@@ -606,10 +545,6 @@ def decode_backward(gr, params, cfg, cache, base):
     for i in reversed(range(cfg.d_layers)):
         gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], None, base)
     L, D = cfg.n_patches, cfg.d_model
-    if not cache["blocks"]:
-        gfull = np.zeros((*gx.shape[:-2], L, D))
-        gfull[..., cache["out_idx"], :] = gx
-        gx = gfull
     vis_idx = cache["vis_idx"]
     if base is not None:
         base["bb.dec_pos"] += gx.reshape(-1, L, D).sum(axis=0)
@@ -783,30 +718,18 @@ def _read_index(fh, path) -> dict[str, tuple[np.dtype, tuple[int, ...], int]]:
     return index
 
 
-def read_weights(path, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Read an NTF1 file back into a name -> array dict.
+def read_weights(path, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Read an NTF1 file into `out`, a name -> array dict that must hold
+    exactly the file's names with the file's shapes; returns `out`.
 
     Every header is checked before the first payload is read: a truncated or
     malformed file raises ValueError naming the path and the byte offset
-    where decoding stopped.
-
-    Without `out`, the arrays are read-only little-endian views of the
-    file's bytes, so the file is held in memory once; copy an array before
-    writing to it.  With `out`, a name -> array dict that must hold exactly
-    the file's names with the file's shapes, each payload is read straight
-    into its array of `out`, and `out` is returned: the file's bytes are
-    never held as well, and a file that does not match leaves `out`
-    untouched.
+    where decoding stopped, and a file that does not match leaves `out`
+    untouched.  Each payload is read straight into its array of `out`, and
+    converted to that array's dtype if it differs.
     """
     with open(path, "rb") as fh:
         index = _read_index(fh, path)
-        if out is None:
-            fh.seek(0)
-            raw = fh.read()
-            return {
-                name: np.frombuffer(raw, dtype, math.prod(shape), off).reshape(shape)
-                for name, (dtype, shape, off) in index.items()
-            }
         unknown = sorted(set(index) - set(out))
         if unknown:
             raise ValueError(f"{path}: unknown tensor names: {unknown}")

@@ -95,11 +95,25 @@ def cmd_render(cfg: dict, args) -> int:
     return 0
 
 
+def _check_fit_band(cfg: dict) -> None:
+    """Fail, naming f_lo and f_hi, when they leave the power-law fit fewer
+    than 2 radial bins of an `image_size` square image."""
+    size = cfg["image_size"]
+    freqs = spectral.radial_average(np.zeros((size, size))).freqs
+    n = int(np.count_nonzero((freqs > cfg["f_lo"]) & (freqs < cfg["f_hi"])))
+    if n < 2:
+        raise ConfigError(
+            f"f_lo {cfg['f_lo']} and f_hi {cfg['f_hi']} leave {n} radial bin(s) of a "
+            f"{size}x{size} image; the power-law fit needs at least 2"
+        )
+
+
 def _pss_images(args, cfg: dict):
     """(sample id, alpha, r_squared) of every sample; the series mode's
     r_squared is None."""
     if cfg["pss_samples"] < 1:
         raise ConfigError(f"pss_samples must be at least 1, got {cfg['pss_samples']}")
+    _check_fit_band(cfg)
     size = cfg["image_size"]
     if args.images:
         paths = sorted(Path(args.images).glob("*.pgm"))
@@ -143,6 +157,7 @@ def cmd_pss(cfg: dict, args) -> int:
 
 
 def cmd_synth_image(cfg: dict, args) -> int:
+    _check_fit_band(cfg)
     img = spectral.synth_power_law_image(args.alpha, cfg["image_size"], cfg["image_size"], seed=cfg["seed"])
     pgm.write_pgm16(args.out, img)
     fit = spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])

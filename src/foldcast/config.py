@@ -47,6 +47,16 @@ def _floats(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _at_least(least: int) -> Callable[[str], int]:
+    """An int parser that rejects values below `least`."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise ValueError(f"must be at least {least}, got {n}")
+        return n
+    return parse
+
+
 class Key(NamedTuple):
     default: object
     parser: Callable[[str], object]
@@ -80,10 +90,10 @@ REGISTRY: dict[str, Key] = {
     "synth_period": Key(24, int, "synthetic base period"),
     "synth_amplitude": Key((1.0,), _floats, "amplitude or comma-separated component amplitudes"),
     "synth_noise_std": Key(0.1, float, "synthetic noise standard deviation"),
-    "synth_seed": Key(7, int, "synthetic generator seed"),
+    "synth_seed": Key(7, _at_least(0), "synthetic generator seed"),
     # rendering
     "periodicity": _sets(int, "fold periodicity P", "model.render.periodicity"),
-    "image_size": _sets(int, "square image side", "model.render.image_height",
+    "image_size": _sets(_at_least(1), "square image side", "model.render.image_height",
                         "model.render.image_width", "model.backbone.image_height",
                         "model.backbone.image_width"),
     "align_const": _sets(float, "visible-width proportional scale", "model.render.align_const"),
@@ -93,7 +103,7 @@ REGISTRY: dict[str, Key] = {
     "d_model": _sets(int, "hidden width", "model.backbone.d_model"),
     "n_heads": _sets(int, "attention heads", "model.backbone.n_heads"),
     "e_layers": _sets(int, "encoder layers", "model.backbone.e_layers"),
-    "d_layers": _sets(int, "decoder layers", "model.backbone.d_layers"),
+    "d_layers": _sets(int, "decoder layers (at least 1)", "model.backbone.d_layers"),
     "d_ff": _sets(int, "feed-forward width", "model.backbone.d_ff"),
     "dropout": _sets(float, "block dropout rate", "model.backbone.dropout"),
     "frozen": _sets(_bool, "freeze backbone base weights", "model.backbone.frozen"),
@@ -112,7 +122,7 @@ REGISTRY: dict[str, Key] = {
     "batch_size": _sets(int, "windows per optimizer step", "train.batch_size"),
     "epochs": _sets(int, "training epochs", "train.epochs"),
     "patience": _sets(int, "early-stopping patience", "train.patience"),
-    "seed": _sets(int, "global seed", "train.seed"),
+    "seed": _sets(_at_least(0), "global seed", "train.seed"),
     "adam_beta1": _sets(float, "Adam first-moment decay", "train.beta1"),
     "adam_beta2": _sets(float, "Adam second-moment decay", "train.beta2"),
     "adam_eps": _sets(float, "Adam epsilon", "train.eps"),
@@ -121,7 +131,7 @@ REGISTRY: dict[str, Key] = {
     "f_lo": Key(DEFAULT_F_LO, float, "power-law fit mask lower bound"),
     "f_hi": Key(DEFAULT_F_HI, float, "power-law fit mask upper bound"),
     # execution
-    "workers": Key(1, int, "worker count (results are worker-count independent)"),
+    "workers": Key(1, _at_least(1), "worker count (results are worker-count independent)"),
 }
 
 _KEY_OF = {path: key for key, k in REGISTRY.items() for path in k.fields}

@@ -192,9 +192,12 @@ class TestDecode:
         assert out.shape == (16, cfg.patch_size**2)
 
     def test_zero_mask_token_zero_decoder_zero_masked_region(self):
-        # d_layers=0 and identity head expose the pre-decoder grid directly
-        cfg = toy_config(d_layers=0, d_model=3 * 8 * 8)
+        # a decoder block whose attention and MLP add zero, and an identity
+        # head, expose the pre-decoder grid directly
+        cfg = toy_config(d_layers=1, d_model=3 * 8 * 8)
         params = bb.init_backbone(cfg, np.random.default_rng(13))
+        for name in ("attn.wo", "attn.bo", "mlp.w2", "mlp.b2"):
+            params[f"dec0.{name}"][:] = 0.0
         params["mask_token"][:] = 0.0
         params["dec_pos"][:] = 0.0
         params["head.w"] = np.eye(cfg.patch_dim)
@@ -234,7 +237,7 @@ class TestRestrictedDecode:
         assert cache["blocks"][-1]["mlp"]["x"].shape[0] == out_idx.size
         assert all(c["mlp"]["x"].shape[0] == cfg.n_patches for c in cache["blocks"][:-1])
 
-    @pytest.mark.parametrize("d_layers", [0, 1, 2])
+    @pytest.mark.parametrize("d_layers", [1, 2, 3])
     def test_backward_matches_full_decoder(self, d_layers):
         """With an image gradient that is zero outside out_idx, every gradient
         equals the full decoder's: the restricted pass is its exact adjoint."""
@@ -296,7 +299,7 @@ class TestBaselineEquivalence:
         b, _ = bb.autoencode(img, params, cfg, vis_cols=3, out_idx=ALL)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("d_layers", [0, 1, 2])
+    @pytest.mark.parametrize("d_layers", [1, 2, 3])
     def test_no_cache_without_backward(self, d_layers):
         cfg = toy_config(d_layers=d_layers)
         params = bb.init_backbone(cfg, np.random.default_rng(20))
@@ -310,7 +313,7 @@ class TestBaselineEquivalence:
         # 256 rows x d_ff 512: each [rows, d_ff] array is 1 MiB.  Measured peak
         # without a cache: 2.2 MiB (h and tanh(u)); 4.2 MiB when the GELU
         # output and 1 + tanh(u) take buffers of their own; 4.8 MiB with a cache
-        cfg = toy_config(patch_size=4, d_model=32, e_layers=1, d_layers=0, d_ff=512)
+        cfg = toy_config(patch_size=4, d_model=32, e_layers=1, d_layers=1, d_ff=512)
         params = bb.init_backbone(cfg, np.random.default_rng(22))
         x = np.random.default_rng(23).normal(size=(4, 64, 32))
         kept, _ = bb._block_forward(x, params, "enc0", cfg, slice(None))
@@ -367,7 +370,7 @@ class TestNamedTensorFile:
         params = bb.init_backbone(cfg, np.random.default_rng(26))
         path = tmp_path / "w.ntf"
         bb.save_weights(path, params)
-        loaded = bb.read_weights(path)
+        loaded = bb.read_weights(path, out={k: np.empty_like(v) for k, v in params.items()})
         assert set(loaded) == set(params)
         assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
@@ -375,7 +378,7 @@ class TestNamedTensorFile:
         path = tmp_path / "w.ntf"
         path.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            bb.read_weights(path)
+            bb.read_weights(path, out={})
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "w.ntf"
@@ -383,7 +386,7 @@ class TestNamedTensorFile:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
-            bb.read_weights(path)
+            bb.read_weights(path, out={"a": np.zeros(10)})
 
     # checkpoint validation: ForecastModel.load checks names and shapes in
     # read_weights(out=...) before it writes any array
@@ -409,42 +412,32 @@ class TestNamedTensorFile:
 
     def test_every_truncation_raises_value_error(self, tmp_path):
         path = tmp_path / "w.ntf"
-        bb.save_weights(path, {"a": np.arange(3.0), "scalar": np.array(2.0),
-                               "f32": np.ones((2, 1), dtype=np.float32)})
+        tensors = {"a": np.arange(3.0), "scalar": np.array(2.0),
+                   "f32": np.ones((2, 1), dtype=np.float32)}
+        bb.save_weights(path, tensors)
         raw = path.read_bytes()
         cut = tmp_path / "cut.ntf"
+        out = {k: np.zeros_like(v) for k, v in tensors.items()}
         for n in range(len(raw)):
             cut.write_bytes(raw[:n])
             with pytest.raises(ValueError, match="cut.ntf"):
-                bb.read_weights(cut)
+                bb.read_weights(cut, out=out)
+        assert all(not v.any() for v in out.values())
 
     def test_truncated_header_names_offset(self, tmp_path):
         path = tmp_path / "w.ntf"
         bb.save_weights(path, {"a": np.zeros(3)})
         path.write_bytes(path.read_bytes()[:9])
         with pytest.raises(ValueError, match="truncated header at byte 8"):
-            bb.read_weights(path)
+            bb.read_weights(path, out={"a": np.zeros(3)})
 
     def test_f32_supported(self, tmp_path):
         path = tmp_path / "w.ntf"
         arr = np.arange(6, dtype=np.float32).reshape(2, 3)
         bb.save_weights(path, {"x": arr})
-        assert np.array_equal(bb.read_weights(path)["x"], arr)
-
-    def test_read_holds_the_file_once(self, tmp_path):
-        # the arrays are views of the file's bytes, not copies of them
-        path = tmp_path / "w.ntf"
-        rng = np.random.default_rng(27)
-        bb.save_weights(path, {f"t{i}": rng.normal(size=(64, 256)) for i in range(8)})
-        size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            loaded = bb.read_weights(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * size, (peak, size)
-        assert not loaded["t0"].flags.writeable
+        out = {"x": np.zeros((2, 3), dtype=np.float32)}
+        bb.read_weights(path, out=out)
+        assert out["x"].dtype == np.float32 and np.array_equal(out["x"], arr)
 
     def test_read_into_arrays_holds_no_copy(self, tmp_path):
         # with `out`, the payloads land in the given arrays and the file's

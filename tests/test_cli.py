@@ -35,7 +35,7 @@ CONFIG_SETTINGS = [
     "fixed_beta=nan", "beta_init=inf", "lora_dropout=1.0", "lora_dropout=1.5",
     "lora_dropout=-0.2", "lora_alpha=nan", "adam_beta1=1.0", "adam_beta2=1.5", "adam_eps=-1",
     "residual_weight=2", "lora_rank=0", "lora_rank=17", "n_heads=3 use_tga=false d_model=15",
-    "lr=nan", "lr=inf",
+    "lr=nan", "lr=inf", "d_layers=0",
 ]
 
 
@@ -232,6 +232,17 @@ class TestPss:
         assert rc == 2
         assert "pss_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["pss"], ["synth-image", "--alpha", "2"]])
+    @pytest.mark.parametrize("band", ["f_lo=0.6", "f_hi=0.05", "f_lo=nan", "f_lo=0.8 f_hi=0.85"])
+    def test_fit_band_without_two_bins_exit_2_before_reading_data(
+        self, tmp_path, capsys, command, band
+    ):
+        settings = [*band.split(), f"csv={tmp_path / 'no.csv'}"]
+        rc = main([*command, *desk_args(*settings), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "f_lo" in err and "f_hi" in err and "no.csv" not in err
+
     def test_deterministic_bytes(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -302,7 +313,7 @@ class TestTrainEvalForecast:
         "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1",
         "norm_const=0", "norm_const=inf", "few_shot_ratio=nan", "few_shot_ratio=2",
         "synth_period=0", "synth_noise_std=-1", "synth_length=10", "eval_stride=-3",
-        *CONFIG_SETTINGS])
+        "seed=-1", "synth_seed=-1", "workers=0", "workers=-3", "image_size=0", *CONFIG_SETTINGS])
     def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
         settings = setting.split()
         rc = main(["train", *desk_args(*settings), "--out", str(tmp_path / "x")])
