@@ -64,6 +64,7 @@ import numpy as np
 
 from . import adapter
 from .adapter import fold_rows
+from .rendering import _read_only
 
 _LN_EPS = 1e-6
 _GELU_C0 = np.sqrt(2.0 / np.pi)
@@ -157,11 +158,6 @@ def _hidden_indices(n_patches: int, vis_key: bytes) -> np.ndarray:
 def _mask_indices(n_patches: int, vis_idx: np.ndarray) -> np.ndarray:
     """The rows of the decoder's L that take the mask token: those outside `vis_idx`."""
     return _hidden_indices(n_patches, np.asarray(vis_idx, dtype=np.int64).tobytes())
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------

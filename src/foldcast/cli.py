@@ -119,13 +119,14 @@ def _pss_images(args, cfg: dict):
         paths = sorted(Path(args.images).glob("*.pgm"))
         if not paths:
             raise ConfigError(f"no .pgm files under {args.images}")
-        images = ((p.stem, spectral.load_grayscale_image(p, size, size)) for p in paths)
+        images = ((p.stem, p, spectral.load_grayscale_image(p, size, size)) for p in paths)
     elif args.text:
         text = Path(args.text).read_text(encoding="utf-8", errors="replace")
         chunk = size * size
         n = max(min(cfg["pss_samples"], len(text) // chunk), 1)
         images = (
-            (f"chunk{i:04d}", spectral.ascii_text_to_image(text[i * chunk : (i + 1) * chunk] or text, size, size))
+            (f"chunk{i:04d}", f"{args.text} chunk{i:04d}",
+             spectral.ascii_text_to_image(text[i * chunk : (i + 1) * chunk] or text, size, size))
             for i in range(n)
         )
     else:
@@ -135,8 +136,14 @@ def _pss_images(args, cfg: dict):
             workers=cfg["workers"],
         )
         return [(f"window{i:04d}", float(a), None) for i, a in enumerate(stats.alphas)]
-    fits = [(sid, spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])) for sid, img in images]
-    return [(sid, fit.alpha, fit.r_squared) for sid, fit in fits]
+    rows = []
+    for sid, source, img in images:
+        try:
+            fit = spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])
+        except ValueError as e:
+            raise ValueError(f"{source}: {e}") from None
+        rows.append((sid, fit.alpha, fit.r_squared))
+    return rows
 
 
 def cmd_pss(cfg: dict, args) -> int:

@@ -3,7 +3,8 @@
 A context of T steps is left-padded by replication to a multiple of the
 periodicity P, folded into a P x F grid (each column = one period of P
 consecutive steps), resized to the visible region of the target image, and
-composed with a zero-valued masked region standing in for the horizon.  The
+composed with a zero-valued masked region standing in for the horizon;
+`render_rfft2` gives that image's DFT from the grid without drawing it.  The
 inverse maps a decoded image back to a forecast by resizing to the full
 period grid and unfolding column-major.
 
@@ -13,9 +14,9 @@ Every function takes leading batch axes: contexts [..., T], grids and images
 1-D context is the batch-free case of the same code.
 
 The tables that depend only on the geometry (each axis's interpolation
-sources and weights, its interpolation matrix, the patches that reconstruct
-reads) are built once per geometry, keyed by plain ints, and cached
-read-only.
+sources and weights, its interpolation matrix, their DFTs, the patches that
+reconstruct reads) are built once per geometry, keyed by plain ints, and
+cached read-only.
 """
 
 from __future__ import annotations
@@ -191,30 +192,51 @@ def layout_widths(T: int, H: int, spec: RenderSpec) -> tuple[int, int]:
     return w_vis, spec.image_width - w_vis
 
 
-def render(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> RenderedImage:
-    """Render normalized contexts [..., T] into masked grayscale images."""
+def _fold(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec):
+    """T, the period grids [..., P, F] of contexts [..., T] and their visible width."""
     x = np.asarray(context_norm, dtype=np.float64)
     if x.ndim < 1:
         raise ValueError("render expects contexts with a time axis")
-    T = x.shape[-1]
     P = spec.periodicity
-    padded = pad_left_replicate(x, P)
-    p_l = padded.shape[-1] - T
-    grid = fold_to_grid(padded, P)
-    f_ctx = grid.shape[-1]
-    w_vis, w_mask = layout_widths(T, horizon_len, spec)
+    grid = fold_to_grid(pad_left_replicate(x, P), P)
+    return x.shape[-1], grid, layout_widths(x.shape[-1], horizon_len, spec)[0]
+
+
+def render(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> RenderedImage:
+    """Render normalized contexts [..., T] into masked grayscale images."""
+    T, grid, w_vis = _fold(context_norm, horizon_len, spec)
     visible = resize_bilinear(grid, spec.image_height, w_vis)
+    w_mask = spec.image_width - w_vis
     pixels = np.concatenate([visible, np.zeros((*visible.shape[:-1], w_mask))], axis=-1)
     return RenderedImage(
         pixels=pixels,
         visible_width=w_vis,
         masked_width=w_mask,
-        pad_len=p_l,
-        periods_context=f_ctx,
+        pad_len=grid.shape[-1] * spec.periodicity - T,
+        periods_context=grid.shape[-1],
         context_len=T,
         horizon_len=horizon_len,
         spec=spec,
     )
+
+
+def render_rfft2(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> np.ndarray:
+    """`np.fft.rfft2(render(context_norm, horizon_len, spec).pixels)` [..., H, W//2 + 1]
+    without drawing the image.  A render is [R_h G R_w^T | 0] for the period grid G,
+    so its DFT is (F_H R_h) G (E R_w)^T, F_H the H-point DFT and E the first w_vis
+    rows of the W-point real DFT: G between the two _dft_tables, the right one first."""
+    _, grid, w_vis = _fold(context_norm, horizon_len, spec)
+    P, H, W = spec.periodicity, spec.image_height, spec.image_width
+    rows, cols = _dft_tables(P, H, grid.shape[-1], w_vis, W)
+    return rows @ (grid @ cols).view(np.complex128)
+
+
+@lru_cache(maxsize=16)
+def _dft_tables(P: int, H: int, F: int, w_vis: int, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """render_rfft2's [H, P] DFT of the row interpolation matrix and [F, W//2 + 1] real
+    DFT of the column one zero-padded to W rows, as float pairs; cached read-only."""
+    cols = np.fft.rfft(_interp_matrix(F, w_vis), n=W, axis=0).T.copy().view(np.float64)
+    return _read_only(np.fft.fft(_interp_matrix(P, H), axis=0)), _read_only(cols)
 
 
 def reconstruct(decoded: np.ndarray, prov: RenderedImage) -> np.ndarray:

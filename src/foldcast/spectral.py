@@ -8,10 +8,12 @@ plus readers that turn text and PGM images into analyzable arrays.
 
 The spectrum of a real image is conjugate-symmetric, so `power_centered` takes
 the real FFT's half plane and fills the centered plane with one gather: a
-pixel of negative column frequency reads its point mirror.  The annuli are
-centred on the zero frequency at (H//2, W//2).  Everything that depends only
-on the image's shape (that gather index, each pixel's annulus, the pixels per
-annulus) is built once per (H, W) and cached read-only.
+pixel of negative column frequency reads its point mirror.  `pss_of_series`
+gathers the half plane that `render_rfft2` builds from a window's period
+grid, so it never draws the rendered image.  The annuli are centred on the
+zero frequency at (H//2, W//2).  Everything that depends only on the image's
+shape (that gather index, each pixel's annulus, the pixels per annulus) is
+built once per (H, W) and cached read-only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import pgm
 from .data import Dataset
-from .rendering import RenderSpec, render, resize_bilinear
+from .rendering import RenderSpec, _read_only, render_rfft2, resize_bilinear
 
 DEFAULT_F_LO = 0.05
 DEFAULT_F_HI = 0.5
@@ -58,9 +60,13 @@ class ModalityStats:
 def power_centered(image: np.ndarray) -> np.ndarray:
     """Squared magnitude of the unnormalized 2-D DFT [H, W], zero frequency
     shifted to the center (H//2, W//2)."""
-    coeffs = np.fft.rfft2(image)
-    half = coeffs.real**2 + coeffs.imag**2
-    return half.ravel()[_centered_index(*image.shape)]
+    return _centered_power(np.fft.rfft2(image), image.shape[-1])
+
+
+def _centered_power(half: np.ndarray, W: int) -> np.ndarray:
+    """`power_centered` of a real image of width W from its DFT's half plane."""
+    power = half.real**2 + half.imag**2
+    return power.ravel()[_centered_index(half.shape[0], W)]
 
 
 @lru_cache(maxsize=8)
@@ -75,9 +81,7 @@ def _centered_index(H: int, W: int) -> np.ndarray:
     row, col = fu % H, fv % W
     mrow, mcol = -fu % H, -fv % W
     mirror = (col > W // 2) | ((mcol == col) & (mrow < row))
-    index = np.where(mirror, mrow * (W // 2 + 1) + mcol, row * (W // 2 + 1) + col)
-    index.flags.writeable = False
-    return index
+    return _read_only(np.where(mirror, mrow * (W // 2 + 1) + mcol, row * (W // 2 + 1) + col))
 
 
 @lru_cache(maxsize=8)
@@ -92,10 +96,7 @@ def _annuli(H: int, W: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     counts = np.bincount(bins)
     k = np.nonzero(counts)[0]
     r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
-    table = (bins, k, k / r_max, counts[k])
-    for a in table:
-        a.flags.writeable = False
-    return (*table, r_max)
+    return (*map(_read_only, (bins, k, k / r_max, counts[k])), r_max)
 
 
 def radial_average(power: np.ndarray) -> RadialSpectrum:
@@ -191,9 +192,10 @@ def pss_of_series(
 ) -> ModalityStats:
     """PSS distribution over random single-variable windows of a dataset.
 
-    Each sample draws a (start, variable) pair, z-scores the window, renders it
-    exactly as the forecaster sees it (visible region at its layout width plus
-    the zero-valued masked region), and fits the power law.  Analyzing the
+    Each sample draws a (start, variable) pair, z-scores the window (a constant
+    one is an error), takes the DFT of the render the forecaster sees (visible
+    region at its layout width plus the zero-valued masked region) from the
+    period grid without drawing it, and fits the power law.  Analyzing the
     masked composite keeps the data's broadband content inside the fit range;
     resizing the visible grid alone to the full image would push everything
     above the bilinear-interpolation rolloff and saturate alpha for any input.
@@ -209,10 +211,11 @@ def pss_of_series(
 
     def one(i: int) -> float:
         x = ds.values[starts[i] : starts[i] + T, variables[i]]
-        sd = max(float(x.std()), 1e-8)
-        xn = (x - x.mean()) / sd
-        image = render(xn, horizon, spec).pixels
-        return pss_of_image(image, f_lo, f_hi).alpha
+        if x.min() == x.max():
+            raise ValueError(f"window at row {starts[i]}, variable {variables[i]} is constant: no PSS")
+        xn = (x - x.mean()) / max(float(x.std()), 1e-8)
+        power = _centered_power(render_rfft2(xn, horizon, spec), spec.image_width)
+        return fit_power_law(radial_average(power), f_lo, f_hi).alpha
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

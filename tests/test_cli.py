@@ -216,6 +216,22 @@ class TestPss:
         assert rc == 0
         assert json.loads((out / "pss_summary.json").read_text())["n"] == 3
 
+    def test_constant_image_exit_2_naming_the_file(self, tmp_path, capsys):
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        pgm.write_pgm16(imgs / "a.pgm", np.random.default_rng(0).normal(size=(40, 40)))
+        pgm.write_pgm16(imgs / "flat.pgm", np.full((40, 40), 0.3))
+        rc = main(["pss", "-o", "image_size=64", "--images", str(imgs), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert f"{imgs / 'flat.pgm'}: power-law fit" in capsys.readouterr().err
+
+    def test_constant_series_exit_2_naming_the_window(self, tmp_path, capsys):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("date,a\n" + "".join(f"t{i},7.77\n" for i in range(200)))
+        rc = main(["pss", *desk_args(f"csv={csv}", "pss_samples=3"), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert re.search(r"window at row \d+, variable 0 is constant", capsys.readouterr().err)
+
     def test_text_file(self, tmp_path):
         txt = tmp_path / "t.txt"
         txt.write_text("the quick brown fox jumps over the lazy dog " * 40)

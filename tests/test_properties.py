@@ -3,7 +3,8 @@ each hand-written linear map, exact render -> reconstruct round trips, a batch
 of samples computing what the samples compute one by one, the aligner against
 a direct conv -> BN -> ReLU -> dropout -> conv reference, the whole model's
 gradient against a central difference, the PSS spectrum and
-annuli against numpy's full FFT and an exhaustive binning, and the PGM, CSV,
+annuli against numpy's full FFT and an exhaustive binning, the render's DFT
+from its period grid against an FFT of the drawn image, and the PGM, CSV,
 config and checkpoint readers on damaged files."""
 
 import copy
@@ -528,12 +529,15 @@ def test_radial_average_matches_exhaustive_oracle(H, W, seed):
 @given(H=st.integers(1, 40), W=st.integers(1, 40))
 def test_cached_tables_are_read_only(H, W):
     rs = spectral.radial_average(np.ones((H, W)))
+    # the render_rfft2 tables of a P = W grid of F = H periods in W + H columns
+    dft = rd._dft_tables(W, H, H, W, W + H)
     tables = [rs.freqs, rs.counts, spectral._centered_index(H, W),
-              *spectral._annuli(H, W)[:4]]
+              *spectral._annuli(H, W)[:4], *dft]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
     assert spectral.radial_average(np.ones((H, W))).freqs is rs.freqs
+    assert all(a is b for a, b in zip(rd._dft_tables(W, H, H, W, W + H), dft))
 
 
 @settings(PROPERTY, max_examples=15)
@@ -547,8 +551,51 @@ def test_pss_of_series_same_with_cold_and_warm_tables(H, W, seed):
 
     spectral._centered_index.cache_clear()
     spectral._annuli.cache_clear()
+    rd._dft_tables.cache_clear()
     cold = alphas()
     assert np.array_equal(cold, alphas())
+
+
+@PROPERTY
+@given(
+    shape=st.lists(st.integers(1, 3), max_size=4), P=st.integers(2, 39), T=st.integers(1, 399),
+    horizon=st.integers(1, 100), patch=st.integers(1, 5), grid_h=st.integers(1, 11),
+    grid_w=st.integers(2, 11), align_const=st.floats(0.05, 1.0), seed=seeds,
+)
+@example(shape=[], P=24, T=1, horizon=96, patch=16, grid_h=14, grid_w=14, align_const=0.4, seed=0)
+def test_render_rfft2_is_the_dft_of_the_render(
+    shape, P, T, horizon, patch, grid_h, grid_w, align_const, seed
+):
+    spec = RenderSpec(periodicity=P, image_height=patch * grid_h, image_width=patch * grid_w,
+                      align_const=align_const, patch_size=patch)
+    x = np.random.default_rng(seed).normal(size=(*shape, T))
+    ref = np.fft.rfft2(rd.render(x, horizon, spec).pixels)
+    got = rd.render_rfft2(x, horizon, spec)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("pss_of_series drew an image")
+
+
+@settings(PROPERTY, max_examples=12)
+@given(P=st.sampled_from([24, 32, 48]), noise_std=st.floats(0.1, 4.0), seed=seeds)
+def test_pss_of_series_is_the_pss_of_the_rendered_image(P, noise_std, seed):
+    """At the criterion-2 geometry, without drawing the image: a dataset of
+    exactly T steps makes the one sample the whole series."""
+    T, horizon = 1440, 96
+    ds = data.synth_series("sinusoid_mix", T, P, amplitude=1.0, noise_std=noise_std,
+                           seed=seed % 2**31)
+    spec = RenderSpec(periodicity=P, image_height=224, image_width=224, align_const=0.4)
+    x = ds.values[:, 0]
+    ref = spectral.pss_of_image(rd.render((x - x.mean()) / x.std(), horizon, spec).pixels).alpha
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (rd, spectral):
+            mp.setattr(owner, "resize_bilinear", refuse)
+        mp.setattr(rd, "render", refuse)
+        alpha = spectral.pss_of_series(ds, spec, 1, T, horizon=horizon).alphas[0]
+    assert abs(alpha - ref) <= 1e-12 * abs(ref)
 
 
 def pgm_files(p5, sidecar):

@@ -347,6 +347,28 @@ class TestPssOfSeries:
         with pytest.raises(ValueError, match="n_samples must be at least 1"):
             spectral.pss_of_series(ds, spec, 0, 50)
 
+    @pytest.mark.parametrize("value", [5.0, 0.1, 1 / 3, 7.77])
+    def test_constant_series_names_the_window(self, value):
+        ds = data.Dataset("flat", np.full((600, 2), value))
+        spec = RenderSpec(periodicity=24, image_height=64, image_width=64, patch_size=16)
+        with pytest.raises(ValueError, match=r"window at row \d+, variable \d is constant"):
+            spectral.pss_of_series(ds, spec, 3, 480, seed=3, horizon=96)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_constant_window_is_the_one_named(self, workers):
+        # variable 1 is constant from row 200 on; the error names the first
+        # sample, in draw order, whose window lies inside that run
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(700, 2))
+        values[200:, 1] = 2.5
+        ds = data.Dataset("part", values)
+        spec = RenderSpec(periodicity=24, image_height=64, image_width=64, patch_size=16)
+        draw = np.random.default_rng(5)
+        starts, variables = draw.integers(0, 700 - 240 + 1, size=40), draw.integers(0, 2, size=40)
+        i = next(i for i in range(40) if variables[i] == 1 and starts[i] >= 200)
+        with pytest.raises(ValueError, match=rf"^window at row {starts[i]}, variable 1 is constant"):
+            spectral.pss_of_series(ds, spec, 40, 240, seed=5, horizon=24, workers=workers)
+
     def test_sample_std_convention(self):
         stats = spectral.summarize_alphas(np.array([1.0, 2.0, 3.0]))
         assert stats.std == pytest.approx(1.0)  # ddof=1
