@@ -8,6 +8,8 @@ with the fold periodicity, which is the knob this analysis is usually turned
 on.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from foldcast import spectral
@@ -22,7 +24,7 @@ for alpha in (1.0, 2.0, 3.0):
     print(f"  target alpha {alpha:.1f}: measured {mean:.4f} (R2 {fits[0].r_squared:.6f})")
 
 print("\n== text is nearly white ==")
-text = __doc__ + open(__file__, encoding="utf-8").read()
+text = __doc__ + Path(__file__).read_text(encoding="utf-8")
 img = spectral.ascii_text_to_image(text)
 print(f"  ASCII-rendered text: alpha = {spectral.pss_of_image(img).alpha:.3f}")
 

@@ -11,8 +11,11 @@ adapted model starts exactly at the frozen base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .rendering import _read_only
 
 
 @dataclass
@@ -64,8 +67,9 @@ def temporal_indices(L: int) -> np.ndarray:
     return np.arange(L, dtype=np.float64)
 
 
+@lru_cache(maxsize=8)
 def sinusoid_table(L: int, D: int) -> np.ndarray:
-    """[L, D] table with (sin(i/w_k), cos(i/w_k)) pairs, w_k = 10000^(2k/D)."""
+    """[L, D] table with (sin(i/w_k), cos(i/w_k)) pairs, w_k = 10000^(2k/D); cached read-only."""
     if D % 2:
         raise ValueError("D must be even")
     idx = temporal_indices(L)[:, None]
@@ -75,7 +79,7 @@ def sinusoid_table(L: int, D: int) -> np.ndarray:
     table = np.empty((L, D))
     table[:, 0::2] = np.sin(args)
     table[:, 1::2] = np.cos(args)
-    return table
+    return _read_only(table)
 
 
 def sigmoid(x) -> np.ndarray:
@@ -94,7 +98,7 @@ def tga_forward(X: np.ndarray, p: TgaParams, table: np.ndarray):
     return out, {"g": g, "proj": proj, "table": table}
 
 
-def tga_backward(grad_out: np.ndarray, cache, p: TgaParams):
+def tga_backward(grad_out: np.ndarray, cache):
     """Gradients wrt W_proj and w_fusion.  The adapter adds to the tokens, so
     the incoming tokens' gradient is `grad_out` itself."""
     g = cache["g"]

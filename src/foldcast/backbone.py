@@ -39,9 +39,8 @@ its MLP forms the GELU output in the buffers of its input and of tanh(u).
 Elementwise chains (layer norm, GELU, softmax, the bias after a product)
 write into their own buffers in the operation order of their formulas, so
 the results are bitwise those of the formulas.  The visible patch indices
-and the indices of the decoder's mask-token rows depend only on the grid and
-are cached read-only, the first keyed by the grid's ints and the second by
-the bytes of the visible indices.
+and the grounding adapter's sinusoid table depend only on the grid and the
+width, and are cached read-only, keyed by plain ints.
 
 Parameters live in a flat name -> float64 array dict so that optimization,
 freezing, and serialization stay uniform.  The backward functions add into
@@ -144,20 +143,6 @@ def visible_indices(grid_shape: tuple[int, int], vis_cols: int) -> np.ndarray:
         raise ValueError(f"vis_cols {vis_cols} outside [1, {gw}]")
     cols = np.arange(gh * gw) % gw
     return _read_only(np.nonzero(cols < vis_cols)[0])
-
-
-@lru_cache(maxsize=16)
-def _hidden_indices(n_patches: int, vis_key: bytes) -> np.ndarray:
-    """The sorted indices in [0, n_patches) outside the visible indices whose
-    int64 bytes are `vis_key`; cached read-only."""
-    hidden = np.ones(n_patches, dtype=bool)
-    hidden[np.frombuffer(vis_key, dtype=np.int64)] = False
-    return _read_only(np.flatnonzero(hidden))
-
-
-def _mask_indices(n_patches: int, vis_idx: np.ndarray) -> np.ndarray:
-    """The rows of the decoder's L that take the mask token: those outside `vis_idx`."""
-    return _hidden_indices(n_patches, np.asarray(vis_idx, dtype=np.int64).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +490,9 @@ def decode_with_mask_tokens(
         raise ValueError(
             f"latent count {latent.shape[-2]} != visible count {vis_idx.shape[0]}"
         )
-    mask_idx = _mask_indices(L, vis_idx)
     x = np.empty((*latent.shape[:-2], L, cfg.d_model))
+    x[...] = params["mask_token"] + params["dec_pos"]
     x[..., vis_idx, :] = latent + params["dec_pos"][vis_idx]
-    x[..., mask_idx, :] = params["mask_token"] + params["dec_pos"][mask_idx]
     caches = []
     for i in range(cfg.d_layers):
         rows = out_idx if i == cfg.d_layers - 1 else slice(None)
@@ -544,7 +528,8 @@ def decode_backward(gr, params, cfg, cache, base):
     vis_idx = cache["vis_idx"]
     if base is not None:
         base["bb.dec_pos"] += gx.reshape(-1, L, D).sum(axis=0)
-        base["bb.mask_token"] += fold_rows(gx[..., _mask_indices(L, vis_idx), :]).sum(axis=0)
+        hidden = np.isin(np.arange(L), vis_idx, invert=True)  # the mask-token rows, in order
+        base["bb.mask_token"] += fold_rows(gx[..., hidden, :]).sum(axis=0)
     return gx[..., vis_idx, :]
 
 
@@ -560,7 +545,6 @@ def autoencode(
     out_idx: np.ndarray,
     lora=None,
     tga: adapter.TgaParams | None = None,
-    tga_table: np.ndarray | None = None,
     train: bool = False,
     rng=None,
     lora_drop: float = 0.0,
@@ -569,10 +553,11 @@ def autoencode(
     """Image [..., H, W] -> visible patches -> tokens (-> TGA) -> +pos ->
     encode -> decode -> image [..., H, W]; returns (image, cache).
 
-    Only the visible patches are embedded.  The returned image is exact on
-    the patches `out_idx` (row-major indices) and zero elsewhere;
-    `np.arange(cfg.n_patches)` decodes the whole image.  When no backward
-    follows, `keep_cache=False` keeps no cache and returns None in its place.
+    Only the visible patches are embedded, and with `tga` adapted over their
+    rows of `adapter.sinusoid_table(cfg.n_patches, cfg.d_model)`.  The image
+    returned is exact on the patches `out_idx` (row-major indices) and zero
+    elsewhere; `np.arange(cfg.n_patches)` decodes the whole image.  Without a
+    backward, `keep_cache=False` keeps no cache and returns None in its place.
     """
     grid = (cfg.grid_rows, cfg.grid_cols)
     vis_idx = visible_indices(grid, vis_cols)
@@ -580,7 +565,8 @@ def autoencode(
     tokens = embed(patches, params)
     tga_cache = None
     if tga is not None:
-        tokens, tga_cache = adapter.tga_forward(tokens, tga, tga_table[vis_idx])
+        table = adapter.sinusoid_table(cfg.n_patches, cfg.d_model)[vis_idx]
+        tokens, tga_cache = adapter.tga_forward(tokens, tga, table)
     tokens += params["enc_pos"][vis_idx]
     latent, enc_caches = encode(tokens, params, cfg, lora, train, rng, lora_drop, keep_cache)
     out_patches, dec_cache = decode_with_mask_tokens(
@@ -595,9 +581,7 @@ def autoencode(
     return image_out, cache
 
 
-def autoencode_backward(
-    grad_image, params, cfg: BackboneConfig, cache, grads, tga=None, image_grad=True
-):
+def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, image_grad=True):
     """Add the gradients of one branch to `grads`; return the image gradient.
 
     The exact adjoint of autoencode: `grad_image` is read only on the
@@ -616,7 +600,7 @@ def autoencode_backward(
     if base is not None:
         base["bb.enc_pos"][vis_idx] += gvis.reshape(-1, *gvis.shape[-2:]).sum(axis=0)
     if cache["tga"] is not None:
-        tga_grads = adapter.tga_backward(gvis, cache["tga"], tga)
+        tga_grads = adapter.tga_backward(gvis, cache["tga"])
         grads["tga.W_proj"] += tga_grads["W_proj"]
         grads["tga.w_fusion"] += tga_grads["w_fusion"]
     if base is not None:

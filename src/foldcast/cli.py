@@ -42,9 +42,6 @@ def _load_dataset(cfg: dict) -> data.Dataset:
 
 
 def _split_windows(cfg: dict, ds: data.Dataset):
-    for key in ("stride", "eval_stride"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     spec = data.SplitSpec(
         cfg["train_frac"], cfg["val_frac"], cfg["test_frac"],
         lookback=cfg["seq_len"], horizon=cfg["pred_len"],
@@ -73,9 +70,10 @@ def _window(cfg: dict, ds: data.Dataset, start: int, h: int) -> data.TimeSeriesW
 
 
 def cmd_render(cfg: dict, args) -> int:
+    spec = render_spec(cfg)
     ds = _load_dataset(cfg)
     w = _window(cfg, ds, args.start, cfg["pred_len"])
-    ri = render(data.normalize(w).T, cfg["pred_len"], render_spec(cfg))
+    ri = render(data.normalize(w).T, cfg["pred_len"], spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -111,8 +109,6 @@ def _check_fit_band(cfg: dict) -> None:
 def _pss_images(args, cfg: dict):
     """(sample id, alpha, r_squared) of every sample; the series mode's
     r_squared is None."""
-    if cfg["pss_samples"] < 1:
-        raise ConfigError(f"pss_samples must be at least 1, got {cfg['pss_samples']}")
     _check_fit_band(cfg)
     size = cfg["image_size"]
     if args.images:
@@ -130,8 +126,9 @@ def _pss_images(args, cfg: dict):
             for i in range(n)
         )
     else:
+        spec = render_spec(cfg)
         stats = spectral.pss_of_series(
-            _load_dataset(cfg), render_spec(cfg), cfg["pss_samples"], cfg["seq_len"],
+            _load_dataset(cfg), spec, cfg["pss_samples"], cfg["seq_len"],
             seed=cfg["seed"], horizon=cfg["pred_len"], f_lo=cfg["f_lo"], f_hi=cfg["f_hi"],
             workers=cfg["workers"],
         )
@@ -164,10 +161,19 @@ def cmd_pss(cfg: dict, args) -> int:
 
 
 def cmd_synth_image(cfg: dict, args) -> int:
+    size = cfg["image_size"]
+    if size < 8:
+        raise ConfigError(f"image_size must be at least 8 for synth-image, got {size}")
+    if not np.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
     _check_fit_band(cfg)
-    img = spectral.synth_power_law_image(args.alpha, cfg["image_size"], cfg["image_size"], seed=cfg["seed"])
+    try:  # a large finite alpha can overflow the spectrum; nothing is written then
+        with np.errstate(over="raise", invalid="raise"):
+            img = spectral.synth_power_law_image(args.alpha, size, size, seed=cfg["seed"])
+            fit = spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])
+    except (FloatingPointError, ValueError) as e:
+        raise ConfigError(f"--alpha {args.alpha}: {e}") from None
     pgm.write_pgm16(args.out, img)
-    fit = spectral.pss_of_image(img, cfg["f_lo"], cfg["f_hi"])
     _write_json(Path(args.out).with_suffix(".json"), {
         "config": cfg, "target_alpha": args.alpha,
         "measured_alpha": fit.alpha, "r_squared": fit.r_squared,
@@ -228,6 +234,7 @@ def cmd_forecast(cfg: dict, args) -> int:
     T, H = cfg["seq_len"], cfg["pred_len"]
     w = _window(cfg, ds, args.start, H)
     outcome = model.forward(w, train=False)
+    st, sp = model.beta * outcome.y_structural, (1.0 - model.beta) * outcome.y_spectral
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["step," + ",".join(f"var{v}" for v in range(ds.n_variables))]
@@ -239,8 +246,9 @@ def cmd_forecast(cfg: dict, args) -> int:
         "mse": outcome.mse, "mae": outcome.mae, "beta": model.beta,
         "y_structural": outcome.y_structural.tolist(),
         "y_spectral": outcome.y_spectral.tolist(),
-        "mse_structural": fc.mse(data.denormalize(outcome.y_structural, w), w.target),
-        "mse_spectral": fc.mse(data.denormalize(outcome.y_spectral, w), w.target),
+        "structural_term": st.tolist(), "spectral_term": sp.tolist(),  # sum: normalized forecast
+        "structural_term_norm": float(np.linalg.norm(st)),
+        "spectral_term_norm": float(np.linalg.norm(sp)),
     })
     print(f"forecast {H} steps from t={args.start + T}: mse {outcome.mse:.6f} mae {outcome.mae:.6f}")
     return 0

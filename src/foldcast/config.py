@@ -79,10 +79,10 @@ REGISTRY: dict[str, Key] = {
     "val_frac": Key(SplitSpec.val_frac, float, "chronological val fraction"),
     "test_frac": Key(SplitSpec.test_frac, float, "chronological test fraction"),
     "few_shot_ratio": Key(1.0, float, "fraction of the training segment to keep (earliest-first)"),
-    "seq_len": Key(1440, int, "context length T"),
-    "pred_len": Key(96, int, "horizon length H"),
-    "stride": Key(24, int, "training window stride"),
-    "eval_stride": Key(48, int, "val/test window stride"),
+    "seq_len": Key(1440, _at_least(1), "context length T"),
+    "pred_len": Key(96, _at_least(1), "horizon length H"),
+    "stride": Key(24, _at_least(1), "training window stride"),
+    "eval_stride": Key(48, _at_least(1), "val/test window stride"),
     "norm_const": Key(0.4, float, "normalization coefficient"),
     # synthetic data
     "synth_kind": Key("", str, "synthetic kind: sinusoid_mix | trend_plus_season | noise"),
@@ -127,7 +127,7 @@ REGISTRY: dict[str, Key] = {
     "adam_beta2": _sets(float, "Adam second-moment decay", "train.beta2"),
     "adam_eps": _sets(float, "Adam epsilon", "train.eps"),
     # spectral analysis
-    "pss_samples": Key(100, int, "number of sampled windows for PSS"),
+    "pss_samples": Key(100, _at_least(1), "number of sampled windows for PSS"),
     "f_lo": Key(DEFAULT_F_LO, float, "power-law fit mask lower bound"),
     "f_hi": Key(DEFAULT_F_HI, float, "power-law fit mask upper bound"),
     # execution

@@ -154,7 +154,6 @@ class ForecastModel:
             for i in range(cfg.backbone.e_layers)
         }
         self.beta_raw = np.array([cfg.beta_init], dtype=np.float64)
-        self.tga_table = adapter.sinusoid_table(cfg.backbone.n_patches, D)
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -267,8 +266,7 @@ class ForecastModel:
             read = ri.read_patches
             out_st, c_st = bb.autoencode(
                 ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
-                tga=tga, tga_table=self.tga_table, train=train, rng=rng,
-                lora_drop=self.cfg.lora_dropout, keep_cache=keep,
+                tga=tga, train=train, rng=rng, lora_drop=self.cfg.lora_dropout, keep_cache=keep,
             )
             if self.cfg.use_sma:
                 aligned, c_sma = sma.sma_forward(
@@ -295,11 +293,9 @@ class ForecastModel:
     def _backward_variable(self, grads, ri, g_st, g_sp, c_st, c_sp, c_sma):
         """Add one variable's gradients, given those of its two branch outputs [B, 1, H]."""
         cfg = self.cfg.backbone
-        tga = self.tga if self.cfg.use_tga else None
         # nothing upstream of the structural branch trains: its image gradient is not formed
         bb.autoencode_backward(
-            reconstruct_backward(g_st, ri), self.bb_params, cfg, c_st, grads, tga=tga,
-            image_grad=False,
+            reconstruct_backward(g_st, ri), self.bb_params, cfg, c_st, grads, image_grad=False
         )
         # the spectral branch has no adapters: its backward feeds only the
         # base weights and the aligner

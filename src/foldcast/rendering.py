@@ -42,6 +42,8 @@ class RenderSpec:
             raise ValueError(f"patch_size must be at least 1, got {self.patch_size}")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ValueError("image dims must be divisible by patch_size")
+        if self.image_width < 2 * self.patch_size:  # one visible and one masked column
+            raise ValueError(f"image_size {self.image_width} < 2 * patch_size {self.patch_size}")
         if not 0.0 < self.align_const <= 1.0:
             raise ValueError("align_const must lie in (0, 1]")
 
@@ -184,8 +186,6 @@ def layout_widths(T: int, H: int, spec: RenderSpec) -> tuple[int, int]:
     if T < 1 or H < 1:
         raise ValueError("T and H must be positive")
     n_cols = spec.image_width // spec.patch_size
-    if n_cols < 2:
-        raise ValueError("image width must hold at least 2 patch columns")
     n_vis = int(round(n_cols * (T / (T + H)) * spec.align_const))
     n_vis = min(max(n_vis, 1), n_cols - 1)
     w_vis = n_vis * spec.patch_size

@@ -96,7 +96,7 @@ class TestTga:
     def test_gate_gradient_zero_when_projection_zero(self):
         p = adapter.TgaParams(W_proj=np.zeros((self.D, self.D)), w_fusion=np.array([0.7]))
         _, cache = adapter.tga_forward(self.X, p, self.table)
-        grads = adapter.tga_backward(np.ones_like(self.X), cache, p)
+        grads = adapter.tga_backward(np.ones_like(self.X), cache)
         assert grads["w_fusion"][0] == 0.0
 
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from foldcast import data, pgm
-from foldcast.cli import main
+from foldcast.cli import _load_dataset, _window, main
 from foldcast.config import (
     REGISTRY, ConfigError, model_config, parse_config, render_spec, train_config,
 )
-from foldcast.forecaster import ForecastModel, ModelConfig, TrainConfig
+from foldcast.forecaster import ForecastModel, ModelConfig, TrainConfig, fuse
 from foldcast.rendering import render
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,7 +35,8 @@ CONFIG_SETTINGS = [
     "fixed_beta=nan", "beta_init=inf", "lora_dropout=1.0", "lora_dropout=1.5",
     "lora_dropout=-0.2", "lora_alpha=nan", "adam_beta1=1.0", "adam_beta2=1.5", "adam_eps=-1",
     "residual_weight=2", "lora_rank=0", "lora_rank=17", "n_heads=3 use_tga=false d_model=15",
-    "lr=nan", "lr=inf", "d_layers=0",
+    "lr=nan", "lr=inf", "d_layers=0", "image_size=16 patch_size=16", "stride=0",
+    "eval_stride=0", "pss_samples=0",
 ]
 
 
@@ -275,6 +276,16 @@ class TestSynthImage:
         assert rc == 0
         assert pgm.read_pgm(out).shape == (64, 64)
 
+    @pytest.mark.parametrize("setting, key", [
+        ("--alpha nan", "--alpha"), ("--alpha inf", "--alpha"), ("--alpha 1e308", "--alpha"),
+        ("--alpha 2 -o image_size=6", "image_size")])
+    def test_bad_setting_exit_2_writing_nothing(self, tmp_path, capsys, setting, key):
+        rc = main(["synth-image", "-o", "image_size=32", *setting.split(),
+                   "--out", str(tmp_path / "b.pgm")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainEvalForecast:
     def test_full_cycle(self, tmp_path):
@@ -301,9 +312,19 @@ class TestTrainEvalForecast:
         beta = fj["beta"]
         assert 0.0 <= beta <= 1.0
         assert np.shape(fj["y_structural"]) == np.shape(fj["y_spectral"]) == (16, 1)
-        # the fused forecast is the beta-blend of the branches, and squared
-        # error is convex
-        assert fj["mse"] <= beta * fj["mse_structural"] + (1 - beta) * fj["mse_spectral"] + 1e-12
+        # the two terms sum to the normalized forecast, which denormalizes to forecast.csv
+        y_st, y_sp = np.array(fj["y_structural"]), np.array(fj["y_spectral"])
+        st, sp = np.array(fj["structural_term"]), np.array(fj["spectral_term"])
+        assert np.array_equal(st, beta * y_st) and np.array_equal(sp, (1 - beta) * y_sp)
+        assert np.array_equal(st + sp, fuse(y_st, y_sp, beta))
+        assert fj["structural_term_norm"] == np.linalg.norm(st)
+        assert fj["spectral_term_norm"] == np.linalg.norm(sp)
+        assert "mse_structural" not in fj and "mse_spectral" not in fj
+        cfg = parse_config(None, DESK)
+        w = _window(cfg, _load_dataset(cfg), 5, 16)
+        csv = np.array([[float(f.removeprefix("np.float64(").removesuffix(")"))
+                         for f in line.split(",")[1:]] for line in lines[1:]])
+        assert np.array_equal(data.denormalize(st + sp, w), csv)
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         rc = main(["forecast", *desk_args(), "--checkpoint", str(tmp_path / "no.ntf"),
@@ -347,7 +368,7 @@ class TestTrainEvalForecast:
         err = capsys.readouterr().err
         assert settings[-1].split("=")[0] in err and "no.csv" not in err
 
-    @pytest.mark.parametrize("command", ["render", "train", "forecast"])
+    @pytest.mark.parametrize("command", ["render", "pss", "train", "forecast"])
     @pytest.mark.parametrize("setting", ["seq_len=0", "pred_len=0"])
     def test_length_below_one_exit_2(self, tmp_path, capsys, command, setting):
         ckpt = tmp_path / "m.ntf"
@@ -358,6 +379,17 @@ class TestTrainEvalForecast:
             rc = main([command, *desk_args(setting), *extra, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "pss", "train", "eval", "forecast"])
+    def test_single_patch_column_exit_2_before_reading_data(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "m.ntf"
+        ckpt.write_bytes(b"")  # the config fails before the checkpoint is read
+        extra = ["--checkpoint", str(ckpt)] if command in ("eval", "forecast") else []
+        settings = desk_args("image_size=16", "patch_size=16", f"csv={tmp_path / 'no.csv'}")
+        rc = main([command, *settings, *extra, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "image_size 16 < 2 * patch_size 16" in err and "no.csv" not in err
 
     def test_odd_width_with_aligner_exit_2_before_reading_data(self, tmp_path, capsys):
         missing = tmp_path / "no.csv"

@@ -1,6 +1,7 @@
 """The quick demos run to completion against the package's current API.
 
-Each demo runs in its own interpreter, as a reader would run it.  Demo 05
+Each demo runs in its own interpreter, as a reader would run it, with every
+warning an error, and must write nothing to stderr.  Demo 05
 (desk training, about 20 s) is left out: acceptance criterion 8 runs the
 same training.
 """
@@ -27,7 +28,8 @@ def test_demo_exits_0(demo):
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     run = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stderr == ""

@@ -1,5 +1,6 @@
 """What a process keeps between calls: the geometry tables cached read-only
-by rendering and the backbone, and the glibc heap settings made on import."""
+by rendering, the backbone and the grounding adapter, and the glibc heap
+settings made on import."""
 
 import os
 import platform
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from foldcast import adapter
 from foldcast import backbone as bb
 from foldcast import rendering as rd
 from foldcast.rendering import RenderSpec
@@ -17,7 +19,7 @@ from tests.test_forecaster import desk_model, toy_windows
 
 GEOMETRY_CACHES = (
     rd._interp_weights, rd._interp_matrix, rd._read_patches,
-    bb.visible_indices, bb._hidden_indices,
+    bb.visible_indices, adapter.sinusoid_table,
 )
 
 
@@ -73,10 +75,6 @@ class TestCachedTables:
         assert bb.visible_indices((gh, gw), vis_cols) is vis
         assert_read_only(vis)
         assert np.array_equal(vis, np.nonzero(np.arange(gh * gw) % gw < vis_cols)[0])
-        hidden = bb._mask_indices(gh * gw, vis)
-        assert bb._mask_indices(gh * gw, vis.copy()) is hidden
-        assert_read_only(hidden)
-        assert np.array_equal(hidden, np.setdiff1d(np.arange(gh * gw), vis))
 
 
 class TestColdAndWarm:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from foldcast import adapter
 from foldcast import backbone as bb
 from foldcast import data, pgm, sma, spectral
 from foldcast import forecaster as fc
@@ -531,13 +532,17 @@ def test_cached_tables_are_read_only(H, W):
     rs = spectral.radial_average(np.ones((H, W)))
     # the render_rfft2 tables of a P = W grid of F = H periods in W + H columns
     dft = rd._dft_tables(W, H, H, W, W + H)
+    # the grounding adapter's table of an H x W patch grid at width 2W
+    sinusoids = adapter.sinusoid_table(H * W, 2 * W)
     tables = [rs.freqs, rs.counts, spectral._centered_index(H, W),
-              *spectral._annuli(H, W)[:4], *dft]
+              *spectral._annuli(H, W)[:4], *dft, sinusoids]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
     assert spectral.radial_average(np.ones((H, W))).freqs is rs.freqs
     assert all(a is b for a, b in zip(rd._dft_tables(W, H, H, W, W + H), dft))
+    assert adapter.sinusoid_table(H * W, 2 * W) is sinusoids
+    assert np.array_equal(sinusoids, adapter.sinusoid_table.__wrapped__(H * W, 2 * W))
 
 
 @settings(PROPERTY, max_examples=15)
