@@ -97,8 +97,7 @@ def _check_fit_band(cfg: dict) -> None:
     """Fail, naming f_lo and f_hi, when they leave the power-law fit fewer
     than 2 radial bins of an `image_size` square image."""
     size = cfg["image_size"]
-    freqs = spectral.radial_average(np.zeros((size, size))).freqs
-    n = int(np.count_nonzero((freqs > cfg["f_lo"]) & (freqs < cfg["f_hi"])))
+    n = len(spectral.fit_band(size, size, cfg["f_lo"], cfg["f_hi"]).freqs)
     if n < 2:
         raise ConfigError(
             f"f_lo {cfg['f_lo']} and f_hi {cfg['f_hi']} leave {n} radial bin(s) of a "
@@ -239,7 +238,7 @@ def cmd_forecast(cfg: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["step," + ",".join(f"var{v}" for v in range(ds.n_variables))]
     for h in range(H):
-        lines.append(f"{h}," + ",".join(repr(x) for x in outcome.prediction[h]))
+        lines.append(f"{h}," + ",".join(repr(float(x)) for x in outcome.prediction[h]))
     (out / "forecast.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "forecast.json", {
         "config": cfg, "start": args.start,

@@ -227,15 +227,21 @@ def render_rfft2(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -
     rows of the W-point real DFT: G between the two _dft_tables, the right one first."""
     _, grid, w_vis = _fold(context_norm, horizon_len, spec)
     P, H, W = spec.periodicity, spec.image_height, spec.image_width
-    rows, cols = _dft_tables(P, H, grid.shape[-1], w_vis, W)
-    return rows @ (grid @ cols).view(np.complex128)
+    return _grid_dft(grid, *_dft_tables(P, H, grid.shape[-1], w_vis, W))
+
+
+def _grid_dft(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ grid @ cols for real period grids [..., P, F] and the complex tables of
+    _dft_tables, or a cut of their rows and columns: the right product first, as one
+    real GEMM over the float pairs of cols, then one complex GEMM."""
+    return rows @ (grid @ cols.view(np.float64)).view(np.complex128)
 
 
 @lru_cache(maxsize=16)
 def _dft_tables(P: int, H: int, F: int, w_vis: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     """render_rfft2's [H, P] DFT of the row interpolation matrix and [F, W//2 + 1] real
-    DFT of the column one zero-padded to W rows, as float pairs; cached read-only."""
-    cols = np.fft.rfft(_interp_matrix(F, w_vis), n=W, axis=0).T.copy().view(np.float64)
+    DFT of the column one zero-padded to W rows; cached read-only."""
+    cols = np.fft.rfft(_interp_matrix(F, w_vis), n=W, axis=0).T.copy()
     return _read_only(np.fft.fft(_interp_matrix(P, H), axis=0)), _read_only(cols)
 
 

@@ -1,19 +1,24 @@
 """Power-spectrum-slope (PSS) analysis.
 
-Pipeline: 2D DFT -> centered power spectrum -> radial averaging over integer
-annuli -> ordinary least squares fit of log P against log f inside a frequency
-mask.  The slope of the fit is -alpha for the power-law model P(f) ~ f^-alpha.
-Includes a synthetic 1/f^alpha image generator used as the estimator's oracle,
-plus readers that turn text and PGM images into analyzable arrays.
+Pipeline: 2D DFT -> power spectrum -> radial averaging over integer annuli
+-> ordinary least squares fit of log P against log f inside a frequency band
+f_lo < f < f_hi.  The slope of the fit is -alpha for the power-law model
+P(f) ~ f^-alpha.  Includes a synthetic 1/f^alpha image generator used as the
+estimator's oracle, plus readers that turn text and PGM images into
+analyzable arrays.
 
-The spectrum of a real image is conjugate-symmetric, so `power_centered` takes
-the real FFT's half plane and fills the centered plane with one gather: a
-pixel of negative column frequency reads its point mirror.  `pss_of_series`
-gathers the half plane that `render_rfft2` builds from a window's period
-grid, so it never draws the rendered image.  The annuli are centred on the
-zero frequency at (H//2, W//2).  Everything that depends only on the image's
-shape (that gather index, each pixel's annulus, the pixels per annulus) is
-built once per (H, W) and cached read-only.
+The annuli are centred on the zero frequency at (H//2, W//2).  The spectrum
+of a real image is conjugate-symmetric, so each cell of the real FFT's half
+plane stands for one or two pixels of the centred plane, both in the same
+annulus.  A fit reads only the annuli inside its band, so `pss_of_image` and
+`pss_of_series` take the spectrum on the DFT rows and columns that the band
+touches, and sum each annulus over its in-band cells, weighted by the pixels
+each stands for (`fit_band`).  `pss_of_series` takes those rows and columns of
+a render's DFT from the window's period grid, between cuts of
+`render_rfft2`'s tables, so it never draws the image.  `power_centered` and
+`radial_average` give the whole centred plane and all of its annuli.  Every
+table that depends only on the image's shape and the band is built once and
+cached read-only.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import pgm
 from .data import Dataset
-from .rendering import RenderSpec, _read_only, render_rfft2, resize_bilinear
+from .rendering import RenderSpec, _dft_tables, _fold, _grid_dft, _read_only, resize_bilinear
 
 DEFAULT_F_LO = 0.05
 DEFAULT_F_HI = 0.5
@@ -35,7 +40,7 @@ DEFAULT_F_HI = 0.5
 class RadialSpectrum:
     freqs: np.ndarray  # f_k = k / r_max, strictly increasing
     power: np.ndarray  # mean power per annulus
-    counts: np.ndarray  # pixels per annulus, sums to H*W
+    counts: np.ndarray  # pixels per annulus; over all the plane's annuli they sum to H*W
     r_max: float
 
 
@@ -60,13 +65,9 @@ class ModalityStats:
 def power_centered(image: np.ndarray) -> np.ndarray:
     """Squared magnitude of the unnormalized 2-D DFT [H, W], zero frequency
     shifted to the center (H//2, W//2)."""
-    return _centered_power(np.fft.rfft2(image), image.shape[-1])
-
-
-def _centered_power(half: np.ndarray, W: int) -> np.ndarray:
-    """`power_centered` of a real image of width W from its DFT's half plane."""
+    half = np.fft.rfft2(image)
     power = half.real**2 + half.imag**2
-    return power.ravel()[_centered_index(half.shape[0], W)]
+    return power.ravel()[_centered_index(half.shape[0], image.shape[-1])]
 
 
 @lru_cache(maxsize=8)
@@ -97,6 +98,73 @@ def _annuli(H: int, W: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     k = np.nonzero(counts)[0]
     r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
     return (*map(_read_only, (bins, k, k / r_max, counts[k])), r_max)
+
+
+@dataclass(frozen=True)
+class FitBand:
+    """The annuli of an [H, W] image with f_lo < k / r_max < f_hi, as cells of
+    its DFT's half plane [H, W//2 + 1]."""
+
+    rows: np.ndarray  # the DFT rows the band touches
+    cols: np.ndarray  # the half-plane columns it touches
+    cells: np.ndarray  # per (cell, annulus) pair: flat index into the [rows, cols] cut
+    weights: np.ndarray  # per pair: the centred pixels that read the cell
+    starts: np.ndarray  # each annulus' first pair; pairs are sorted by annulus
+    freqs: np.ndarray  # each annulus' k / r_max, strictly increasing
+    counts: np.ndarray  # each annulus' pixels
+    r_max: float
+
+
+@lru_cache(maxsize=8)
+def fit_band(H: int, W: int, f_lo: float, f_hi: float) -> FitBand:
+    """The FitBand of an [H, W] image, cached read-only.
+
+    As `_centered_index` gathers them, the centred pixels of a half-plane cell
+    (a, b) and of its point mirror (-a, -b) both read that cell, except in a
+    column that is its own mirror (b = 0, or W/2 for even W): there both
+    pixels read the cell of the smaller row.  A pixel and its mirror lie in
+    the same annulus, floor(sqrt(u^2 + b^2)) with |u| = min(a, H - a).
+    """
+    a = np.arange(H)[:, None]
+    b = np.arange(W // 2 + 1)[None, :]
+    ma = -a % H
+    weight = np.where(-b % W == b, (a <= ma).astype(np.intp) + (a < ma), 2)
+    u = np.minimum(a, H - a)
+    k = np.floor(np.sqrt(u * u + b * b)).astype(np.intp)
+    r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
+    f = k / r_max
+    keep = (weight > 0) & (f > f_lo) & (f < f_hi)
+    rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+    cut = np.ix_(rows, cols)
+    cells = np.flatnonzero(keep[cut])
+    k, weight = k[cut].ravel()[cells], weight[cut].ravel()[cells]
+    order = np.argsort(k, kind="stable")
+    cells, k, weight = cells[order], k[order], weight[order]
+    starts = np.flatnonzero(np.diff(k, prepend=-1))
+    return FitBand(
+        *map(_read_only, (rows, cols, cells, weight.astype(np.float64), starts,
+                          k[starts] / r_max, np.add.reduceat(weight, starts))),
+        r_max=r_max,
+    )
+
+
+@lru_cache(maxsize=16)
+def _band_dft_tables(
+    P: int, H: int, F: int, w_vis: int, W: int, f_lo: float, f_hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """render_rfft2's _dft_tables cut to the rows and columns of
+    fit_band(H, W, f_lo, f_hi); cached read-only."""
+    band = fit_band(H, W, f_lo, f_hi)
+    rows, cols = _dft_tables(P, H, F, w_vis, W)
+    return _read_only(rows[band.rows]), _read_only(cols[:, band.cols].copy())
+
+
+def _band_spectrum(dft: np.ndarray, band: FitBand) -> RadialSpectrum:
+    """The band's annuli from the DFT on its rows and columns."""
+    d = dft.ravel()[band.cells]
+    sums = np.add.reduceat((d.real**2 + d.imag**2) * band.weights, band.starts)
+    return RadialSpectrum(freqs=band.freqs, power=sums / band.counts, counts=band.counts,
+                          r_max=band.r_max)
 
 
 def radial_average(power: np.ndarray) -> RadialSpectrum:
@@ -149,8 +217,11 @@ def fit_power_law(
 
 
 def pss_of_image(image: np.ndarray, f_lo: float = DEFAULT_F_LO, f_hi: float = DEFAULT_F_HI) -> PowerLawFit:
-    """Full pipeline on one image: spectrum -> radial average -> fit."""
-    return fit_power_law(radial_average(power_centered(image)), f_lo, f_hi)
+    """Full pipeline on one [H, W] image: the spectrum on the band's rows and
+    columns -> its annuli -> fit."""
+    band = fit_band(*image.shape, f_lo, f_hi)
+    dft = np.fft.rfft2(image)[np.ix_(band.rows, band.cols)]
+    return fit_power_law(_band_spectrum(dft, band), f_lo, f_hi)
 
 
 def synth_power_law_image(alpha: float, H: int, W: int, seed: int = 0) -> np.ndarray:
@@ -160,18 +231,23 @@ def synth_power_law_image(alpha: float, H: int, W: int, seed: int = 0) -> np.nda
     floor(r) binning the estimator uses, DC set to 0); phases come from the FFT
     of white noise, which guarantees the conjugate symmetry needed for a real
     inverse transform.  Both transforms are real FFTs over the half plane of
-    non-negative column frequencies.
+    non-negative column frequencies.  A non-finite alpha, or one whose power
+    spectrum overflows at this size, is an error.
     """
     if H < 8 or W < 8:
         raise ValueError("synth_power_law_image needs H, W >= 8")
+    if not np.isfinite(alpha):
+        raise ValueError(f"synth_power_law_image needs a finite alpha, got {alpha}")
     rng = np.random.default_rng(seed)
     # annulus index per frequency of the half plane, in unshifted coordinates
     fu = np.fft.fftfreq(H)[:, None] * H
     fv = np.fft.rfftfreq(W)[None, :] * W
     k = np.floor(np.sqrt(fu * fu + fv * fv))
     r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         magnitude = np.where(k > 0, np.maximum(k, 1.0) / r_max, 1.0) ** (-alpha / 2.0)
+        if not np.isfinite(magnitude * magnitude).all():
+            raise ValueError(f"the 1/f^alpha power spectrum overflows at {H}x{W} for alpha {alpha}")
     magnitude[0, 0] = 0.0
     noise_fft = np.fft.rfft2(rng.normal(size=(H, W)))
     mod = np.abs(noise_fft)
@@ -194,11 +270,12 @@ def pss_of_series(
 
     Each sample draws a (start, variable) pair, z-scores the window (a constant
     one is an error), takes the DFT of the render the forecaster sees (visible
-    region at its layout width plus the zero-valued masked region) from the
-    period grid without drawing it, and fits the power law.  Analyzing the
-    masked composite keeps the data's broadband content inside the fit range;
-    resizing the visible grid alone to the full image would push everything
-    above the bilinear-interpolation rolloff and saturate alpha for any input.
+    region at its layout width plus the zero-valued masked region) on the fit
+    band's rows and columns from the period grid without drawing it, and fits
+    the power law.  Analyzing the masked composite keeps the data's broadband
+    content inside the fit range; resizing the visible grid alone to the full
+    image would push everything above the bilinear-interpolation rolloff and
+    saturate alpha for any input.
     """
     n_steps, n_vars = ds.values.shape
     if n_samples < 1:
@@ -208,14 +285,17 @@ def pss_of_series(
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, n_steps - T + 1, size=n_samples)
     variables = rng.integers(0, n_vars, size=n_samples)
+    P, H, W = spec.periodicity, spec.image_height, spec.image_width
+    band = fit_band(H, W, f_lo, f_hi)
 
     def one(i: int) -> float:
         x = ds.values[starts[i] : starts[i] + T, variables[i]]
         if x.min() == x.max():
             raise ValueError(f"window at row {starts[i]}, variable {variables[i]} is constant: no PSS")
         xn = (x - x.mean()) / max(float(x.std()), 1e-8)
-        power = _centered_power(render_rfft2(xn, horizon, spec), spec.image_width)
-        return fit_power_law(radial_average(power), f_lo, f_hi).alpha
+        _, grid, w_vis = _fold(xn, horizon, spec)
+        tables = _band_dft_tables(P, H, grid.shape[-1], w_vis, W, f_lo, f_hi)
+        return fit_power_law(_band_spectrum(_grid_dft(grid, *tables), band), f_lo, f_hi).alpha
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -322,8 +322,7 @@ class TestTrainEvalForecast:
         assert "mse_structural" not in fj and "mse_spectral" not in fj
         cfg = parse_config(None, DESK)
         w = _window(cfg, _load_dataset(cfg), 5, 16)
-        csv = np.array([[float(f.removeprefix("np.float64(").removesuffix(")"))
-                         for f in line.split(",")[1:]] for line in lines[1:]])
+        csv = np.array([[float(f) for f in line.split(",")[1:]] for line in lines[1:]])
         assert np.array_equal(data.denormalize(st + sp, w), csv)
 
     def test_missing_checkpoint_exit_2(self, tmp_path):

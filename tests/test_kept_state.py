@@ -1,6 +1,6 @@
 """What a process keeps between calls: the geometry tables cached read-only
-by rendering, the backbone and the grounding adapter, and the glibc heap
-settings made on import."""
+by rendering, the backbone, the grounding adapter and the PSS fit band, and
+the glibc heap settings made on import."""
 
 import os
 import platform
@@ -14,12 +14,13 @@ import pytest
 from foldcast import adapter
 from foldcast import backbone as bb
 from foldcast import rendering as rd
+from foldcast import spectral
 from foldcast.rendering import RenderSpec
 from tests.test_forecaster import desk_model, toy_windows
 
 GEOMETRY_CACHES = (
     rd._interp_weights, rd._interp_matrix, rd._read_patches,
-    bb.visible_indices, adapter.sinusoid_table,
+    bb.visible_indices, adapter.sinusoid_table, spectral.fit_band, spectral._band_dft_tables,
 )
 
 
@@ -76,6 +77,25 @@ class TestCachedTables:
         assert_read_only(vis)
         assert np.array_equal(vis, np.nonzero(np.arange(gh * gw) % gw < vis_cols)[0])
 
+    @pytest.mark.parametrize("H,W,f_lo,f_hi", [
+        (224, 224, 0.05, 0.5), (7, 40, 0.05, 0.5), (9, 4, -1.0, 2.0), (33, 17, 0.2, 0.3)])
+    def test_fit_band_and_its_dft_tables_read_only_and_fresh(self, H, W, f_lo, f_hi):
+        clear_geometry_caches()
+        band = spectral.fit_band(H, W, f_lo, f_hi)
+        assert spectral.fit_band(H, W, f_lo, f_hi) is band
+        fresh = spectral.fit_band.__wrapped__(H, W, f_lo, f_hi)
+        assert band.r_max == fresh.r_max
+        for name in ("rows", "cols", "cells", "weights", "starts", "freqs", "counts"):
+            assert_read_only(getattr(band, name))
+            assert np.array_equal(getattr(band, name), getattr(fresh, name)), name
+        P, F, w_vis = 24, 60, W // 2 + 1
+        tables = spectral._band_dft_tables(P, H, F, w_vis, W, f_lo, f_hi)
+        assert spectral._band_dft_tables(P, H, F, w_vis, W, f_lo, f_hi) is tables
+        rows, cols = rd._dft_tables.__wrapped__(P, H, F, w_vis, W)
+        for got, want in zip(tables, (rows[band.rows], cols[:, band.cols])):
+            assert_read_only(got)
+            assert np.array_equal(got, want)
+
 
 class TestColdAndWarm:
     def test_forward_and_gradients_bitwise(self):
@@ -116,6 +136,7 @@ def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 one_round()
+faults()  # its first call after a round can fault on an interpreter page
 before = faults()
 one_round()
 print(faults() - before)

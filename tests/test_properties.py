@@ -3,11 +3,13 @@ each hand-written linear map, exact render -> reconstruct round trips, a batch
 of samples computing what the samples compute one by one, the aligner against
 a direct conv -> BN -> ReLU -> dropout -> conv reference, the whole model's
 gradient against a central difference, the PSS spectrum and
-annuli against numpy's full FFT and an exhaustive binning, the render's DFT
+annuli against numpy's full FFT and an exhaustive binning, the fit band's
+annuli against the whole plane's, the render's DFT
 from its period grid against an FFT of the drawn image, and the PGM, CSV,
 config and checkpoint readers on damaged files."""
 
 import copy
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -527,20 +529,51 @@ def test_radial_average_matches_exhaustive_oracle(H, W, seed):
 
 
 @PROPERTY
+@given(**spectrum_shapes, f_lo=st.floats(-0.1, 1.0), width=st.floats(0.0, 1.0))
+@example(H=224, W=224, seed=0, f_lo=0.05, width=0.45)
+@example(H=7, W=40, seed=1, f_lo=0.05, width=0.45)
+@example(H=40, W=7, seed=2, f_lo=-0.1, width=1.0)
+def test_band_spectrum_is_the_radial_average_inside_the_band(H, W, seed, f_lo, width):
+    """The annuli that fit_band sums over the DFT's band rows and columns are
+    the in-band annuli of the whole centred plane, strictly inside the band,
+    and the band's rows and columns are the ones its cells touch."""
+    f_hi = f_lo + width
+    x = np.random.default_rng(seed).normal(size=(H, W))
+    band = spectral.fit_band(H, W, f_lo, f_hi)
+    rs = spectral._band_spectrum(np.fft.rfft2(x)[np.ix_(band.rows, band.cols)], band)
+    full = spectral.radial_average(spectral.power_centered(x))
+    inside = (full.freqs > f_lo) & (full.freqs < f_hi)
+    assert np.array_equal(rs.freqs, full.freqs[inside])
+    assert np.array_equal(rs.counts, full.counts[inside])
+    assert np.all(np.abs(rs.power - full.power[inside]) <= 1e-12 * full.power[inside])
+    assert np.all((rs.freqs > f_lo) & (rs.freqs < f_hi))
+    n_cols = max(len(band.cols), 1)
+    assert np.array_equal(np.unique(band.cells // n_cols), np.arange(len(band.rows)))
+    assert np.array_equal(np.unique(band.cells % n_cols), np.arange(len(band.cols)))
+
+
+@PROPERTY
 @given(H=st.integers(1, 40), W=st.integers(1, 40))
 def test_cached_tables_are_read_only(H, W):
     rs = spectral.radial_average(np.ones((H, W)))
-    # the render_rfft2 tables of a P = W grid of F = H periods in W + H columns
+    # the render_rfft2 tables of a P = W grid of F = H periods in W + H columns,
+    # and their cut to a band that holds every annulus
     dft = rd._dft_tables(W, H, H, W, W + H)
+    band_dft = spectral._band_dft_tables(W, H, H, W, W + H, -1.0, 2.0)
+    band = spectral.fit_band(H, W, -1.0, 2.0)
     # the grounding adapter's table of an H x W patch grid at width 2W
     sinusoids = adapter.sinusoid_table(H * W, 2 * W)
     tables = [rs.freqs, rs.counts, spectral._centered_index(H, W),
-              *spectral._annuli(H, W)[:4], *dft, sinusoids]
+              *spectral._annuli(H, W)[:4], *dft, *band_dft, sinusoids,
+              *(getattr(band, f.name) for f in dataclasses.fields(band) if f.name != "r_max")]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
     assert spectral.radial_average(np.ones((H, W))).freqs is rs.freqs
     assert all(a is b for a, b in zip(rd._dft_tables(W, H, H, W, W + H), dft))
+    assert all(a is b for a, b in
+               zip(spectral._band_dft_tables(W, H, H, W, W + H, -1.0, 2.0), band_dft))
+    assert spectral.fit_band(H, W, -1.0, 2.0) is band
     assert adapter.sinusoid_table(H * W, 2 * W) is sinusoids
     assert np.array_equal(sinusoids, adapter.sinusoid_table.__wrapped__(H * W, 2 * W))
 
@@ -554,8 +587,8 @@ def test_pss_of_series_same_with_cold_and_warm_tables(H, W, seed):
     def alphas():
         return spectral.pss_of_series(ds, spec, 3, 120, seed=seed % 1000, horizon=24).alphas
 
-    spectral._centered_index.cache_clear()
-    spectral._annuli.cache_clear()
+    spectral.fit_band.cache_clear()
+    spectral._band_dft_tables.cache_clear()
     rd._dft_tables.cache_clear()
     cold = alphas()
     assert np.array_equal(cold, alphas())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,20 @@ class TestFitPowerLaw:
         )
         assert abs(fit.alpha - 1.0) < 1e-10
 
+    def test_zero_power_bins_in_the_band_dropped_as_on_the_whole_plane(self):
+        """An image constant down its columns has power only on the zero row
+        frequency, so the band's annuli past W/2 hold none: the band path
+        drops them and fits the same points as the whole centred plane."""
+        H, W = 32, 8
+        img = np.tile(np.random.default_rng(0).normal(size=W), (H, 1))
+        band = spectral.fit_band(H, W, 0.05, 0.5)
+        rs = spectral._band_spectrum(np.fft.rfft2(img)[np.ix_(band.rows, band.cols)], band)
+        assert np.count_nonzero(rs.power == 0) == 4
+        whole = spectral.fit_power_law(spectral.radial_average(spectral.power_centered(img)))
+        fit = spectral.pss_of_image(img)
+        assert fit.n_points == whole.n_points == np.count_nonzero(rs.power) == 4
+        assert fit.alpha == pytest.approx(whole.alpha, rel=1e-12)
+
     def test_too_few_points(self):
         rs = spectral.RadialSpectrum(
             freqs=np.array([0.01, 0.2]), power=np.array([1.0, 0.0]),
@@ -191,6 +207,13 @@ class TestSynthImage:
     def test_min_size(self):
         with pytest.raises(ValueError, match=">= 8"):
             spectral.synth_power_law_image(1.0, 4, 64)
+
+    @pytest.mark.parametrize("alpha", [1e308, float("nan"), float("inf"), 300.0])
+    def test_non_finite_or_overflowing_alpha_rejected(self, alpha):
+        """A non-finite alpha, or one whose power spectrum overflows, is an
+        error naming alpha, not an image of NaN or one whose spectrum overflows."""
+        with pytest.raises(ValueError, match=f"alpha.*{re.escape(str(alpha))}"):
+            spectral.synth_power_law_image(alpha, 32, 32)
 
     @pytest.mark.parametrize("H,W", [(224, 224), (64, 64), (65, 65), (32, 48), (9, 8),
                                      (8, 9), (33, 17)])
