@@ -3,8 +3,7 @@
 A context of T steps is left-padded by replication to a multiple of the
 periodicity P, folded into a P x F grid (each column = one period of P
 consecutive steps), resized to the visible region of the target image, and
-composed with a zero-valued masked region standing in for the horizon;
-`render_rfft2` gives that image's DFT from the grid without drawing it.  The
+composed with a zero-valued masked region standing in for the horizon.  The
 inverse maps a decoded image back to a forecast by resizing to the full
 period grid and unfolding column-major.
 
@@ -14,9 +13,8 @@ Every function takes leading batch axes: contexts [..., T], grids and images
 1-D context is the batch-free case of the same code.
 
 The tables that depend only on the geometry (each axis's interpolation
-sources and weights, its interpolation matrix, their DFTs, the patches that
-reconstruct reads) are built once per geometry, keyed by plain ints, and
-cached read-only.
+sources and weights, its interpolation matrix, the patches that reconstruct
+reads) are built once per geometry, keyed by plain ints, and cached read-only.
 """
 
 from __future__ import annotations
@@ -218,31 +216,6 @@ def render(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> Rend
         horizon_len=horizon_len,
         spec=spec,
     )
-
-
-def render_rfft2(context_norm: np.ndarray, horizon_len: int, spec: RenderSpec) -> np.ndarray:
-    """`np.fft.rfft2(render(context_norm, horizon_len, spec).pixels)` [..., H, W//2 + 1]
-    without drawing the image.  A render is [R_h G R_w^T | 0] for the period grid G,
-    so its DFT is (F_H R_h) G (E R_w)^T, F_H the H-point DFT and E the first w_vis
-    rows of the W-point real DFT: G between the two _dft_tables, the right one first."""
-    _, grid, w_vis = _fold(context_norm, horizon_len, spec)
-    P, H, W = spec.periodicity, spec.image_height, spec.image_width
-    return _grid_dft(grid, *_dft_tables(P, H, grid.shape[-1], w_vis, W))
-
-
-def _grid_dft(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows @ grid @ cols for real period grids [..., P, F] and the complex tables of
-    _dft_tables, or a cut of their rows and columns: the right product first, as one
-    real GEMM over the float pairs of cols, then one complex GEMM."""
-    return rows @ (grid @ cols.view(np.float64)).view(np.complex128)
-
-
-@lru_cache(maxsize=16)
-def _dft_tables(P: int, H: int, F: int, w_vis: int, W: int) -> tuple[np.ndarray, np.ndarray]:
-    """render_rfft2's [H, P] DFT of the row interpolation matrix and [F, W//2 + 1] real
-    DFT of the column one zero-padded to W rows; cached read-only."""
-    cols = np.fft.rfft(_interp_matrix(F, w_vis), n=W, axis=0).T.copy()
-    return _read_only(np.fft.fft(_interp_matrix(P, H), axis=0)), _read_only(cols)
 
 
 def reconstruct(decoded: np.ndarray, prov: RenderedImage) -> np.ndarray:

@@ -14,11 +14,12 @@ annulus.  A fit reads only the annuli inside its band, so `pss_of_image` and
 `pss_of_series` take the spectrum on the DFT rows and columns that the band
 touches, and sum each annulus over its in-band cells, weighted by the pixels
 each stands for (`fit_band`).  `pss_of_series` takes those rows and columns of
-a render's DFT from the window's period grid, between cuts of
-`render_rfft2`'s tables, so it never draws the image.  `power_centered` and
-`radial_average` give the whole centred plane and all of its annuli.  Every
-table that depends only on the image's shape and the band is built once and
-cached read-only.
+a render's DFT from the window's period grid, between the two tables of
+`_band_dft_tables`, so it never draws the image.  The synthetic oracle sets
+each frequency's magnitude from the same half-plane annulus table that
+`fit_band` bins by.  `power_centered` and `radial_average` give the whole
+centred plane and all of its annuli.  Every table that depends only on the
+image's shape and the band is built once and cached read-only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import pgm
 from .data import Dataset
-from .rendering import RenderSpec, _dft_tables, _fold, _grid_dft, _read_only, resize_bilinear
+from .rendering import RenderSpec, _fold, _interp_matrix, _read_only, resize_bilinear
 
 DEFAULT_F_LO = 0.05
 DEFAULT_F_HI = 0.5
@@ -115,6 +116,17 @@ class FitBand:
     r_max: float
 
 
+def _half_plane_annuli(H: int, W: int) -> tuple[np.ndarray, float]:
+    """The annulus of each cell (a, b) of an [H, W] image's DFT half plane
+    [H, W//2 + 1], floor(sqrt(u^2 + b^2)) with |u| = min(a, H - a): the
+    annulus of both centred pixels the cell stands for.  Also r_max."""
+    a = np.arange(H)[:, None]
+    b = np.arange(W // 2 + 1)[None, :]
+    u = np.minimum(a, H - a)
+    k = np.floor(np.sqrt(u * u + b * b)).astype(np.intp)
+    return k, float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
+
+
 @lru_cache(maxsize=8)
 def fit_band(H: int, W: int, f_lo: float, f_hi: float) -> FitBand:
     """The FitBand of an [H, W] image, cached read-only.
@@ -123,15 +135,13 @@ def fit_band(H: int, W: int, f_lo: float, f_hi: float) -> FitBand:
     (a, b) and of its point mirror (-a, -b) both read that cell, except in a
     column that is its own mirror (b = 0, or W/2 for even W): there both
     pixels read the cell of the smaller row.  A pixel and its mirror lie in
-    the same annulus, floor(sqrt(u^2 + b^2)) with |u| = min(a, H - a).
+    the same annulus (`_half_plane_annuli`).
     """
     a = np.arange(H)[:, None]
     b = np.arange(W // 2 + 1)[None, :]
     ma = -a % H
     weight = np.where(-b % W == b, (a <= ma).astype(np.intp) + (a < ma), 2)
-    u = np.minimum(a, H - a)
-    k = np.floor(np.sqrt(u * u + b * b)).astype(np.intp)
-    r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
+    k, r_max = _half_plane_annuli(H, W)
     f = k / r_max
     keep = (weight > 0) & (f > f_lo) & (f < f_hi)
     rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
@@ -152,11 +162,20 @@ def fit_band(H: int, W: int, f_lo: float, f_hi: float) -> FitBand:
 def _band_dft_tables(
     P: int, H: int, F: int, w_vis: int, W: int, f_lo: float, f_hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """render_rfft2's _dft_tables cut to the rows and columns of
-    fit_band(H, W, f_lo, f_hi); cached read-only."""
+    """Two tables that give a render's DFT on the rows and columns of
+    fit_band(H, W, f_lo, f_hi) from its [P, F] period grid G as rows @ G @ cols;
+    cached read-only.
+
+    A render [H, W] is [R_h G R_w^T | 0], with R_h = _interp_matrix(P, H) and
+    R_w = _interp_matrix(F, w_vis), so its half-plane DFT is (F_H R_h) G (E R_w)^T,
+    F_H the H-point DFT and E the first w_vis rows of the W-point real DFT.  The
+    tables are the band's rows of F_H R_h [rows, P] and its columns of
+    (E R_w)^T [F, cols].
+    """
     band = fit_band(H, W, f_lo, f_hi)
-    rows, cols = _dft_tables(P, H, F, w_vis, W)
-    return _read_only(rows[band.rows]), _read_only(cols[:, band.cols].copy())
+    rows = np.fft.fft(_interp_matrix(P, H), axis=0)[band.rows]
+    cols = np.fft.rfft(_interp_matrix(F, w_vis), n=W, axis=0).T[:, band.cols]
+    return _read_only(rows), _read_only(np.ascontiguousarray(cols))
 
 
 def _band_spectrum(dft: np.ndarray, band: FitBand) -> RadialSpectrum:
@@ -219,6 +238,8 @@ def fit_power_law(
 def pss_of_image(image: np.ndarray, f_lo: float = DEFAULT_F_LO, f_hi: float = DEFAULT_F_HI) -> PowerLawFit:
     """Full pipeline on one [H, W] image: the spectrum on the band's rows and
     columns -> its annuli -> fit."""
+    if np.ndim(image) != 2:
+        raise ValueError(f"pss_of_image needs a 2-D image, got shape {np.shape(image)}")
     band = fit_band(*image.shape, f_lo, f_hi)
     dft = np.fft.rfft2(image)[np.ix_(band.rows, band.cols)]
     return fit_power_law(_band_spectrum(dft, band), f_lo, f_hi)
@@ -227,8 +248,8 @@ def pss_of_image(image: np.ndarray, f_lo: float = DEFAULT_F_LO, f_hi: float = DE
 def synth_power_law_image(alpha: float, H: int, W: int, seed: int = 0) -> np.ndarray:
     """Random real image whose radially binned power spectrum is exactly f^-alpha.
 
-    The magnitude at each frequency is set from its annulus index (the same
-    floor(r) binning the estimator uses, DC set to 0); phases come from the FFT
+    The magnitude at each frequency is set from its annulus index (the
+    estimator's own `_half_plane_annuli`, DC set to 0); phases come from the FFT
     of white noise, which guarantees the conjugate symmetry needed for a real
     inverse transform.  Both transforms are real FFTs over the half plane of
     non-negative column frequencies.  A non-finite alpha, or one whose power
@@ -239,16 +260,11 @@ def synth_power_law_image(alpha: float, H: int, W: int, seed: int = 0) -> np.nda
     if not np.isfinite(alpha):
         raise ValueError(f"synth_power_law_image needs a finite alpha, got {alpha}")
     rng = np.random.default_rng(seed)
-    # annulus index per frequency of the half plane, in unshifted coordinates
-    fu = np.fft.fftfreq(H)[:, None] * H
-    fv = np.fft.rfftfreq(W)[None, :] * W
-    k = np.floor(np.sqrt(fu * fu + fv * fv))
-    r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
+    k, r_max = _half_plane_annuli(H, W)
     with np.errstate(divide="ignore", over="ignore"):
-        magnitude = np.where(k > 0, np.maximum(k, 1.0) / r_max, 1.0) ** (-alpha / 2.0)
+        magnitude = np.where(k > 0, (k / r_max) ** (-alpha / 2.0), 0.0)
         if not np.isfinite(magnitude * magnitude).all():
             raise ValueError(f"the 1/f^alpha power spectrum overflows at {H}x{W} for alpha {alpha}")
-    magnitude[0, 0] = 0.0
     noise_fft = np.fft.rfft2(rng.normal(size=(H, W)))
     mod = np.abs(noise_fft)
     phase = np.where(mod > 0, noise_fft / np.where(mod > 0, mod, 1.0), 1.0)
@@ -294,8 +310,10 @@ def pss_of_series(
             raise ValueError(f"window at row {starts[i]}, variable {variables[i]} is constant: no PSS")
         xn = (x - x.mean()) / max(float(x.std()), 1e-8)
         _, grid, w_vis = _fold(xn, horizon, spec)
-        tables = _band_dft_tables(P, H, grid.shape[-1], w_vis, W, f_lo, f_hi)
-        return fit_power_law(_band_spectrum(_grid_dft(grid, *tables), band), f_lo, f_hi).alpha
+        rows, cols = _band_dft_tables(P, H, grid.shape[-1], w_vis, W, f_lo, f_hi)
+        # the right product first, as one real GEMM over the float pairs of cols
+        dft = rows @ (grid @ cols.view(np.float64)).view(np.complex128)
+        return fit_power_law(_band_spectrum(dft, band), f_lo, f_hi).alpha
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -2,7 +2,9 @@
 by rendering, the backbone, the grounding adapter and the PSS fit band, and
 the glibc heap settings made on import."""
 
+import importlib
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import foldcast
 from foldcast import adapter
 from foldcast import backbone as bb
 from foldcast import rendering as rd
@@ -18,10 +21,13 @@ from foldcast import spectral
 from foldcast.rendering import RenderSpec
 from tests.test_forecaster import desk_model, toy_windows
 
-GEOMETRY_CACHES = (
-    rd._interp_weights, rd._interp_matrix, rd._read_patches,
-    bb.visible_indices, adapter.sinusoid_table, spectral.fit_band, spectral._band_dft_tables,
-)
+# every cached function of every foldcast module, each once
+GEOMETRY_CACHES = tuple({
+    value: None
+    for module in pkgutil.iter_modules(foldcast.__path__)
+    for value in vars(importlib.import_module(f"foldcast.{module.name}")).values()
+    if hasattr(value, "cache_clear")
+})
 
 
 def clear_geometry_caches():
@@ -33,6 +39,12 @@ def assert_read_only(a):
     assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         a.reshape(-1)[0] = 0
+
+
+def test_geometry_caches_hold_the_pss_tables():
+    assert GEOMETRY_CACHES
+    assert spectral.fit_band in GEOMETRY_CACHES
+    assert spectral._band_dft_tables in GEOMETRY_CACHES
 
 
 class TestCachedTables:
@@ -88,11 +100,10 @@ class TestCachedTables:
         for name in ("rows", "cols", "cells", "weights", "starts", "freqs", "counts"):
             assert_read_only(getattr(band, name))
             assert np.array_equal(getattr(band, name), getattr(fresh, name)), name
-        P, F, w_vis = 24, 60, W // 2 + 1
-        tables = spectral._band_dft_tables(P, H, F, w_vis, W, f_lo, f_hi)
-        assert spectral._band_dft_tables(P, H, F, w_vis, W, f_lo, f_hi) is tables
-        rows, cols = rd._dft_tables.__wrapped__(P, H, F, w_vis, W)
-        for got, want in zip(tables, (rows[band.rows], cols[:, band.cols])):
+        key = (24, H, 60, W // 2 + 1, W, f_lo, f_hi)  # P, H, F, w_vis, W and the band
+        tables = spectral._band_dft_tables(*key)
+        assert spectral._band_dft_tables(*key) is tables
+        for got, want in zip(tables, spectral._band_dft_tables.__wrapped__(*key)):
             assert_read_only(got)
             assert np.array_equal(got, want)
 

@@ -556,21 +556,19 @@ def test_band_spectrum_is_the_radial_average_inside_the_band(H, W, seed, f_lo, w
 @given(H=st.integers(1, 40), W=st.integers(1, 40))
 def test_cached_tables_are_read_only(H, W):
     rs = spectral.radial_average(np.ones((H, W)))
-    # the render_rfft2 tables of a P = W grid of F = H periods in W + H columns,
-    # and their cut to a band that holds every annulus
-    dft = rd._dft_tables(W, H, H, W, W + H)
+    # the render DFT tables of a P = W grid of F = H periods in W + H columns,
+    # on a band that holds every annulus
     band_dft = spectral._band_dft_tables(W, H, H, W, W + H, -1.0, 2.0)
     band = spectral.fit_band(H, W, -1.0, 2.0)
     # the grounding adapter's table of an H x W patch grid at width 2W
     sinusoids = adapter.sinusoid_table(H * W, 2 * W)
     tables = [rs.freqs, rs.counts, spectral._centered_index(H, W),
-              *spectral._annuli(H, W)[:4], *dft, *band_dft, sinusoids,
+              *spectral._annuli(H, W)[:4], *band_dft, sinusoids,
               *(getattr(band, f.name) for f in dataclasses.fields(band) if f.name != "r_max")]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
     assert spectral.radial_average(np.ones((H, W))).freqs is rs.freqs
-    assert all(a is b for a, b in zip(rd._dft_tables(W, H, H, W, W + H), dft))
     assert all(a is b for a, b in
                zip(spectral._band_dft_tables(W, H, H, W, W + H, -1.0, 2.0), band_dft))
     assert spectral.fit_band(H, W, -1.0, 2.0) is band
@@ -589,7 +587,6 @@ def test_pss_of_series_same_with_cold_and_warm_tables(H, W, seed):
 
     spectral.fit_band.cache_clear()
     spectral._band_dft_tables.cache_clear()
-    rd._dft_tables.cache_clear()
     cold = alphas()
     assert np.array_equal(cold, alphas())
 
@@ -599,18 +596,28 @@ def test_pss_of_series_same_with_cold_and_warm_tables(H, W, seed):
     shape=st.lists(st.integers(1, 3), max_size=4), P=st.integers(2, 39), T=st.integers(1, 399),
     horizon=st.integers(1, 100), patch=st.integers(1, 5), grid_h=st.integers(1, 11),
     grid_w=st.integers(2, 11), align_const=st.floats(0.05, 1.0), seed=seeds,
+    f_lo=st.floats(-1.0, 1.0), width=st.floats(0.0, 3.0),
 )
-@example(shape=[], P=24, T=1, horizon=96, patch=16, grid_h=14, grid_w=14, align_const=0.4, seed=0)
-def test_render_rfft2_is_the_dft_of_the_render(
-    shape, P, T, horizon, patch, grid_h, grid_w, align_const, seed
+@example(shape=[], P=24, T=1, horizon=96, patch=16, grid_h=14, grid_w=14, align_const=0.4, seed=0,
+         f_lo=-1.0, width=3.0)
+@example(shape=[2], P=7, T=30, horizon=5, patch=3, grid_h=5, grid_w=4, align_const=1.0, seed=1,
+         f_lo=0.05, width=0.45)
+def test_band_dft_tables_give_the_dft_of_the_render(
+    shape, P, T, horizon, patch, grid_h, grid_w, align_const, seed, f_lo, width
 ):
+    """A render's DFT on a band's rows and columns is its period grid between
+    the two band tables."""
     spec = RenderSpec(periodicity=P, image_height=patch * grid_h, image_width=patch * grid_w,
                       align_const=align_const, patch_size=patch)
+    H, W = spec.image_height, spec.image_width
     x = np.random.default_rng(seed).normal(size=(*shape, T))
-    ref = np.fft.rfft2(rd.render(x, horizon, spec).pixels)
-    got = rd.render_rfft2(x, horizon, spec)
+    band = spectral.fit_band(H, W, f_lo, f_lo + width)
+    ref = np.fft.rfft2(rd.render(x, horizon, spec).pixels)[..., band.rows[:, None], band.cols]
+    _, grid, w_vis = rd._fold(x, horizon, spec)
+    rows, cols = spectral._band_dft_tables(P, H, grid.shape[-1], w_vis, W, f_lo, f_lo + width)
+    got = rows @ grid @ cols
     assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
 
 
 def refuse(*args, **kwargs):

@@ -178,6 +178,11 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="usable bins"):
             spectral.fit_power_law(rs)
 
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (16,), ()])
+    def test_image_not_2d_rejected_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"2-D image, got shape {shape}")):
+            spectral.pss_of_image(np.ones(shape))
+
 
 class TestSynthImage:
     def test_seed_determinism(self):
@@ -215,6 +220,24 @@ class TestSynthImage:
         with pytest.raises(ValueError, match=f"alpha.*{re.escape(str(alpha))}"):
             spectral.synth_power_law_image(alpha, 32, 32)
 
+    @pytest.mark.parametrize("H,W", [(224, 224), (65, 63)])
+    def test_binned_as_the_estimator_bins(self, H, W):
+        """Every in-band annulus of the centred plane holds one power value, so
+        the estimator reads alpha back to rounding with R^2 = 1.  An annulus
+        taken from the float fftfreq(224) * 224 put 154 half-plane cells one
+        annulus low and read alpha off by up to 2e-3."""
+        bins, k, freqs, _, _ = spectral._annuli(H, W)
+        in_band = k[(freqs > spectral.DEFAULT_F_LO) & (freqs < spectral.DEFAULT_F_HI)]
+        for alpha in (1.0, 2.0, 3.0):
+            image = spectral.synth_power_law_image(alpha, H, W, seed=int(alpha))
+            power = spectral.power_centered(image).ravel()
+            for annulus in in_band:
+                p = power[bins == annulus]
+                assert p.max() - p.min() <= 1e-10 * p.max(), (alpha, annulus)
+            fit = spectral.pss_of_image(image)
+            assert abs(fit.alpha - alpha) <= 1e-12
+            assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("H,W", [(224, 224), (64, 64), (65, 65), (32, 48), (9, 8),
                                      (8, 9), (33, 17)])
     def test_real_ffts_equal_the_complex_construction(self, H, W):
@@ -224,9 +247,9 @@ class TestSynthImage:
         for alpha in (0.0, 1.0, 2.0, 3.0):
             for seed in range(3):
                 noise = np.random.default_rng(seed).normal(size=(H, W))
-                fu = np.fft.fftfreq(H)[:, None] * H
-                fv = np.fft.fftfreq(W)[None, :] * W
-                k = np.floor(np.sqrt(fu * fu + fv * fv))
+                a, b = np.arange(H)[:, None], np.arange(W)[None, :]
+                u, v = np.minimum(a, H - a), np.minimum(b, W - b)
+                k = np.floor(np.sqrt(u * u + v * v))
                 r_max = float(np.sqrt((H / 2) ** 2 + (W / 2) ** 2))
                 with np.errstate(divide="ignore"):
                     magnitude = np.where(k > 0, k / r_max, 1.0) ** (-alpha / 2.0)
