@@ -41,7 +41,7 @@ params = {k: getattr(p, k) for k in names}
 state = AdamState.init(params, names)
 tcfg = TrainConfig(lr=3e-3, batch_size=1, epochs=1)
 for step in range(200):
-    A_enh, cache = sma.enhancer_forward(A0, p, train=False)
+    A_enh, cache = sma.enhancer_forward(A0, p)
     grads = sma.enhancer_backward(A_enh - target, cache, p)
     adam_step(params, grads, state, tcfg)
     if step % 50 == 0:

@@ -33,9 +33,11 @@ gradients fold the leading axes into the token axis,
 batch.  Folding the leading axes into the forward's products as well would
 change the last bits of a sample with the batch size.
 
-A forward that no backward follows passes `keep_cache=False`: it keeps no
-cache, and each block's activations are freed as the next block runs, and
-its MLP forms the GELU output in the buffers of its input and of tanh(u).
+A forward handed an `rng` trains: it draws its dropout masks from it, in
+call order; without one it is the eval pass and draws nothing.  A forward
+that no backward follows passes `keep_cache=False`: it keeps no cache, and
+each block's activations are freed as the next block runs, and its MLP
+forms the GELU output in the buffers of its input and of tanh(u).
 Elementwise chains (layer norm, GELU, softmax, the bias after a product)
 write into their own buffers in the operation order of their formulas, so
 the results are bitwise those of the formulas.  The visible patch indices
@@ -249,11 +251,9 @@ def _gelu_backward(gr, x, t):
     return gr * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
-def _dropout_scale(shape, rate, train, rng):
-    if not train or rate <= 0.0:
+def _dropout_scale(shape, rate, rng):
+    if rng is None or rate <= 0.0:
         return None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -281,7 +281,7 @@ def _merge_heads(x):
 # attention / MLP / block
 
 
-def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0):
+def _attn_forward(x, params, prefix, cfg, rows, lora=None, rng=None, lora_drop=0.0):
     """Attention output for the rows `rows` of x; keys and values see every row."""
     p = lambda n: params[f"{prefix}.attn.{n}"]
     cache = {"x": x}
@@ -289,11 +289,7 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
     for name in ("q", "k", "v"):
         xin = x[..., rows, :] if name == "q" else x
         factor = lora.get(name) if lora else None
-        drop = (
-            _dropout_scale(xin.shape, lora_drop, train, rng)
-            if (factor is not None and lora_drop > 0.0)
-            else None
-        )
+        drop = _dropout_scale(xin.shape, lora_drop, rng) if factor is not None else None
         proj[name], cache[name] = adapter.lora_project(
             xin, p("w" + name), p("b" + name), factor, drop
         )
@@ -307,7 +303,7 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, train=False, rng=None
     merged = _merge_heads(ctx)
     out = merged @ p("wo").T
     out += p("bo")
-    drop_o = _dropout_scale(out.shape, cfg.dropout, train, rng)
+    drop_o = _dropout_scale(out.shape, cfg.dropout, rng)
     if drop_o is not None:
         out *= drop_o
     cache.update(probs=probs, qh=q, kh=k, vh=v, merged=merged, drop_o=drop_o, rows=rows)
@@ -345,7 +341,7 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
     return gx
 
 
-def _mlp_forward(x, params, prefix, cfg, train=False, rng=None, keep_cache=True):
+def _mlp_forward(x, params, prefix, cfg, rng=None, keep_cache=True):
     """Returns (output, cache), the cache None unless `keep_cache`; without
     it the GELU runs in its input's buffer, as no backward reads that."""
     w1, b1 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]
@@ -353,12 +349,12 @@ def _mlp_forward(x, params, prefix, cfg, train=False, rng=None, keep_cache=True)
     h = x @ w1.T
     h += b1
     a, tanh_u = _gelu(h, in_place=not keep_cache)
-    drop_h = _dropout_scale(a.shape, cfg.dropout, train, rng)
+    drop_h = _dropout_scale(a.shape, cfg.dropout, rng)
     if drop_h is not None:
         a *= drop_h
     y = a @ w2.T
     y += b2
-    drop_y = _dropout_scale(y.shape, cfg.dropout, train, rng)
+    drop_y = _dropout_scale(y.shape, cfg.dropout, rng)
     if drop_y is not None:
         y *= drop_y
     if not keep_cache:
@@ -388,8 +384,7 @@ def _mlp_backward(gr, params, prefix, cache, base):
 
 
 def _block_forward(
-    x, params, prefix, cfg, rows, lora=None, train=False, rng=None, lora_drop=0.0,
-    keep_cache=True,
+    x, params, prefix, cfg, rows, lora=None, rng=None, lora_drop=0.0, keep_cache=True
 ):
     """One pre-norm block whose output holds only the rows `rows` of x.
 
@@ -399,12 +394,12 @@ def _block_forward(
     """
     n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     # the attention output, to which the residual is added in place
-    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, train, rng, lora_drop)
+    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, rng, lora_drop)
     x2 += x[..., rows, :]
     if not keep_cache:  # free the attention's activations before the MLP forms its own
         del n1, ln1, attn
     n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    out, mlp = _mlp_forward(n2, params, prefix, cfg, train, rng, keep_cache)
+    out, mlp = _mlp_forward(n2, params, prefix, cfg, rng, keep_cache)
     out += x2
     if not keep_cache:
         return out, None
@@ -447,8 +442,7 @@ def embed(patches: np.ndarray, params: dict) -> np.ndarray:
 
 
 def encode(
-    tokens, params, cfg: BackboneConfig, lora=None, train=False, rng=None, lora_drop=0.0,
-    keep_cache=True,
+    tokens, params, cfg: BackboneConfig, lora=None, rng=None, lora_drop=0.0, keep_cache=True
 ):
     """Run encoder blocks over (visible) tokens; returns (latent, caches).
 
@@ -459,7 +453,7 @@ def encode(
     for i in range(cfg.e_layers):
         layer_lora = lora.get(f"enc{i}") if lora else None
         x, c = _block_forward(
-            x, params, f"enc{i}", cfg, slice(None), layer_lora, train, rng, lora_drop, keep_cache
+            x, params, f"enc{i}", cfg, slice(None), layer_lora, rng, lora_drop, keep_cache
         )
         caches.append(c)
     return x, caches if keep_cache else None
@@ -474,8 +468,7 @@ def encode_backward(gr, params, cfg, caches, grads, base):
 
 
 def decode_with_mask_tokens(
-    latent, vis_idx, out_idx, params, cfg: BackboneConfig, train=False, rng=None,
-    keep_cache=True,
+    latent, vis_idx, out_idx, params, cfg: BackboneConfig, rng=None, keep_cache=True
 ):
     """Scatter visible latents into the full grid, fill the rest with the mask
     token, add decoder positions, decode, and project to single-channel patch
@@ -496,9 +489,7 @@ def decode_with_mask_tokens(
     caches = []
     for i in range(cfg.d_layers):
         rows = out_idx if i == cfg.d_layers - 1 else slice(None)
-        x, c = _block_forward(
-            x, params, f"dec{i}", cfg, rows, None, train, rng, keep_cache=keep_cache
-        )
+        x, c = _block_forward(x, params, f"dec{i}", cfg, rows, None, rng, keep_cache=keep_cache)
         caches.append(c)
     n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
     head_w, head_b = _head(params)
@@ -538,16 +529,8 @@ def decode_backward(gr, params, cfg, cache, base):
 
 
 def autoencode(
-    image: np.ndarray,
-    params: dict,
-    cfg: BackboneConfig,
-    vis_cols: int,
-    out_idx: np.ndarray,
-    lora=None,
-    tga: adapter.TgaParams | None = None,
-    train: bool = False,
-    rng=None,
-    lora_drop: float = 0.0,
+    image: np.ndarray, params: dict, cfg: BackboneConfig, vis_cols: int, out_idx: np.ndarray,
+    lora=None, tga: adapter.TgaParams | None = None, rng=None, lora_drop: float = 0.0,
     keep_cache: bool = True,
 ):
     """Image [..., H, W] -> visible patches -> tokens (-> TGA) -> +pos ->
@@ -568,9 +551,9 @@ def autoencode(
         table = adapter.sinusoid_table(cfg.n_patches, cfg.d_model)[vis_idx]
         tokens, tga_cache = adapter.tga_forward(tokens, tga, table)
     tokens += params["enc_pos"][vis_idx]
-    latent, enc_caches = encode(tokens, params, cfg, lora, train, rng, lora_drop, keep_cache)
+    latent, enc_caches = encode(tokens, params, cfg, lora, rng, lora_drop, keep_cache)
     out_patches, dec_cache = decode_with_mask_tokens(
-        latent, vis_idx, out_idx, params, cfg, train, rng, keep_cache
+        latent, vis_idx, out_idx, params, cfg, rng, keep_cache
     )
     full = np.zeros((*image.shape[:-2], cfg.n_patches, out_patches.shape[-1]))
     full[..., out_idx, :] = out_patches

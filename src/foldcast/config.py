@@ -105,7 +105,7 @@ REGISTRY: dict[str, Key] = {
     "e_layers": _sets(int, "encoder layers", "model.backbone.e_layers"),
     "d_layers": _sets(int, "decoder layers (at least 1)", "model.backbone.d_layers"),
     "d_ff": _sets(int, "feed-forward width", "model.backbone.d_ff"),
-    "dropout": _sets(float, "block dropout rate", "model.backbone.dropout"),
+    "dropout": _sets(float, "block dropout (aligner's 0.1 is fixed)", "model.backbone.dropout"),
     "frozen": _sets(_bool, "freeze backbone base weights", "model.backbone.frozen"),
     # adapters / fusion
     "residual_weight": _sets(float, "spectral-aligner residual blend weight", "model.sma.lam"),

@@ -54,12 +54,12 @@ class SplitSpec:
     horizon: int = 96
 
     def __post_init__(self):
+        for key in ("train_frac", "val_frac", "test_frac"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {total}, expected 1")
-        for f in (self.train_frac, self.val_frac, self.test_frac):
-            if not 0.0 <= f <= 1.0:
-                raise ValueError("split fractions must lie in [0, 1]")
+            raise ValueError(f"train_frac + val_frac + test_frac sum to {total}, expected 1")
         if self.lookback < 1 or self.horizon < 1:
             raise ValueError(
                 f"lookback (seq_len) and horizon (pred_len) must be at least 1, "
@@ -310,23 +310,26 @@ def synth_series(
         raise ValueError(f"noise_std (synth_noise_std) must be >= 0 and finite, got {noise_std}")
     if length < 2 * period:
         raise ValueError(f"length (synth_length) {length} must be at least 2*period = {2 * period}")
+    amps = np.atleast_1d(np.asarray(amplitude, dtype=np.float64))
+    if not np.isfinite(amps).all():
+        raise ValueError(f"amplitude (synth_amplitude) must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64)
     if kind == "sinusoid_mix":
-        amps = np.atleast_1d(np.asarray(amplitude, dtype=np.float64))
         x = np.zeros(length)
         for i, a in enumerate(amps):
             p = period * _MIX_MULTIPLIERS[i % len(_MIX_MULTIPLIERS)]
             phase = rng.uniform(0.0, 2.0 * np.pi)
             x += a * np.sin(2.0 * np.pi * t / p + phase)
     elif kind == "trend_plus_season":
-        a = float(np.asarray(amplitude).reshape(-1)[0])
+        a = float(amps[0])
         phase = rng.uniform(0.0, 2.0 * np.pi)
         x = a * t / max(length - 1, 1) + a * np.sin(2.0 * np.pi * t / period + phase)
     elif kind == "noise":
         x = np.zeros(length)
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ValueError(f"unknown kind (synth_kind) {kind!r}: "
+                         "expected sinusoid_mix, trend_plus_season or noise")
     if noise_std > 0:
         x = x + rng.normal(0.0, noise_std, size=length)
     return Dataset(name=name or f"synth_{kind}", values=x[:, None])

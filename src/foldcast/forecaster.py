@@ -136,6 +136,13 @@ def seasonal_naive(w: TimeSeriesWindow, period: int) -> np.ndarray:
     return last[reps]
 
 
+def _train_rng(train: bool, rng):
+    """What the layers receive: `rng` in train mode, which needs one, else None."""
+    if train and rng is None:
+        raise ValueError("a train-mode pass needs an rng")
+    return rng if train else None
+
+
 class ForecastModel:
     """Parameter container plus forward/backward for the dual-branch network."""
 
@@ -219,7 +226,7 @@ class ForecastModel:
 
     # -- forward / backward ----------------------------------------------
 
-    def _branches(self, windows, train, rng, grads=None, masks=None):
+    def _branches(self, windows, rng=None, grads=None, masks=None):
         """Normalized-space branch outputs and fused errors of B windows.
 
         Returns (y_st, y_sp, errors), each [B, H, N]: `errors` is the fused
@@ -238,11 +245,12 @@ class ForecastModel:
         the next variable's forward rebinds them instead of piling up.
         Backward draws no random numbers and the aligner's running statistics
         change only in forward, so the interleaving gives the same gradients
-        as a forward over every variable first.  A train-mode pass draws its
-        dropout masks and updates the running statistics in batch order:
-        window-major over every variable without `grads`, one variable's
-        windows at a time with them.  A `masks` list runs the variables one
-        at a time as `grads` does and collects the aligner's ReLU masks.
+        as a forward over every variable first.  A pass handed an `rng` draws
+        its dropout masks from it and updates the running statistics in batch
+        order: window-major over every variable without `grads`, one
+        variable's windows at a time with them.  A `masks` list runs the
+        variables one at a time as `grads` does and collects the aligner's
+        ReLU masks.
         """
         (T, N), (H, _) = windows[0].context.shape, windows[0].target.shape
         for w in windows:
@@ -266,19 +274,19 @@ class ForecastModel:
             read = ri.read_patches
             out_st, c_st = bb.autoencode(
                 ri.pixels, self.bb_params, self.cfg.backbone, vis_cols, read, lora=self.lora,
-                tga=tga, train=train, rng=rng, lora_drop=self.cfg.lora_dropout, keep_cache=keep,
+                tga=tga, rng=rng, lora_drop=self.cfg.lora_dropout, keep_cache=keep,
             )
             if self.cfg.use_sma:
                 aligned, c_sma = sma.sma_forward(
-                    ri.pixels, self.enhancer, self.cfg.sma, train=train, rng=rng, keep_cache=keep
+                    ri.pixels, self.enhancer, self.cfg.sma, rng=rng, keep_cache=keep
                 )
                 if masks is not None:
                     masks.append(c_sma["enh"]["live"])
             else:
                 aligned, c_sma = ri.pixels, None
             out_sp, c_sp = bb.autoencode(
-                aligned, self.bb_params, self.cfg.backbone, vis_cols, read, train=train,
-                rng=rng, keep_cache=keep,
+                aligned, self.bb_params, self.cfg.backbone, vis_cols, read, rng=rng,
+                keep_cache=keep,
             )
             y_st[:, :, vs] = reconstruct(out_st, ri).swapaxes(1, 2)
             y_sp[:, :, vs] = reconstruct(out_sp, ri).swapaxes(1, 2)
@@ -311,10 +319,10 @@ class ForecastModel:
 
     def forward(self, w: TimeSeriesWindow, train: bool = False, rng=None) -> ForecastOutcome:
         """Full dual-branch pass over every variable of one window, run as one
-        batch.  With `train=True` it draws its dropout masks and updates the
-        aligner's running statistics over the variables at once, not one
-        variable at a time as `loss_and_grads` does."""
-        y_st, y_sp, _ = self._branches([w], train, rng)
+        batch.  With `train=True` it draws its dropout masks from `rng` and
+        updates the aligner's running statistics over the variables at once,
+        not one variable at a time as `loss_and_grads` does."""
+        y_st, y_sp, _ = self._branches([w], _train_rng(train, rng))
         pred = denormalize(fuse(y_st[0], y_sp[0], self.beta), w)
         return ForecastOutcome(
             prediction=pred,
@@ -334,13 +342,14 @@ class ForecastModel:
         arrays.  The gradient dict is one flat buffer that every backward
         adds into; it holds exactly the tensors of `trainable_names()`: no
         `bb.*` key when the backbone is frozen, no `sma.*`, `tga.*` or
-        `fuse.beta` key when that part is switched off or fixed.
+        `fuse.beta` key when that part is switched off or fixed.  A train-mode
+        pass, the default, needs `rng`; an eval-mode one does not draw from it.
         """
         if not windows:
             raise ValueError("loss_and_grads needs at least one window")
         params = self.named_params()
         grads = {k: np.zeros_like(params[k]) for k in self.trainable_names()}
-        y_st, y_sp, errors = self._branches(windows, train, rng, grads)
+        y_st, y_sp, errors = self._branches(windows, _train_rng(train, rng), grads)
         if "fuse.beta" in grads:
             for err, st, sp in zip(errors, y_st, y_sp):
                 grads["fuse.beta"][0] += beta_grad(err, st, sp)
@@ -408,7 +417,7 @@ def _val_loss(model: ForecastModel, windows, batch_size: int, masks=None) -> flo
     ReLU masks (`ForecastModel._branches`)."""
     total = 0.0
     for start in range(0, len(windows), batch_size):
-        _, _, errors = model._branches(windows[start : start + batch_size], False, None, masks=masks)
+        _, _, errors = model._branches(windows[start : start + batch_size], masks=masks)
         for err in errors:
             total += float(np.mean(err**2))
     return total / len(windows)

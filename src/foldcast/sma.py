@@ -8,8 +8,9 @@ batch: batch norm takes each image's own statistics, and the parameter
 gradients are summed over the images.  The first convolution has a single
 input channel, so batch norm folds into it: one product against the nine
 shifted copies of the magnitude gives the normalized activation, in train mode
-from the 9x9 covariance of those copies.  All gradients are hand-derived and
-cover the enhancer's parameters only; the image gradient is never formed,
+from the 9x9 covariance of those copies.  A pass trains exactly when it is
+handed an rng, which draws its dropout masks.  All gradients are hand-derived
+and cover the enhancer's parameters only; the image gradient is never formed,
 since nothing before the aligner is trained.  irfft2 is numpy's real inverse
 FFT, a real-linear map on any half-spectrum, including one whose edge columns
 (0 and W/2) are no longer Hermitian-consistent after enhancement; its adjoint
@@ -186,7 +187,7 @@ def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
 # neither conv1's output nor the normalized activation is ever formed.
 
 
-def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=None):
+def enhancer_forward(A: np.ndarray, p: EnhancerParams, rng=None):
     """Conv -> BN -> ReLU -> dropout -> conv on magnitude spectra [..., H, W/2+1].
 
     Returns (A_enhanced, cache); cache records everything backward needs,
@@ -202,7 +203,7 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=
     w1 = p.conv1_w.reshape(C, 9)
     X = _taps(A).reshape(*lead, 9, n)
     S = None
-    if train:
+    if rng is not None:
         centre = X.mean(axis=-1)
         X -= centre[..., None]  # an uncentred Gram loses digits to a large offset
         S = X @ X.swapaxes(-1, -2) / n
@@ -223,9 +224,7 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, train: bool = False, rng=
     h += (scale * d + p.bn_beta)[..., None]
     live = h > 0
     drop_scale = 1.0
-    if train and p.dropout_rate > 0:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
+    if rng is not None and p.dropout_rate > 0:
         live &= rng.random((*lead, C, n)) >= p.dropout_rate
         drop_scale = 1.0 / (1.0 - p.dropout_rate)
     h *= live
@@ -274,12 +273,7 @@ def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
 
 
 def sma_forward(
-    image: np.ndarray,
-    p: EnhancerParams,
-    cfg: SmaConfig,
-    train: bool = False,
-    rng=None,
-    keep_cache: bool = True,
+    image: np.ndarray, p: EnhancerParams, cfg: SmaConfig, rng=None, keep_cache: bool = True
 ):
     """Full aligner pass; returns (blended images, cache for backward).
 
@@ -288,7 +282,7 @@ def sma_forward(
     I = np.asarray(image, dtype=np.float64)
     F = rfft2(I)
     A, phi = decompose(F)
-    A_enh, enh_cache = enhancer_forward(A, p, train, rng)
+    A_enh, enh_cache = enhancer_forward(A, p, rng)
     Fp = recombine(A_enh, phi)
     I_enh = irfft2(Fp)
     out = I + cfg.lam * (I_enh - I)

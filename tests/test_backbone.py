@@ -332,9 +332,7 @@ class TestBaselineEquivalence:
         params = bb.init_backbone(cfg, np.random.default_rng(20))
         img = np.random.default_rng(21).normal(size=(32, 32))
         ev, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
-        tr, _ = bb.autoencode(
-            img, params, cfg, vis_cols=2, out_idx=ALL, train=True, rng=np.random.default_rng(0)
-        )
+        tr, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, rng=np.random.default_rng(0))
         assert not np.allclose(ev, tr)
 
 

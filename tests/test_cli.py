@@ -349,7 +349,9 @@ class TestTrainEvalForecast:
         "n_heads=0", "patch_size=0", "d_ff=0", "e_layers=-1", "batch_size=-1",
         "norm_const=0", "norm_const=inf", "few_shot_ratio=nan", "few_shot_ratio=2",
         "synth_period=0", "synth_noise_std=-1", "synth_length=10", "eval_stride=-3",
-        "seed=-1", "synth_seed=-1", "workers=0", "workers=-3", "image_size=0", *CONFIG_SETTINGS])
+        "seed=-1", "synth_seed=-1", "workers=0", "workers=-3", "image_size=0",
+        "synth_amplitude=inf", "synth_amplitude=nan", "synth_amplitude=1,inf", "synth_kind=foo",
+        "test_frac=nan", "test_frac=1.0 train_frac=0.5 val_frac=-0.5", *CONFIG_SETTINGS])
     def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
         settings = setting.split()
         rc = main(["train", *desk_args(*settings), "--out", str(tmp_path / "x")])

@@ -228,6 +228,34 @@ class TestForward:
         assert np.array_equal(with_lora.prediction, without.prediction)
 
 
+class TestTrainSwitch:
+    """Below the model a pass trains exactly when it is handed an rng; the
+    model hands its rng down only in train mode, and train mode needs one."""
+
+    def test_eval_mode_draws_nothing_from_a_given_rng(self):
+        model = desk_model()  # the aligner's dropout would draw in train mode
+        w = toy_windows(1)[0]
+        stats = model.enhancer.bn_running_mean.copy()
+        r = np.random.default_rng(5)
+        state = copy.deepcopy(r.bit_generator.state)
+        loss, _, _ = model.loss_and_grads(w, rng=r, train=False)
+        out = model.forward(w, rng=r)
+        assert r.bit_generator.state == state
+        assert loss == model.loss_and_grads(w, train=False)[0]
+        assert np.array_equal(out.prediction, model.forward(w).prediction)
+        assert np.array_equal(model.enhancer.bn_running_mean, stats)
+
+    @pytest.mark.parametrize("call", [lambda m, w: m.loss_and_grads(w),
+                                      lambda m, w: m.forward(w, train=True)],
+                             ids=["loss_and_grads", "forward"])
+    def test_train_mode_without_rng_rejected(self, call):
+        # no aligner and no block or LoRA dropout: nothing would be drawn
+        model = desk_model(use_sma=False)
+        assert model.cfg.backbone.dropout == model.cfg.lora_dropout == 0.0
+        with pytest.raises(ValueError, match="train-mode pass needs an rng"):
+            call(model, toy_windows(1)[0])
+
+
 class TestBetaGradient:
     def test_matches_closed_form(self):
         model = desk_model(seed=3)

@@ -286,12 +286,13 @@ def test_conv3x3_matches_einsum_reference(B, C, O, H, W, seed):
         assert_stacked(B, grads[k], lambda gs, xs: sma.conv3x3_backward(gs, xs, w)[k], g, x)
 
 
-def enhancer_reference(A, p, train, rng, g):
+def enhancer_reference(A, p, rng, g):
     """The aligner's enhancer written out layer by layer on the einsum
     convolutions: conv -> BN -> ReLU -> dropout -> conv, and its backward for
-    the upstream gradient g.  Returns (output, running mean, running var,
-    parameter gradients, the summed magnitudes of conv1's output gradient)."""
-    n = A.size
+    the upstream gradient g; in train mode exactly when handed an rng.
+    Returns (output, running mean, running var, parameter gradients, the
+    summed magnitudes of conv1's output gradient)."""
+    n, train = A.size, rng is not None
     h1 = conv_einsum(A[None], p.conv1_w, p.conv1_b)
     rm, rv = p.bn_running_mean, p.bn_running_var
     if train:
@@ -323,6 +324,11 @@ def enhancer_reference(A, p, train, rng, g):
     return out, rm, rv, grads, np.abs(gh1).sum(axis=(1, 2))
 
 
+def train_rng(train, seed):
+    """A layer's train switch: a fresh generator from `seed` in train mode, None in eval."""
+    return np.random.default_rng(seed) if train else None
+
+
 @PROPERTY
 @given(C=st.integers(1, 4), H=st.integers(1, 6), half_w=st.integers(1, 6),
        train=st.booleans(), dropout=st.sampled_from([0.0, 0.1]),
@@ -343,10 +349,9 @@ def test_enhancer_matches_layer_by_layer_reference(C, H, half_w, train, dropout,
     p.bn_beta[...] = rng.normal(size=C)
     p.bn_running_mean[...] = rng.normal(size=C) * (1 + offset)
     p.bn_running_var[...] = rng.uniform(0.5, 2.0, size=C) * (1 + offset) ** 2
-    ref, rm, rv, ref_grads, gh1_scale = enhancer_reference(
-        A, p, train, np.random.default_rng(seed + 1), g)
+    ref, rm, rv, ref_grads, gh1_scale = enhancer_reference(A, p, train_rng(train, seed + 1), g)
     q = copy.deepcopy(p)
-    out, cache = sma.enhancer_forward(A, q, train, np.random.default_rng(seed + 1))
+    out, cache = sma.enhancer_forward(A, q, train_rng(train, seed + 1))
     grads = sma.enhancer_backward(g, cache, q)
     assert rel_err(out, ref) <= 1e-12
     assert rel_err(q.bn_running_mean, rm) <= 1e-12
@@ -373,10 +378,10 @@ def test_aligner_batch_equals_image_by_image(B, H, half_w, train, dropout, seed)
     p.bn_beta[...] = rng.normal(size=3)
     cfg = sma.SmaConfig(lam=0.3)
     q, r = copy.deepcopy(p), copy.deepcopy(p)
-    out, cache = sma.sma_forward(images, q, cfg, train, np.random.default_rng(seed + 1))
+    out, cache = sma.sma_forward(images, q, cfg, train_rng(train, seed + 1))
     grads = sma.sma_backward(g, cache, q)
-    draws = np.random.default_rng(seed + 1)
-    singles = [sma.sma_forward(image, r, cfg, train, draws) for image in images]
+    draws = train_rng(train, seed + 1)
+    singles = [sma.sma_forward(image, r, cfg, draws) for image in images]
     single_grads = [sma.sma_backward(gi, c, r) for gi, (_, c) in zip(g, singles)]
     ref = np.stack([o for o, _ in singles])
     if train:

@@ -97,7 +97,7 @@ class TestEnhancer:
         p.conv1_w[:] = 0
         p.conv2_w[:] = 0
         A = np.random.default_rng(1).uniform(0, 2, size=(6, 5))
-        out, _ = sma.enhancer_forward(A, p, train=False)
+        out, _ = sma.enhancer_forward(A, p)
         assert np.all(out == 0.0)
 
     def test_bias_only_constant(self):
@@ -106,7 +106,7 @@ class TestEnhancer:
         p.conv2_w[:] = 0
         p.conv2_b[:] = 1.75
         A = np.random.default_rng(1).uniform(0, 2, size=(6, 5))
-        out, _ = sma.enhancer_forward(A, p, train=False)
+        out, _ = sma.enhancer_forward(A, p)
         assert np.all(out == 1.75)
 
     def test_matches_conv_oracle(self):
@@ -115,7 +115,7 @@ class TestEnhancer:
         p.bn_running_mean = rng.normal(size=4) * 0.1
         p.bn_running_var = rng.uniform(0.5, 1.5, size=4)
         A = rng.uniform(0, 2, size=(6, 6))
-        out, _ = sma.enhancer_forward(A, p, train=False)
+        out, _ = sma.enhancer_forward(A, p)
         h1 = conv_oracle(A[None], p.conv1_w, p.conv1_b)
         inv = 1.0 / np.sqrt(p.bn_running_var + sma._BN_EPS)
         h2 = p.bn_gamma[:, None, None] * (h1 - p.bn_running_mean[:, None, None]) * inv[:, None, None] + p.bn_beta[:, None, None]
@@ -127,7 +127,7 @@ class TestEnhancer:
         rng = np.random.default_rng(8)
         p = sma.init_enhancer(rng, channels=2, dropout_rate=0.0)
         before = p.bn_running_mean.copy()
-        sma.enhancer_forward(rng.uniform(0, 1, size=(5, 5)), p, train=True, rng=rng)
+        sma.enhancer_forward(rng.uniform(0, 1, size=(5, 5)), p, rng=rng)
         assert not np.array_equal(p.bn_running_mean, before)
 
 
@@ -185,8 +185,8 @@ class TestAligner:
 
     def test_train_dropout_reproducible_under_seed(self):
         cfg = SmaConfig(lam=0.3)
-        a, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, train=True, rng=np.random.default_rng(5))
-        b, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, train=True, rng=np.random.default_rng(5))
+        a, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, rng=np.random.default_rng(5))
+        b, _ = sma.sma_forward(self.img, copy.deepcopy(self.p), cfg, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_zero_upstream_zero_grads(self):
@@ -200,7 +200,7 @@ class TestAligner:
         and one boolean mask for ReLU and dropout together; it holds no
         [9, H, W/2+1] stack of taps, which backward rebuilds."""
         _, cache = sma.sma_forward(self.img, copy.deepcopy(self.p), SmaConfig(lam=0.3),
-                                   train=True, rng=np.random.default_rng(6))
+                                   rng=np.random.default_rng(6))
 
         def arrays(obj):
             if isinstance(obj, dict):
@@ -233,13 +233,16 @@ class TestGradients:
         p = sma.init_enhancer(np.random.default_rng(2), channels=4)
         cfg = SmaConfig(lam=0.3)
 
+        def draws():  # the same dropout masks in every pass; None in eval mode
+            return np.random.default_rng(9) if train else None
+
         def loss():
             q = copy.deepcopy(p)  # keep running stats untouched across FD evals
-            out, _ = sma.sma_forward(img, q, cfg, train, np.random.default_rng(9))
+            out, _ = sma.sma_forward(img, q, cfg, draws())
             return float(np.sum(out * gout))
 
         q = copy.deepcopy(p)
-        _, cache = sma.sma_forward(img, q, cfg, train, np.random.default_rng(9))
+        _, cache = sma.sma_forward(img, q, cfg, draws())
         grads = sma.sma_backward(gout, cache, q)
         worst = 0.0
         pick = np.random.default_rng(3)
@@ -277,7 +280,7 @@ class TestSpectralShift:
         state = AdamState.init(params, names)
         tcfg = TrainConfig(lr=3e-3, batch_size=1, epochs=1)
         for _ in range(200):
-            A_enh, cache = sma.enhancer_forward(A0, p, train=False)
+            A_enh, cache = sma.enhancer_forward(A0, p)
             gA = A_enh - target
             grads = sma.enhancer_backward(gA, cache, p)
             adam_step(params, grads, state, tcfg)
