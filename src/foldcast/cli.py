@@ -329,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gradcheck", cmd_gradcheck, "gradient verification: one directional central "
                 "difference per trainable tensor of a small whole model")
-    p.add_argument("--component", default="all",
-                   choices=["all", "sma", "tga", "lora", "beta", "backbone"])
+    p.add_argument("--component", default="all", choices=["all", *fc.GRADCHECK_BOUNDS])
     p.add_argument("--inject-fault", action="store_true",
                    help="scale the checked analytic gradients by 1.1 to prove the check can fail")
     p.add_argument("--out", default=None)

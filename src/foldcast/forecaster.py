@@ -151,7 +151,7 @@ class ForecastModel:
         rng = np.random.default_rng(seed)
         D = cfg.backbone.d_model
         self.bb_params = bb.init_backbone(cfg.backbone, rng)
-        self.enhancer = sma.init_enhancer(rng, channels=16, dropout_rate=0.1)
+        self.enhancer = sma.init_enhancer(rng)
         self.tga = adapter.init_tga(rng, D)
         self.lora = {
             f"enc{i}": {

@@ -1,20 +1,21 @@
 """Spectral magnitude aligner: enhance the Fourier magnitude of an image while
 preserving its phase, then blend residually with the input.
 
-Forward chain: rfft2 -> (magnitude, phase) -> conv/BN/ReLU/dropout/conv stack on
-the magnitude -> recombine with the original phase -> irfft2 -> residual blend
-I + lam * (I_enhanced - I), on images [..., H, W] whose leading axes are a
-batch: batch norm takes each image's own statistics, and the parameter
-gradients are summed over the images.  The first convolution has a single
-input channel, so batch norm folds into it: one product against the nine
-shifted copies of the magnitude gives the normalized activation, in train mode
-from the 9x9 covariance of those copies.  A pass trains exactly when it is
-handed an rng, which draws its dropout masks.  All gradients are hand-derived
-and cover the enhancer's parameters only; the image gradient is never formed,
-since nothing before the aligner is trained.  irfft2 is numpy's real inverse
-FFT, a real-linear map on any half-spectrum, including one whose edge columns
-(0 and W/2) are no longer Hermitian-consistent after enhancement; its adjoint
-is written in closed form against it.
+Forward chain: rfft2 -> magnitude np.abs and phase np.angle -> conv/BN/ReLU/
+dropout/conv stack on the magnitude -> times exp(i * phase) -> irfft2 ->
+residual blend I + lam * (I_enhanced - I), on images [..., H, W] whose leading
+axes are a batch: batch norm takes each image's own statistics, and the
+parameter gradients are summed over the images.  The first convolution has a
+single input channel, so batch norm folds into it: one product against the
+nine shifted copies of the magnitude gives the normalized activation, in train
+mode from the 9x9 covariance of those copies.  A pass trains exactly when it
+is handed an rng, which draws its dropout masks.  All gradients are
+hand-derived and cover the enhancer's parameters only; the image gradient is
+never formed, since nothing before the aligner is trained, and the cache keeps
+only what backward reads: the phase, lam and the enhancer's cache.  irfft2 is
+numpy's real inverse FFT, a real-linear map on any half-spectrum, including
+one whose edge columns (0 and W/2) are no longer Hermitian-consistent after
+enhancement; its adjoint is written in closed form against it.
 """
 
 from __future__ import annotations
@@ -110,18 +111,6 @@ def irfft2_adjoint(grad_image: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum -> (magnitude, phase)."""
-    return np.abs(hs), np.angle(hs)
-
-
-def recombine(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """(magnitude, phase) -> half-spectrum; negative magnitudes flip phase by pi."""
-    if magnitude.shape != phase.shape:
-        raise ValueError("magnitude and phase shapes differ")
-    return magnitude * np.exp(1j * phase)
-
-
 # ---------------------------------------------------------------------------
 # 3x3 convolutions (stride 1, zero pad 1)
 #
@@ -191,11 +180,12 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, rng=None):
     """Conv -> BN -> ReLU -> dropout -> conv on magnitude spectra [..., H, W/2+1].
 
     Returns (A_enhanced, cache); cache records everything backward needs,
-    including the dropout mask, so train-mode gradients are exact.  Of the
-    [..., C, H, W/2+1] activations it keeps the masked one and its boolean
-    mask (ReLU and dropout together); backward rebuilds the taps from A.  The
-    inverted-dropout scale is a scalar on conv2, so it scales conv2's weights.
-    The running statistics take one train-mode update per image, in order.
+    including the dropout mask, so train-mode gradients are exact: the input
+    A, from which backward rebuilds the taps, the masked [..., C, H, W/2+1]
+    activation and its boolean mask (ReLU and dropout together), and the
+    batch-norm terms.  The inverted-dropout scale is a scalar on conv2, so it
+    scales conv2's weights.  The running statistics take one train-mode update
+    per image, in order and in place, so arrays held from the model stay its own.
     """
     C = p.conv1_w.shape[0]
     *lead, H, Wh = A.shape
@@ -211,8 +201,10 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, rng=None):
         var = ((w1 @ S) * w1).sum(axis=-1)  # population variance for normalization
         unbiased = var * n / max(n - 1, 1)
         for m, u in zip(mean.reshape(-1, C), unbiased.reshape(-1, C)):
-            p.bn_running_mean = (1 - _BN_MOMENTUM) * p.bn_running_mean + _BN_MOMENTUM * m
-            p.bn_running_var = (1 - _BN_MOMENTUM) * p.bn_running_var + _BN_MOMENTUM * u
+            p.bn_running_mean *= 1 - _BN_MOMENTUM
+            p.bn_running_mean += _BN_MOMENTUM * m
+            p.bn_running_var *= 1 - _BN_MOMENTUM
+            p.bn_running_var += _BN_MOMENTUM * u
     else:
         centre = np.zeros(9)
         mean, var = p.bn_running_mean, p.bn_running_var
@@ -277,25 +269,18 @@ def sma_forward(
 ):
     """Full aligner pass; returns (blended images, cache for backward).
 
-    When no backward follows, `keep_cache=False` keeps no cache and returns
-    None in its place."""
+    The cache holds what sma_backward reads: the phase, lam and the
+    enhancer's cache.  When no backward follows, `keep_cache=False` keeps no
+    cache and returns None in its place."""
     I = np.asarray(image, dtype=np.float64)
     F = rfft2(I)
-    A, phi = decompose(F)
-    A_enh, enh_cache = enhancer_forward(A, p, rng)
-    Fp = recombine(A_enh, phi)
-    I_enh = irfft2(Fp)
+    phi = np.angle(F)
+    A_enh, enh_cache = enhancer_forward(np.abs(F), p, rng)
+    I_enh = irfft2(A_enh * np.exp(1j * phi))
     out = I + cfg.lam * (I_enh - I)
     if not keep_cache:
         return out, None
-    cache = {
-        "phi": phi,
-        "A_enh": A_enh,
-        "enh": enh_cache,
-        "lam": cfg.lam,
-        "I_enh": I_enh,
-    }
-    return out, cache
+    return out, {"phi": phi, "lam": cfg.lam, "enh": enh_cache}
 
 
 def sma_backward(grad_out: np.ndarray, cache, p: EnhancerParams):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from foldcast import data, forecaster as fc
+from foldcast import backbone as bb, data, forecaster as fc
 from foldcast.backbone import BackboneConfig
 from foldcast.data import normalize_target
 from foldcast.rendering import RenderSpec
@@ -524,6 +524,22 @@ class TestCheckpoint:
         assert not np.array_equal(other.forward(w).prediction, before)
         other.load(path)
         assert np.array_equal(other.forward(w).prediction, before)
+
+    def test_state_held_across_a_train_step_stays_the_models(self, tmp_path):
+        """A train step updates the running statistics in place, so a
+        state_tensors() dict taken before it still reads into the model."""
+        model = desk_model(seed=11)
+        path = tmp_path / "m.ntf"
+        model.save(path)
+        saved = model.snapshot()
+        held = model.state_tensors()
+        model.loss_and_grads(*toy_windows(2), rng=np.random.default_rng(0))
+        for k in ("sma.bn_running_mean", "sma.bn_running_var"):
+            assert held[k] is model.state_tensors()[k]
+            assert not np.array_equal(held[k], saved[k])
+        bb.read_weights(path, out=held)
+        for k in ("sma.bn_running_mean", "sma.bn_running_var"):
+            assert np.array_equal(model.state_tensors()[k], saved[k])
 
     def test_load_shape_mismatch(self, tmp_path):
         model = desk_model(seed=11)
