@@ -17,7 +17,7 @@ rng = np.random.default_rng(0)
 img = spectral.synth_power_law_image(1.5, 64, 64, seed=4)
 
 print("== identity and phase preservation at initialization ==")
-p = sma.init_enhancer(np.random.default_rng(5), channels=16, dropout_rate=0.0)
+p = sma.init_enhancer(np.random.default_rng(5), channels=16)  # the `sma.*` tensors by name
 out, _ = sma.sma_forward(img, p, SmaConfig(lam=0.0))
 print(f"lam=0: output is the input, bit-exact: {np.array_equal(out, img)}")
 out, _ = sma.sma_forward(img, p, SmaConfig(lam=1.0))
@@ -35,14 +35,14 @@ fv = np.arange(W // 2 + 1)[None, :]
 r = np.sqrt(fu * fu + fv * fv)
 target = A0 * (1.0 + 9.0 * np.exp(-((r / 6.0) ** 2)))
 
-names = list(p.grad_keys())
-params = {k: getattr(p, k) for k in names}
-state = AdamState.init(params, names)
+names = [k for k in p if k not in sma.BUFFERS]  # the running statistics do not train
+state = AdamState.init(p, names)
 tcfg = TrainConfig(lr=3e-3, batch_size=1, epochs=1)
 for step in range(200):
     A_enh, cache = sma.enhancer_forward(A0, p)
-    grads = sma.enhancer_backward(A_enh - target, cache, p)
-    adam_step(params, grads, state, tcfg)
+    grads = {k: np.zeros_like(p[k]) for k in names}
+    sma.enhancer_backward(A_enh - target, cache, p, grads)  # adds under the names it read
+    adam_step(p, grads, state, tcfg)
     if step % 50 == 0:
         print(f"  step {step:3d}: magnitude loss {0.5 * np.sum((A_enh - target) ** 2):.3e}")
 

@@ -20,21 +20,23 @@ table = adapter.sinusoid_table(L, D)
 print(f"table [{L} x {D}], entries in [{table.min():.1f}, {table.max():.1f}]")
 print(f"row 0 starts {table[0, :4]}; row 1 starts [sin(1), cos(1), ...] = {table[1, :2]}")
 
-tga = adapter.init_tga(rng, D)
+tga = adapter.init_tga(rng, D)  # {"tga.W_proj", "tga.w_fusion"}
 X = rng.normal(size=(L, D))
 out, cache = adapter.tga_forward(X, tga, table)
-print(f"gate sigmoid(w=0) = {tga.gate}; injected energy {np.abs(out - X).max():.3f}")
-tga.w_fusion[0] = -40.0
+print(f"gate sigmoid(w=0) = {cache['g']}; injected energy {np.abs(out - X).max():.3f}")
+tga["tga.w_fusion"][0] = -40.0
 out, _ = adapter.tga_forward(X, tga, table)
 print(f"gate closed (w=-40): max |out - X| = {np.abs(out - X).max():.2e}")
 
 print("\n== low-rank adaptation ==")
-f = adapter.init_lora(rng, D, rank=4, alpha_lora=16.0)
+lora = adapter.init_lora(rng, D, rank=4, e_layers=1)  # lora.enc0.<q|k|v>.<A|B>
+A, B = lora["lora.enc0.q.A"], lora["lora.enc0.q.B"]
+scale = 16.0 / 4  # alpha / r
 W = rng.normal(size=(D, D))
-print(f"rank 4, alpha 16 -> scale {f.scale}; B starts zero, so W' == W: "
-      f"{np.array_equal(adapter.lora_apply(W, f), W)}")
-f.B = rng.normal(size=f.B.shape)
-sv = np.linalg.svd(adapter.lora_apply(W, f) - W, compute_uv=False)
+print(f"rank 4, alpha 16 -> scale {scale}; B starts zero, so W' == W: "
+      f"{np.array_equal(adapter.lora_apply(W, A, B, scale), W)}")
+B = rng.normal(size=B.shape)
+sv = np.linalg.svd(adapter.lora_apply(W, A, B, scale) - W, compute_uv=False)
 print(f"after training B: rank(W' - W) = {int((sv > 1e-10).sum())} <= 4")
 
 print("\n== fusion ==")

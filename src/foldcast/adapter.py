@@ -10,7 +10,6 @@ adapted model starts exactly at the frozen base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,46 +17,26 @@ import numpy as np
 from .rendering import _read_only
 
 
-@dataclass
-class TgaParams:
-    W_proj: np.ndarray  # [D, D]
-    w_fusion: np.ndarray  # shape-(1,) gate logit, kept as an array for in-place updates
-
-    @property
-    def gate(self) -> float:
-        return float(sigmoid(self.w_fusion)[0])
-
-
-@dataclass
-class LoraFactor:
-    A: np.ndarray  # [r, D]
-    B: np.ndarray  # [D, r]
-    alpha_lora: float
-
-    @property
-    def rank(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def scale(self) -> float:
-        return self.alpha_lora / self.rank
-
-
-def init_tga(rng: np.random.Generator, D: int) -> TgaParams:
+def init_tga(rng: np.random.Generator, D: int) -> dict[str, np.ndarray]:
+    """The grounding adapter's tensors under their checkpoint names:
+    `tga.W_proj` [D, D] and the gate logit `tga.w_fusion`, a shape-(1,)
+    array so that it updates in place."""
     bound = 1.0 / np.sqrt(D)
-    return TgaParams(
-        W_proj=rng.uniform(-bound, bound, size=(D, D)), w_fusion=np.zeros(1)
-    )
+    return {"tga.W_proj": rng.uniform(-bound, bound, size=(D, D)), "tga.w_fusion": np.zeros(1)}
 
 
-def init_lora(rng: np.random.Generator, D: int, rank: int, alpha_lora: float) -> LoraFactor:
+def init_lora(rng: np.random.Generator, D: int, rank: int, e_layers: int) -> dict[str, np.ndarray]:
+    """The low-rank factors of every encoder layer's Q, K and V projections,
+    in that order: `lora.enc<i>.<q|k|v>.A` [r, D] drawn from N(0, 0.02²) and
+    `.B` [D, r] zero."""
     if not 1 <= rank <= D:
         raise ValueError(f"rank must lie in [1, {D}], got {rank}")
-    return LoraFactor(
-        A=rng.normal(0.0, 0.02, size=(rank, D)),
-        B=np.zeros((D, rank)),
-        alpha_lora=alpha_lora,
-    )
+    out = {}
+    for i in range(e_layers):
+        for n in ("q", "k", "v"):
+            out[f"lora.enc{i}.{n}.A"] = rng.normal(0.0, 0.02, size=(rank, D))
+            out[f"lora.enc{i}.{n}.B"] = np.zeros((D, rank))
+    return out
 
 
 def temporal_indices(L: int) -> np.ndarray:
@@ -87,35 +66,32 @@ def sigmoid(x) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def tga_forward(X: np.ndarray, p: TgaParams, table: np.ndarray):
-    """X + sigmoid(w_fusion) * (table @ W_proj^T) for tokens X [..., L, D];
+def tga_forward(X: np.ndarray, params: dict, table: np.ndarray):
+    """X + sigmoid(tga.w_fusion) * (table @ tga.W_proj^T) for tokens X [..., L, D];
     returns (output, cache)."""
     if X.shape[-2:] != table.shape:
         raise ValueError(f"token shape {X.shape} != table shape {table.shape}")
-    g = p.gate
-    proj = table @ p.W_proj.T
+    g = float(sigmoid(params["tga.w_fusion"])[0])
+    proj = table @ params["tga.W_proj"].T
     out = X + g * proj
     return out, {"g": g, "proj": proj, "table": table}
 
 
-def tga_backward(grad_out: np.ndarray, cache):
-    """Gradients wrt W_proj and w_fusion.  The adapter adds to the tokens, so
-    the incoming tokens' gradient is `grad_out` itself."""
+def tga_backward(grad_out: np.ndarray, cache, grads) -> None:
+    """Add the gradients wrt `tga.W_proj` and `tga.w_fusion` into `grads`.
+    The adapter adds to the tokens, so the incoming tokens' gradient is
+    `grad_out` itself."""
     g = cache["g"]
     summed = grad_out.reshape(-1, *grad_out.shape[-2:]).sum(axis=0)  # over the samples
-    dW = g * summed.T @ cache["table"]
-    dw_fusion = g * (1.0 - g) * float(np.sum(grad_out * cache["proj"]))
-    return {"W_proj": dW, "w_fusion": np.array([dw_fusion])}
+    grads["tga.W_proj"] += g * summed.T @ cache["table"]
+    grads["tga.w_fusion"] += g * (1.0 - g) * float(np.sum(grad_out * cache["proj"]))
 
 
-def lora_apply(W: np.ndarray, f: LoraFactor) -> np.ndarray:
-    """Merged weight W + (alpha/r) * B @ A."""
-    D = W.shape[0]
-    if f.B.shape[0] != D or f.A.shape[1] != W.shape[1]:
-        raise ValueError(
-            f"factor shapes A{f.A.shape} B{f.B.shape} do not match weight {W.shape}"
-        )
-    return W + f.scale * (f.B @ f.A)
+def lora_apply(W: np.ndarray, A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
+    """Merged weight W + scale * B @ A, the scale being alpha / r."""
+    if B.shape[0] != W.shape[0] or A.shape[1] != W.shape[1]:
+        raise ValueError(f"factor shapes A{A.shape} B{B.shape} do not match weight {W.shape}")
+    return W + scale * (B @ A)
 
 
 def fold_rows(x: np.ndarray) -> np.ndarray:
@@ -124,54 +100,47 @@ def fold_rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def lora_project(
-    x: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    f: LoraFactor | None,
-    drop_scale: np.ndarray | None = None,
-):
-    """y = x @ W^T + b plus the low-rank path, for x [..., L, D]; returns
-    (y, cache).
+def lora_project(x: np.ndarray, params: dict, w: str, b: str, lora: str | None = None,
+                 scale: float = 1.0, drop_scale: np.ndarray | None = None):
+    """y = x @ params[w]^T + params[b] for x [..., L, D], plus, when `lora`
+    names a factor pair, the low-rank path scale * (x @ A^T) @ B^T with
+    A = params[lora + ".A"] and B = params[lora + ".B"]; returns (y, cache).
 
     `drop_scale` is an inverted-dropout mask applied to the low-rank path's
     input only.  A zero-initialized B adds an exact zero, so the output equals
     the base projection bit for bit.
     """
-    y = x @ W.T
-    y += b
-    cache = {"x": x, "xa": None, "drop_scale": drop_scale}
-    if f is not None:
+    y = x @ params[w].T
+    y += params[b]
+    cache = {"x": x, "w": w, "b": b, "lora": lora, "scale": scale, "drop_scale": drop_scale}
+    if lora is not None:
         xd = x * drop_scale if drop_scale is not None else x
-        xa = xd @ f.A.T
-        cache["xa"] = xa
-        cache["xd"] = xd
-        cache["factor"] = f
-        y += f.scale * (xa @ f.B.T)
+        xa = xd @ params[lora + ".A"].T
+        cache.update(xa=xa, xd=xd)
+        y += scale * (xa @ params[lora + ".B"].T)
     return y, cache
 
 
-def lora_project_backward(g: np.ndarray, W: np.ndarray, cache, base_grads: bool = True):
-    """Gradients for the base weight/bias, the factor, and the input.
+def lora_project_backward(g: np.ndarray, params: dict, cache, grads, base) -> np.ndarray:
+    """Input gradient of `lora_project`, given g of its output.
 
-    Weight, bias and factor gradients sum over the leading axes.  With
-    `base_grads=False` (frozen base) dW and db are not formed and come back
-    as None.
+    The factor gradients are added into `grads` and the base weight and bias
+    gradients into `base`, under the names the forward read; a frozen base
+    passes `base=None` and they are not formed.  Every gradient sums over the
+    leading axes.
     """
-    dW = db = None
-    if base_grads:
-        dW = fold_rows(g).T @ fold_rows(cache["x"])
-        db = fold_rows(g).sum(axis=0)
-    dx = g @ W
-    factor_grads = None
-    if cache["xa"] is not None:
-        f = cache["factor"]
-        dB = f.scale * (fold_rows(g).T @ fold_rows(cache["xa"]))
-        dxa = f.scale * (g @ f.B)
-        dA = fold_rows(dxa).T @ fold_rows(cache["xd"])
-        dxd = dxa @ f.A
+    if base is not None:
+        base[cache["w"]] += fold_rows(g).T @ fold_rows(cache["x"])
+        base[cache["b"]] += fold_rows(g).sum(axis=0)
+    dx = g @ params[cache["w"]]
+    lora = cache["lora"]
+    if lora is not None:
+        s = cache["scale"]
+        grads[lora + ".B"] += s * (fold_rows(g).T @ fold_rows(cache["xa"]))
+        dxa = s * (g @ params[lora + ".B"])
+        grads[lora + ".A"] += fold_rows(dxa).T @ fold_rows(cache["xd"])
+        dxd = dxa @ params[lora + ".A"]
         if cache["drop_scale"] is not None:
             dxd = dxd * cache["drop_scale"]
         dx = dx + dxd
-        factor_grads = {"A": dA, "B": dB}
-    return dW, db, dx, factor_grads
+    return dx

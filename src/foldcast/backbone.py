@@ -44,13 +44,14 @@ the results are bitwise those of the formulas.  The visible patch indices
 and the grounding adapter's sinusoid table depend only on the grid and the
 width, and are cached read-only, keyed by plain ints.
 
-Parameters live in a flat name -> float64 array dict so that optimization,
-freezing, and serialization stay uniform.  The backward functions add into
-one flat gradient buffer, `grads`, under the names of
-`ForecastModel.named_params()`: `bb.<parameter>` for the base weights,
-`lora.<layer>.<q|k|v>.<A|B>` and `tga.W_proj`/`tga.w_fusion` for the
-adapters.  A frozen backbone forms no `bb.*` gradient, and the helpers
-receive its base-weight buffer as None.  The on-disk format ("NTF1") is a
+Every function reads its tensors from one flat name -> float64 array dict,
+the whole model's `ForecastModel.params`, under their checkpoint names:
+`bb.<parameter>` for the base weights, `lora.enc<i>.<q|k|v>.<A|B>` and
+`tga.W_proj`/`tga.w_fusion` for the adapters (the dict also holds the
+aligner's `sma.*` tensors and `fuse.beta`).  Each backward adds its
+gradients into one flat buffer, `grads`, under the very key its forward
+read.  A frozen backbone forms no `bb.*` gradient, and the helpers receive
+its base-weight buffer as None.  The on-disk format ("NTF1") is a
 little-endian named-tensor container with bit-exact round trips.
 """
 
@@ -91,11 +92,13 @@ class BackboneConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ValueError(f"d_model {self.d_model} must be divisible by n_heads, "
+                             f"got {self.n_heads}")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
-            raise ValueError("image dims must be divisible by patch_size")
+            raise ValueError(f"image dims {self.image_height}x{self.image_width} must be "
+                             f"divisible by patch_size, got {self.patch_size}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
     @property
     def grid_rows(self) -> int:
@@ -157,36 +160,37 @@ def _linear_init(rng, out_dim, in_dim):
 
 
 def _block_params(rng, prefix: str, D: int, d_ff: int, params: dict):
-    params[f"{prefix}.ln1.g"] = np.ones(D)
-    params[f"{prefix}.ln1.b"] = np.zeros(D)
+    params[f"bb.{prefix}.ln1.g"] = np.ones(D)
+    params[f"bb.{prefix}.ln1.b"] = np.zeros(D)
     for name in ("wq", "wk", "wv", "wo"):
-        params[f"{prefix}.attn.{name}"] = _linear_init(rng, D, D)
+        params[f"bb.{prefix}.attn.{name}"] = _linear_init(rng, D, D)
     for name in ("bq", "bk", "bv", "bo"):
-        params[f"{prefix}.attn.{name}"] = np.zeros(D)
-    params[f"{prefix}.ln2.g"] = np.ones(D)
-    params[f"{prefix}.ln2.b"] = np.zeros(D)
-    params[f"{prefix}.mlp.w1"] = _linear_init(rng, d_ff, D)
-    params[f"{prefix}.mlp.b1"] = np.zeros(d_ff)
-    params[f"{prefix}.mlp.w2"] = _linear_init(rng, D, d_ff)
-    params[f"{prefix}.mlp.b2"] = np.zeros(D)
+        params[f"bb.{prefix}.attn.{name}"] = np.zeros(D)
+    params[f"bb.{prefix}.ln2.g"] = np.ones(D)
+    params[f"bb.{prefix}.ln2.b"] = np.zeros(D)
+    params[f"bb.{prefix}.mlp.w1"] = _linear_init(rng, d_ff, D)
+    params[f"bb.{prefix}.mlp.b1"] = np.zeros(d_ff)
+    params[f"bb.{prefix}.mlp.w2"] = _linear_init(rng, D, d_ff)
+    params[f"bb.{prefix}.mlp.b2"] = np.zeros(D)
 
 
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """The base weights under their checkpoint names, `bb.<parameter>`."""
     D, pd, L = cfg.d_model, cfg.patch_dim, cfg.n_patches
     params: dict[str, np.ndarray] = {}
-    params["patch_embed.w"] = _linear_init(rng, D, pd)
-    params["patch_embed.b"] = np.zeros(D)
-    params["enc_pos"] = rng.normal(0.0, 0.02, size=(L, D))
+    params["bb.patch_embed.w"] = _linear_init(rng, D, pd)
+    params["bb.patch_embed.b"] = np.zeros(D)
+    params["bb.enc_pos"] = rng.normal(0.0, 0.02, size=(L, D))
     for i in range(cfg.e_layers):
         _block_params(rng, f"enc{i}", D, cfg.d_ff, params)
-    params["mask_token"] = rng.normal(0.0, 0.02, size=D)
-    params["dec_pos"] = rng.normal(0.0, 0.02, size=(L, D))
+    params["bb.mask_token"] = rng.normal(0.0, 0.02, size=D)
+    params["bb.dec_pos"] = rng.normal(0.0, 0.02, size=(L, D))
     for i in range(cfg.d_layers):
         _block_params(rng, f"dec{i}", D, cfg.d_ff, params)
-    params["dec_norm.g"] = np.ones(D)
-    params["dec_norm.b"] = np.zeros(D)
-    params["head.w"] = _linear_init(rng, pd, D)
-    params["head.b"] = np.zeros(pd)
+    params["bb.dec_norm.g"] = np.ones(D)
+    params["bb.dec_norm.b"] = np.zeros(D)
+    params["bb.head.w"] = _linear_init(rng, pd, D)
+    params["bb.head.b"] = np.zeros(pd)
     return params
 
 
@@ -194,8 +198,9 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np
 # primitives
 
 
-def _layernorm(x, g, b):
-    """Row-wise layer norm of x [..., D]; returns (output, cache).
+def _layernorm(x, params, name):
+    """Row-wise layer norm of x [..., D] with gain `<name>.g` and bias
+    `<name>.b` of `params`; returns (output, cache).
 
     The variance comes from the centred copy, squared and summed, which is
     what `np.var` computes; the centred copy is then scaled in place into
@@ -206,14 +211,15 @@ def _layernorm(x, g, b):
     var /= x.shape[-1]
     invstd = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= invstd
+    g = params[f"{name}.g"]
     out = xhat * g
-    out += b
-    return out, {"xhat": xhat, "invstd": invstd, "g": g}
+    out += params[f"{name}.b"]
+    return out, {"xhat": xhat, "invstd": invstd, "g": g, "name": name}
 
 
-def _layernorm_backward(gr, cache, base, name):
+def _layernorm_backward(gr, cache, base):
     """Input gradient; adds the gain/bias gradients to `base` unless it is None."""
-    xhat, invstd, g = cache["xhat"], cache["invstd"], cache["g"]
+    xhat, invstd, g, name = cache["xhat"], cache["invstd"], cache["g"], cache["name"]
     if base is not None:
         base[f"{name}.g"] += fold_rows(gr * xhat).sum(axis=0)
         base[f"{name}.b"] += fold_rows(gr).sum(axis=0)
@@ -281,17 +287,19 @@ def _merge_heads(x):
 # attention / MLP / block
 
 
-def _attn_forward(x, params, prefix, cfg, rows, lora=None, rng=None, lora_drop=0.0):
-    """Attention output for the rows `rows` of x; keys and values see every row."""
-    p = lambda n: params[f"{prefix}.attn.{n}"]
+def _attn_forward(x, params, prefix, cfg, rows, lora_scale=None, rng=None, lora_drop=0.0):
+    """Attention output for the rows `rows` of x; keys and values see every
+    row.  With a `lora_scale` the Q, K and V projections add the low-rank
+    paths of `lora.<prefix>.<q|k|v>`."""
+    key = f"bb.{prefix}.attn."
     cache = {"x": x}
     proj = {}
     for name in ("q", "k", "v"):
         xin = x[..., rows, :] if name == "q" else x
-        factor = lora.get(name) if lora else None
-        drop = _dropout_scale(xin.shape, lora_drop, rng) if factor is not None else None
+        lora = f"lora.{prefix}.{name}" if lora_scale is not None else None
+        drop = _dropout_scale(xin.shape, lora_drop, rng) if lora else None
         proj[name], cache[name] = adapter.lora_project(
-            xin, p("w" + name), p("b" + name), factor, drop
+            xin, params, key + "w" + name, key + "b" + name, lora, lora_scale, drop
         )
     q = _split_heads(proj["q"], cfg.n_heads)
     k = _split_heads(proj["k"], cfg.n_heads)
@@ -301,8 +309,8 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, rng=None, lora_drop=0
     probs = _softmax(scores)
     ctx = probs @ v
     merged = _merge_heads(ctx)
-    out = merged @ p("wo").T
-    out += p("bo")
+    out = merged @ params[key + "wo"].T
+    out += params[key + "bo"]
     drop_o = _dropout_scale(out.shape, cfg.dropout, rng)
     if drop_o is not None:
         out *= drop_o
@@ -311,13 +319,13 @@ def _attn_forward(x, params, prefix, cfg, rows, lora=None, rng=None, lora_drop=0
 
 
 def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
-    p = lambda n: params[f"{prefix}.attn.{n}"]
+    key = f"bb.{prefix}.attn."
     if cache["drop_o"] is not None:
         gr = gr * cache["drop_o"]
     if base is not None:
-        base[f"bb.{prefix}.attn.wo"] += fold_rows(gr).T @ fold_rows(cache["merged"])
-        base[f"bb.{prefix}.attn.bo"] += fold_rows(gr).sum(axis=0)
-    gmerged = gr @ p("wo")
+        base[key + "wo"] += fold_rows(gr).T @ fold_rows(cache["merged"])
+        base[key + "bo"] += fold_rows(gr).sum(axis=0)
+    gmerged = gr @ params[key + "wo"]
     gctx = _split_heads(gmerged, cfg.n_heads)
     probs, q, k, v = cache["probs"], cache["qh"], cache["kh"], cache["vh"]
     gprobs = gctx @ np.swapaxes(v, -1, -2)
@@ -328,24 +336,17 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
     gk = np.swapaxes(gscores, -1, -2) @ q
     gx = np.zeros_like(cache["x"])
     for name, gh in (("q", gq), ("k", gk), ("v", gv)):
-        dW, db, dx, fg = adapter.lora_project_backward(
-            _merge_heads(gh), p("w" + name), cache[name], base_grads=base is not None
-        )
-        if base is not None:
-            base[f"bb.{prefix}.attn.w{name}"] += dW
-            base[f"bb.{prefix}.attn.b{name}"] += db
+        dx = adapter.lora_project_backward(_merge_heads(gh), params, cache[name], grads, base)
         gx[..., cache["rows"] if name == "q" else slice(None), :] += dx
-        if fg is not None:
-            grads[f"lora.{prefix}.{name}.A"] += fg["A"]
-            grads[f"lora.{prefix}.{name}.B"] += fg["B"]
     return gx
 
 
 def _mlp_forward(x, params, prefix, cfg, rng=None, keep_cache=True):
     """Returns (output, cache), the cache None unless `keep_cache`; without
     it the GELU runs in its input's buffer, as no backward reads that."""
-    w1, b1 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]
-    w2, b2 = params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]
+    key = f"bb.{prefix}.mlp."
+    w1, b1 = params[key + "w1"], params[key + "b1"]
+    w2, b2 = params[key + "w2"], params[key + "b2"]
     h = x @ w1.T
     h += b1
     a, tanh_u = _gelu(h, in_place=not keep_cache)
@@ -363,7 +364,8 @@ def _mlp_forward(x, params, prefix, cfg, rng=None, keep_cache=True):
 
 
 def _mlp_backward(gr, params, prefix, cache, base):
-    w1, w2 = params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.w2"]
+    key = f"bb.{prefix}.mlp."
+    w1, w2 = params[key + "w1"], params[key + "w2"]
     if cache["drop_y"] is not None:
         gr = gr * cache["drop_y"]
     if base is not None:
@@ -371,20 +373,20 @@ def _mlp_backward(gr, params, prefix, cache, base):
         ad = 0.5 * cache["h"] * (1.0 + cache["tanh_u"])
         if cache["drop_h"] is not None:
             ad = ad * cache["drop_h"]
-        base[f"bb.{prefix}.mlp.w2"] += fold_rows(gr).T @ fold_rows(ad)
-        base[f"bb.{prefix}.mlp.b2"] += fold_rows(gr).sum(axis=0)
+        base[key + "w2"] += fold_rows(gr).T @ fold_rows(ad)
+        base[key + "b2"] += fold_rows(gr).sum(axis=0)
     gad = gr @ w2
     if cache["drop_h"] is not None:
         gad = gad * cache["drop_h"]
     gh = _gelu_backward(gad, cache["h"], cache["tanh_u"])
     if base is not None:
-        base[f"bb.{prefix}.mlp.w1"] += fold_rows(gh).T @ fold_rows(cache["x"])
-        base[f"bb.{prefix}.mlp.b1"] += fold_rows(gh).sum(axis=0)
+        base[key + "w1"] += fold_rows(gh).T @ fold_rows(cache["x"])
+        base[key + "b1"] += fold_rows(gh).sum(axis=0)
     return gh @ w1
 
 
 def _block_forward(
-    x, params, prefix, cfg, rows, lora=None, rng=None, lora_drop=0.0, keep_cache=True
+    x, params, prefix, cfg, rows, lora_scale=None, rng=None, lora_drop=0.0, keep_cache=True
 ):
     """One pre-norm block whose output holds only the rows `rows` of x.
 
@@ -392,13 +394,13 @@ def _block_forward(
     and the MLP only on `rows`.  `slice(None)` keeps every row.  Returns
     (output, cache), the cache None unless `keep_cache`.
     """
-    n1, ln1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+    n1, ln1 = _layernorm(x, params, f"bb.{prefix}.ln1")
     # the attention output, to which the residual is added in place
-    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora, rng, lora_drop)
+    x2, attn = _attn_forward(n1, params, prefix, cfg, rows, lora_scale, rng, lora_drop)
     x2 += x[..., rows, :]
     if not keep_cache:  # free the attention's activations before the MLP forms its own
         del n1, ln1, attn
-    n2, ln2 = _layernorm(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    n2, ln2 = _layernorm(x2, params, f"bb.{prefix}.ln2")
     out, mlp = _mlp_forward(n2, params, prefix, cfg, rng, keep_cache)
     out += x2
     if not keep_cache:
@@ -411,9 +413,9 @@ def _block_backward(gr, params, prefix, cfg, cache, grads, base):
     `base` receives the block's base-weight gradients; None skips them
     (frozen backbone).  LoRA gradients always flow into `grads`."""
     gm = _mlp_backward(gr, params, prefix, cache["mlp"], base)
-    gx2 = _layernorm_backward(gm, cache["ln2"], base, f"bb.{prefix}.ln2") + gr
+    gx2 = _layernorm_backward(gm, cache["ln2"], base) + gr
     ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads, base)
-    gx = _layernorm_backward(ga, cache["ln1"], base, f"bb.{prefix}.ln1")
+    gx = _layernorm_backward(ga, cache["ln1"], base)
     gx[..., cache["attn"]["rows"], :] += gx2
     return gx
 
@@ -424,36 +426,37 @@ def _block_backward(gr, params, prefix, cfg, cache, grads, base):
 
 def _embed_weight(params) -> np.ndarray:
     """`patch_embed.w` [D, 3p²] summed over its channel blocks: [D, p²]."""
-    w = params["patch_embed.w"]
+    w = params["bb.patch_embed.w"]
     return w.reshape(w.shape[0], 3, -1).sum(axis=1)
 
 
 def _head(params) -> tuple[np.ndarray, np.ndarray]:
     """`head.w` [3p², D] and `head.b` [3p²] averaged over their channel blocks."""
-    w, b = params["head.w"], params["head.b"]
+    w, b = params["bb.head.w"], params["bb.head.b"]
     return w.reshape(3, -1, w.shape[1]).mean(axis=0), b.reshape(3, -1).mean(axis=0)
 
 
 def embed(patches: np.ndarray, params: dict) -> np.ndarray:
     """Affine projection of single-channel pixel patches [..., L, p²] to token space."""
     tokens = patches @ _embed_weight(params).T
-    tokens += params["patch_embed.b"]
+    tokens += params["bb.patch_embed.b"]
     return tokens
 
 
 def encode(
-    tokens, params, cfg: BackboneConfig, lora=None, rng=None, lora_drop=0.0, keep_cache=True
+    tokens, params, cfg: BackboneConfig, lora_scale=None, rng=None, lora_drop=0.0,
+    keep_cache=True,
 ):
     """Run encoder blocks over (visible) tokens; returns (latent, caches).
 
-    Without `keep_cache` the caches are None, and each block's activations
-    are freed as the next block runs."""
+    With a `lora_scale` every layer adds its low-rank paths.  Without
+    `keep_cache` the caches are None, and each block's activations are freed
+    as the next block runs."""
     x = tokens
     caches = []
     for i in range(cfg.e_layers):
-        layer_lora = lora.get(f"enc{i}") if lora else None
         x, c = _block_forward(
-            x, params, f"enc{i}", cfg, slice(None), layer_lora, rng, lora_drop, keep_cache
+            x, params, f"enc{i}", cfg, slice(None), lora_scale, rng, lora_drop, keep_cache
         )
         caches.append(c)
     return x, caches if keep_cache else None
@@ -484,14 +487,14 @@ def decode_with_mask_tokens(
             f"latent count {latent.shape[-2]} != visible count {vis_idx.shape[0]}"
         )
     x = np.empty((*latent.shape[:-2], L, cfg.d_model))
-    x[...] = params["mask_token"] + params["dec_pos"]
-    x[..., vis_idx, :] = latent + params["dec_pos"][vis_idx]
+    x[...] = params["bb.mask_token"] + params["bb.dec_pos"]
+    x[..., vis_idx, :] = latent + params["bb.dec_pos"][vis_idx]
     caches = []
     for i in range(cfg.d_layers):
         rows = out_idx if i == cfg.d_layers - 1 else slice(None)
         x, c = _block_forward(x, params, f"dec{i}", cfg, rows, None, rng, keep_cache=keep_cache)
         caches.append(c)
-    n, ln = _layernorm(x, params["dec_norm.g"], params["dec_norm.b"])
+    n, ln = _layernorm(x, params, "bb.dec_norm")
     head_w, head_b = _head(params)
     out = n @ head_w.T
     out += head_b
@@ -512,7 +515,7 @@ def decode_backward(gr, params, cfg, cache, base):
         hb = base["bb.head.b"].reshape(3, -1)
         hb += fold_rows(gr).sum(axis=0) / 3.0
     gn = gr @ head_w
-    gx = _layernorm_backward(gn, cache["ln"], base, "bb.dec_norm")
+    gx = _layernorm_backward(gn, cache["ln"], base)
     for i in reversed(range(cfg.d_layers)):
         gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], None, base)
     L, D = cfg.n_patches, cfg.d_model
@@ -530,14 +533,15 @@ def decode_backward(gr, params, cfg, cache, base):
 
 def autoencode(
     image: np.ndarray, params: dict, cfg: BackboneConfig, vis_cols: int, out_idx: np.ndarray,
-    lora=None, tga: adapter.TgaParams | None = None, rng=None, lora_drop: float = 0.0,
+    lora_scale: float | None = None, tga: bool = False, rng=None, lora_drop: float = 0.0,
     keep_cache: bool = True,
 ):
     """Image [..., H, W] -> visible patches -> tokens (-> TGA) -> +pos ->
     encode -> decode -> image [..., H, W]; returns (image, cache).
 
     Only the visible patches are embedded, and with `tga` adapted over their
-    rows of `adapter.sinusoid_table(cfg.n_patches, cfg.d_model)`.  The image
+    rows of `adapter.sinusoid_table(cfg.n_patches, cfg.d_model)`; with a
+    `lora_scale` the encoder adds its low-rank paths.  The image
     returned is exact on the patches `out_idx` (row-major indices) and zero
     elsewhere; `np.arange(cfg.n_patches)` decodes the whole image.  Without a
     backward, `keep_cache=False` keeps no cache and returns None in its place.
@@ -547,11 +551,11 @@ def autoencode(
     patches = patchify(image, cfg.patch_size)[..., vis_idx, :]
     tokens = embed(patches, params)
     tga_cache = None
-    if tga is not None:
+    if tga:
         table = adapter.sinusoid_table(cfg.n_patches, cfg.d_model)[vis_idx]
-        tokens, tga_cache = adapter.tga_forward(tokens, tga, table)
-    tokens += params["enc_pos"][vis_idx]
-    latent, enc_caches = encode(tokens, params, cfg, lora, rng, lora_drop, keep_cache)
+        tokens, tga_cache = adapter.tga_forward(tokens, params, table)
+    tokens += params["bb.enc_pos"][vis_idx]
+    latent, enc_caches = encode(tokens, params, cfg, lora_scale, rng, lora_drop, keep_cache)
     out_patches, dec_cache = decode_with_mask_tokens(
         latent, vis_idx, out_idx, params, cfg, rng, keep_cache
     )
@@ -583,9 +587,7 @@ def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, i
     if base is not None:
         base["bb.enc_pos"][vis_idx] += gvis.reshape(-1, *gvis.shape[-2:]).sum(axis=0)
     if cache["tga"] is not None:
-        tga_grads = adapter.tga_backward(gvis, cache["tga"])
-        grads["tga.W_proj"] += tga_grads["W_proj"]
-        grads["tga.w_fusion"] += tga_grads["w_fusion"]
+        adapter.tga_backward(gvis, cache["tga"], grads)
     if base is not None:
         # every channel block saw the same single-channel patches
         pw = base["bb.patch_embed.w"].reshape(cfg.d_model, 3, -1)

@@ -262,7 +262,8 @@ def cmd_gradcheck(cfg: dict, args) -> int:
         _write_json(out / "gradcheck.json", report)
     for name, r in report["groups"].items():
         status = "pass" if r["passed"] else "FAIL"
-        print(f"  {name}: max rel err {r['max_rel_err']:.3e} (bound {r['bound']:.0e}) {status}")
+        print(f"  {name}: max rel err {r['max_rel_err']:.3e} (bound {r['bound']:.0e}), raw gap "
+              f"{r['max_raw_rel_gap']:.3e}, kink redraws {r['kink_redraws']} {status}")
     if not report["passed"]:
         print("gradcheck FAILED")
         return 1

@@ -35,15 +35,16 @@ class RenderSpec:
 
     def __post_init__(self):
         if self.periodicity < 1:
-            raise ValueError("periodicity must be positive")
+            raise ValueError(f"periodicity must be positive, got {self.periodicity}")
         if self.patch_size < 1:
             raise ValueError(f"patch_size must be at least 1, got {self.patch_size}")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
-            raise ValueError("image dims must be divisible by patch_size")
+            raise ValueError(f"image dims {self.image_height}x{self.image_width} must be "
+                             f"divisible by patch_size, got {self.patch_size}")
         if self.image_width < 2 * self.patch_size:  # one visible and one masked column
             raise ValueError(f"image_size {self.image_width} < 2 * patch_size {self.patch_size}")
         if not 0.0 < self.align_const <= 1.0:
-            raise ValueError("align_const must lie in (0, 1]")
+            raise ValueError(f"align_const must lie in (0, 1], got {self.align_const}")
 
 
 @dataclass(frozen=True)

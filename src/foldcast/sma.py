@@ -37,37 +37,25 @@ class SmaConfig:
             raise ValueError(f"lam (residual_weight) must lie in [0, 1], got {self.lam}")
 
 
-@dataclass
-class EnhancerParams:
-    conv1_w: np.ndarray  # [C, 1, 3, 3]
-    conv1_b: np.ndarray  # [C]
-    bn_gamma: np.ndarray  # [C]
-    bn_beta: np.ndarray  # [C]
-    bn_running_mean: np.ndarray  # [C] buffer
-    bn_running_var: np.ndarray  # [C] buffer
-    conv2_w: np.ndarray  # [1, C, 3, 3]
-    conv2_b: np.ndarray  # [1]
-    dropout_rate: float = 0.1
-
-    def grad_keys(self):
-        return ("conv1_w", "conv1_b", "bn_gamma", "bn_beta", "conv2_w", "conv2_b")
+# the batch norm's running statistics: checkpointed, updated in forward, never trained
+BUFFERS = ("sma.bn_running_mean", "sma.bn_running_var")
 
 
-def init_enhancer(rng: np.random.Generator, channels: int = 16, dropout_rate: float = 0.1) -> EnhancerParams:
-    """Fan-in-scaled uniform kernels, zero biases, identity batch norm."""
+def init_enhancer(rng: np.random.Generator, channels: int = 16) -> dict[str, np.ndarray]:
+    """The enhancer's tensors under their checkpoint names, `sma.<name>`:
+    fan-in-scaled uniform kernels, zero biases and an identity batch norm."""
     b1 = 1.0 / np.sqrt(1 * 9)
     b2 = 1.0 / np.sqrt(channels * 9)
-    return EnhancerParams(
-        conv1_w=rng.uniform(-b1, b1, size=(channels, 1, 3, 3)),
-        conv1_b=np.zeros(channels),
-        bn_gamma=np.ones(channels),
-        bn_beta=np.zeros(channels),
-        bn_running_mean=np.zeros(channels),
-        bn_running_var=np.ones(channels),
-        conv2_w=rng.uniform(-b2, b2, size=(1, channels, 3, 3)),
-        conv2_b=np.zeros(1),
-        dropout_rate=dropout_rate,
-    )
+    return {
+        "sma.conv1_w": rng.uniform(-b1, b1, size=(channels, 1, 3, 3)),
+        "sma.conv1_b": np.zeros(channels),
+        "sma.bn_gamma": np.ones(channels),
+        "sma.bn_beta": np.zeros(channels),
+        "sma.conv2_w": rng.uniform(-b2, b2, size=(1, channels, 3, 3)),
+        "sma.conv2_b": np.zeros(1),
+        "sma.bn_running_mean": np.zeros(channels),
+        "sma.bn_running_var": np.ones(channels),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +164,9 @@ def conv3x3_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
 # neither conv1's output nor the normalized activation is ever formed.
 
 
-def enhancer_forward(A: np.ndarray, p: EnhancerParams, rng=None):
-    """Conv -> BN -> ReLU -> dropout -> conv on magnitude spectra [..., H, W/2+1].
+def enhancer_forward(A: np.ndarray, p: dict, rng=None, dropout_rate: float = 0.1):
+    """Conv -> BN -> ReLU -> dropout -> conv on magnitude spectra [..., H, W/2+1],
+    with the `sma.*` tensors of `p`.
 
     Returns (A_enhanced, cache); cache records everything backward needs,
     including the dropout mask, so train-mode gradients are exact: the input
@@ -187,48 +176,51 @@ def enhancer_forward(A: np.ndarray, p: EnhancerParams, rng=None):
     scales conv2's weights.  The running statistics take one train-mode update
     per image, in order and in place, so arrays held from the model stay its own.
     """
-    C = p.conv1_w.shape[0]
+    b1 = p["sma.conv1_b"]
+    running_mean, running_var = p["sma.bn_running_mean"], p["sma.bn_running_var"]
+    C = len(b1)
     *lead, H, Wh = A.shape
     n = H * Wh
-    w1 = p.conv1_w.reshape(C, 9)
+    w1 = p["sma.conv1_w"].reshape(C, 9)
     X = _taps(A).reshape(*lead, 9, n)
     S = None
     if rng is not None:
         centre = X.mean(axis=-1)
         X -= centre[..., None]  # an uncentred Gram loses digits to a large offset
         S = X @ X.swapaxes(-1, -2) / n
-        mean = (w1 @ centre[..., None])[..., 0] + p.conv1_b
+        mean = (w1 @ centre[..., None])[..., 0] + b1
         var = ((w1 @ S) * w1).sum(axis=-1)  # population variance for normalization
         unbiased = var * n / max(n - 1, 1)
         for m, u in zip(mean.reshape(-1, C), unbiased.reshape(-1, C)):
-            p.bn_running_mean *= 1 - _BN_MOMENTUM
-            p.bn_running_mean += _BN_MOMENTUM * m
-            p.bn_running_var *= 1 - _BN_MOMENTUM
-            p.bn_running_var += _BN_MOMENTUM * u
+            running_mean *= 1 - _BN_MOMENTUM
+            running_mean += _BN_MOMENTUM * m
+            running_var *= 1 - _BN_MOMENTUM
+            running_var += _BN_MOMENTUM * u
     else:
         centre = np.zeros(9)
-        mean, var = p.bn_running_mean, p.bn_running_var
+        mean, var = running_mean, running_var
     invstd = 1.0 / np.sqrt(var + _BN_EPS)
-    scale = p.bn_gamma * invstd
-    d = p.conv1_b + (w1 @ centre[..., None])[..., 0] - mean  # conv1(A) - mean = w1 @ Xc + d
+    scale = p["sma.bn_gamma"] * invstd
+    d = b1 + (w1 @ centre[..., None])[..., 0] - mean  # conv1(A) - mean = w1 @ Xc + d
     h = (scale[..., None] * w1) @ X
     del X  # backward rebuilds the taps; freed before conv2 forms its own
-    h += (scale * d + p.bn_beta)[..., None]
+    h += (scale * d + p["sma.bn_beta"])[..., None]
     live = h > 0
     drop_scale = 1.0
-    if rng is not None and p.dropout_rate > 0:
-        live &= rng.random((*lead, C, n)) >= p.dropout_rate
-        drop_scale = 1.0 / (1.0 - p.dropout_rate)
+    if rng is not None and dropout_rate > 0:
+        live &= rng.random((*lead, C, n)) >= dropout_rate
+        drop_scale = 1.0 / (1.0 - dropout_rate)
     h *= live
     a = h.reshape(*lead, C, H, Wh)
-    out = conv3x3(a, p.conv2_w * drop_scale, p.conv2_b)
+    out = conv3x3(a, p["sma.conv2_w"] * drop_scale, p["sma.conv2_b"])
     cache = {"A": A, "a": a, "live": live, "centre": centre, "S": S, "invstd": invstd,
              "d": d, "drop_scale": drop_scale}
     return out[..., 0, :, :], cache
 
 
-def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
-    """Gradients of the enhancer wrt its parameters, summed over the images.
+def enhancer_backward(g_out: np.ndarray, cache, p: dict, grads) -> None:
+    """Add the gradients of the enhancer wrt its parameters, summed over the
+    images, into `grads` under the names of `p` that the forward read.
 
     With g the gradient of the batch norm's output (conv2's input gradient
     times the mask) and P = g @ Xc.T, the batch-norm and conv1 gradients
@@ -238,16 +230,16 @@ def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
     a, live, invstd, d = cache["a"], cache["live"], cache["invstd"], cache["d"]
     *lead, C, H, Wh = a.shape
     s = cache["drop_scale"]
-    gw2, gb2, g = conv3x3_backward(g_out[..., None, :, :], a, p.conv2_w * s)
+    gw2, gb2, g = conv3x3_backward(g_out[..., None, :, :], a, p["sma.conv2_w"] * s)
     g = g.reshape(*lead, C, H * Wh)
     g *= live
     X = _taps(cache["A"]).reshape(*lead, 9, H * Wh)
     X -= cache["centre"][..., None]
-    w1 = p.conv1_w.reshape(C, 9)
+    w1 = p["sma.conv1_w"].reshape(C, 9)
     dbeta = g.sum(axis=-1)
     P = g @ X.swapaxes(-1, -2)
     dgamma = invstd * ((P * w1).sum(axis=-1) + d * dbeta)
-    gs = p.bn_gamma * invstd
+    gs = p["sma.bn_gamma"] * invstd
     if cache["S"] is None:  # eval mode: batch norm is a fixed affine map
         gw1, gb1 = gs[..., None] * P, gs * dbeta
     else:
@@ -257,17 +249,20 @@ def enhancer_backward(g_out: np.ndarray, cache, p: EnhancerParams):
         # xhat @ Xc.T = n * invstd * w1 @ S, and gb1 is 0: BN removes conv1's bias
         gw1 = gs[..., None] * (P - (invstd * dgamma)[..., None] * (w1 @ cache["S"]))
         gb1 = np.zeros(C)
-    grads = {"conv1_w": gw1, "conv1_b": gb1, "bn_gamma": dgamma, "bn_beta": dbeta,
-             "conv2_w": gw2 * s, "conv2_b": gb2}
-    # add the images up in order, as one-image calls would (np.sum may pair them)
-    return {k: np.add.accumulate(v.reshape(-1, *getattr(p, k).shape))[-1]
-            for k, v in grads.items()}
+    per_image = {"sma.conv1_w": gw1, "sma.conv1_b": gb1, "sma.bn_gamma": dgamma,
+                 "sma.bn_beta": dbeta, "sma.conv2_w": gw2 * s, "sma.conv2_b": gb2}
+    for k, v in per_image.items():
+        # add the images up in order, as one-image calls would (np.sum may pair them)
+        grads[k] += np.add.accumulate(v.reshape(-1, *p[k].shape))[-1]
 
 
 def sma_forward(
-    image: np.ndarray, p: EnhancerParams, cfg: SmaConfig, rng=None, keep_cache: bool = True
+    image: np.ndarray, p: dict, cfg: SmaConfig, rng=None, keep_cache: bool = True,
+    dropout_rate: float = 0.1,
 ):
-    """Full aligner pass; returns (blended images, cache for backward).
+    """Full aligner pass with the `sma.*` tensors of `p`; returns (blended
+    images, cache for backward).  `dropout_rate` is that of the enhancer's
+    activations, drawn only in train mode.
 
     The cache holds what sma_backward reads: the phase, lam and the
     enhancer's cache.  When no backward follows, `keep_cache=False` keeps no
@@ -275,7 +270,7 @@ def sma_forward(
     I = np.asarray(image, dtype=np.float64)
     F = rfft2(I)
     phi = np.angle(F)
-    A_enh, enh_cache = enhancer_forward(np.abs(F), p, rng)
+    A_enh, enh_cache = enhancer_forward(np.abs(F), p, rng, dropout_rate)
     I_enh = irfft2(A_enh * np.exp(1j * phi))
     out = I + cfg.lam * (I_enh - I)
     if not keep_cache:
@@ -283,12 +278,13 @@ def sma_forward(
     return out, {"phi": phi, "lam": cfg.lam, "enh": enh_cache}
 
 
-def sma_backward(grad_out: np.ndarray, cache, p: EnhancerParams):
-    """Gradients of the aligner wrt the enhancer parameters.
+def sma_backward(grad_out: np.ndarray, cache, p: dict, grads) -> None:
+    """Add the gradients of the aligner wrt the enhancer parameters into
+    `grads`.
 
     The input image's gradient is not formed: the aligner's input is the
     rendering, and nothing upstream of it is trainable.
     """
     gFp = irfft2_adjoint(cache["lam"] * np.asarray(grad_out, dtype=np.float64))
     gA_enh = gFp.real * np.cos(cache["phi"]) + gFp.imag * np.sin(cache["phi"])
-    return enhancer_backward(gA_enh, cache["enh"], p)
+    enhancer_backward(gA_enh, cache["enh"], p, grads)

@@ -5,7 +5,6 @@ Criterion 2 uses the real ETTh1 CSV when available (FOLDCAST_ETTH1 env var or
 synthetic hourly surrogate.
 """
 
-import copy
 import filecmp
 import json
 import os
@@ -21,6 +20,7 @@ from foldcast.cli import main as cli_main
 from foldcast.data import normalize_target
 from foldcast.rendering import RenderSpec, fold_to_grid, render, resize_bilinear, unfold_from_grid
 from foldcast.sma import SmaConfig
+from tests.test_forecaster import drop_lora_paths
 from tests.test_rendering import bilinear_oracle
 from tests.test_sma import output_phase_error
 from tests.test_spectral import dft2_oracle
@@ -157,9 +157,9 @@ def test_criterion_6_adapter_contracts():
     x = np.sin(2 * np.pi * np.arange(total) / 8.0) + 0.1 * np.random.default_rng(5).normal(size=total)
     w = data.windows(data.Segment(x[:, None], 0, total), 48, 16, norm_const=0.4)[0]
     with_adapters = model.forward(w).prediction
-    base = copy.deepcopy(model)
-    base.lora = {}
-    bitwise = np.array_equal(with_adapters, base.forward(w).prediction)
+    with pytest.MonkeyPatch.context() as patch:  # the gradient checks below run with LoRA
+        drop_lora_paths(patch)
+        bitwise = np.array_equal(with_adapters, model.forward(w).prediction)
     # sinusoid spot values
     table = adapter.sinusoid_table(2, 4)
     spots = abs(table[1, 0] - np.sin(1.0)) < 1e-12 and abs(table[1, 1] - np.cos(1.0)) < 1e-12
@@ -168,10 +168,10 @@ def test_criterion_6_adapter_contracts():
     lora_err = fc.gradcheck("lora", seed=7)["groups"]["lora"]["max_rel_err"]
     # numeric rank bound
     rng = np.random.default_rng(8)
-    f = adapter.init_lora(rng, 12, 3, 16.0)
-    f.B = rng.normal(size=f.B.shape)
+    A = adapter.init_lora(rng, 12, 3, 1)["lora.enc0.q.A"]
+    B = rng.normal(size=(12, 3))
     W = rng.normal(size=(12, 12))
-    sv = np.linalg.svd(adapter.lora_apply(W, f) - W, compute_uv=False)
+    sv = np.linalg.svd(adapter.lora_apply(W, A, B, 16.0 / 3) - W, compute_uv=False)
     rank_ok = int((sv > 1e-10).sum()) <= 3
     ok = bitwise and spots and tga_err < 1e-4 and lora_err < 1e-4 and rank_ok
     report(ok, "criterion 6 (adapter contracts)",

@@ -23,14 +23,11 @@ def toy_config(**kw):
 ALL = np.arange(toy_config().n_patches)  # decode every patch of the toy grid
 
 
-def grad_buffer(params, lora=None, frozen=False):
-    """A zeroed flat gradient buffer: `bb.*` unless frozen, plus every LoRA factor."""
-    grads = {} if frozen else {f"bb.{k}": np.zeros_like(v) for k, v in params.items()}
-    for pfx, factors in (lora or {}).items():
-        for n, f in factors.items():
-            grads[f"lora.{pfx}.{n}.A"] = np.zeros_like(f.A)
-            grads[f"lora.{pfx}.{n}.B"] = np.zeros_like(f.B)
-    return grads
+def grad_buffer(params, frozen=False):
+    """A zeroed flat gradient buffer of every tensor in `params`, the `bb.*`
+    ones left out when frozen."""
+    return {k: np.zeros_like(v) for k, v in params.items()
+            if not (frozen and k.startswith("bb."))}
 
 
 class TestPatchify:
@@ -61,7 +58,7 @@ class TestEmbed:
         cfg = toy_config()
         params = bb.init_backbone(cfg, np.random.default_rng(1))
         out = bb.embed(np.zeros((5, cfg.patch_size**2)), params)
-        assert np.allclose(out, np.tile(params["patch_embed.b"], (5, 1)))
+        assert np.allclose(out, np.tile(params["bb.patch_embed.b"], (5, 1)))
 
     def test_linearity(self):
         cfg = toy_config()
@@ -95,15 +92,15 @@ class TestEncode:
         cfg = toy_config(e_layers=1)
         params = bb.init_backbone(cfg, np.random.default_rng(8))
         # out-projection = identity so the attention output is the context itself
-        params["enc0.attn.wo"] = np.eye(cfg.d_model)
-        params["enc0.attn.bo"] = np.zeros(cfg.d_model)
+        params["bb.enc0.attn.wo"] = np.eye(cfg.d_model)
+        params["bb.enc0.attn.bo"] = np.zeros(cfg.d_model)
         x = np.random.default_rng(9).normal(size=(1, cfg.d_model))
         out, caches = bb.encode(x, params, cfg)
-        n1 = caches[0]["ln1"]["xhat"] * params["enc0.ln1.g"] + params["enc0.ln1.b"]
-        v = n1 @ params["enc0.attn.wv"].T + params["enc0.attn.bv"]
+        n1 = caches[0]["ln1"]["xhat"] * params["bb.enc0.ln1.g"] + params["bb.enc0.ln1.b"]
+        v = n1 @ params["bb.enc0.attn.wv"].T + params["bb.enc0.attn.bv"]
         attn_out = out - x  # residual removed; single token, mlp acts after
         expected_after_attn = x + v
-        n2, _ = bb._layernorm(expected_after_attn, params["enc0.ln2.g"], params["enc0.ln2.b"])
+        n2, _ = bb._layernorm(expected_after_attn, params, "bb.enc0.ln2")
         mlp_out, _ = bb._mlp_forward(n2, params, "enc0", cfg)
         assert np.abs(out - (expected_after_attn + mlp_out)).max() < 1e-10
 
@@ -119,7 +116,7 @@ class TestEncode:
         tcfg = fc.TrainConfig(lr=1e-3, batch_size=2, epochs=1, seed=0)
 
         model = desk_model()
-        model.bb_params["mask_token"][0] = np.nan
+        model.params["bb.mask_token"][0] = np.nan
         with pytest.raises(FloatingPointError, match=r"optimizer step 1: loss nan, .*"
                            r"first non-finite tensor bb\."):
             fc.train(model, ws[:5], ws[5:], tcfg)
@@ -164,19 +161,19 @@ class TestSingleChannelFold:
         cfg = toy_config()
         rng = np.random.default_rng(31)
         params = bb.init_backbone(cfg, rng)
-        params["patch_embed.b"] = rng.normal(size=params["patch_embed.b"].shape)
-        params["head.b"] = rng.normal(size=params["head.b"].shape)
+        params["bb.patch_embed.b"] = rng.normal(size=params["bb.patch_embed.b"].shape)
+        params["bb.head.b"] = rng.normal(size=params["bb.head.b"].shape)
         p2 = cfg.patch_size**2
         patches = bb.patchify(rng.normal(size=(32, 32)), cfg.patch_size)
         # three identical channels, channel-major inside each 3p² patch vector
         patches3 = np.concatenate([patches] * 3, axis=1)
-        tokens3 = patches3 @ params["patch_embed.w"].T + params["patch_embed.b"]
+        tokens3 = patches3 @ params["bb.patch_embed.w"].T + params["bb.patch_embed.b"]
         tokens = bb.embed(patches, params)
         assert np.abs(tokens - tokens3).max() <= 1e-12 * np.abs(tokens3).max()
         vis = bb.visible_indices((4, 4), 2)
         latent = rng.normal(size=(vis.size, cfg.d_model))
         out, cache = bb.decode_with_mask_tokens(latent, vis, ALL, params, cfg)
-        out3 = cache["n"] @ params["head.w"].T + params["head.b"]
+        out3 = cache["n"] @ params["bb.head.w"].T + params["bb.head.b"]
         mean3 = out3.reshape(-1, 3, p2).mean(axis=1)
         assert out.shape == (cfg.n_patches, p2)
         assert np.abs(out - mean3).max() <= 1e-12 * np.abs(mean3).max()
@@ -197,13 +194,13 @@ class TestDecode:
         cfg = toy_config(d_layers=1, d_model=3 * 8 * 8)
         params = bb.init_backbone(cfg, np.random.default_rng(13))
         for name in ("attn.wo", "attn.bo", "mlp.w2", "mlp.b2"):
-            params[f"dec0.{name}"][:] = 0.0
-        params["mask_token"][:] = 0.0
-        params["dec_pos"][:] = 0.0
-        params["head.w"] = np.eye(cfg.patch_dim)
-        params["head.b"][:] = 0.0
-        params["dec_norm.g"][:] = 1.0
-        params["dec_norm.b"][:] = 0.0
+            params[f"bb.dec0.{name}"][:] = 0.0
+        params["bb.mask_token"][:] = 0.0
+        params["bb.dec_pos"][:] = 0.0
+        params["bb.head.w"] = np.eye(cfg.patch_dim)
+        params["bb.head.b"][:] = 0.0
+        params["bb.dec_norm.g"][:] = 1.0
+        params["bb.dec_norm.b"][:] = 0.0
         vis = bb.visible_indices((4, 4), 2)
         latent = np.random.default_rng(14).normal(size=(vis.size, cfg.d_model))
         out, _ = bb.decode_with_mask_tokens(latent, vis, ALL, params, cfg)
@@ -259,7 +256,7 @@ class TestRestrictedDecode:
         assert np.abs(gi_part - gi_full).max() <= 1e-12 * np.abs(gi_full).max()
         # a key bias shifts every score of a query alike, so its gradient is
         # zero in exact arithmetic and round-off on both sides
-        for name in (f"bb.{n}" for n in params if not n.endswith("attn.bk")):
+        for name in (n for n in params if not n.endswith("attn.bk")):
             scale = np.abs(g_full[name]).max()
             assert np.abs(g_part[name] - g_full[name]).max() <= 1e-12 * scale, name
 
@@ -283,12 +280,9 @@ class TestBaselineEquivalence:
         params = bb.init_backbone(cfg, np.random.default_rng(16))
         rng = np.random.default_rng(17)
         img = rng.normal(size=(32, 32))
-        lora = {
-            f"enc{i}": {n: adapter.init_lora(rng, cfg.d_model, 2, 16.0) for n in ("q", "k", "v")}
-            for i in range(cfg.e_layers)
-        }
+        params.update(adapter.init_lora(rng, cfg.d_model, 2, cfg.e_layers))
         base, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL)
-        adapted, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora=lora)
+        adapted, _ = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora_scale=8.0)
         assert np.array_equal(base, adapted)
 
     def test_eval_determinism(self):
@@ -341,15 +335,16 @@ class TestFrozen:
         cfg = toy_config(frozen=True)
         rng = np.random.default_rng(22)
         params = bb.init_backbone(cfg, rng)
-        lora = {"enc0": {"q": adapter.init_lora(rng, cfg.d_model, 2, 8.0)}}
-        lora["enc0"]["q"].B = rng.normal(0.0, 0.1, size=(cfg.d_model, 2))
+        lora = adapter.init_lora(rng, cfg.d_model, 2, cfg.e_layers)
+        params.update((k, rng.normal(0.0, 0.1, size=v.shape) if k.endswith(".B") else v)
+                      for k, v in lora.items())
         img = np.random.default_rng(23).normal(size=(32, 32))
-        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora=lora)
-        grads = grad_buffer(params, lora, frozen=True)  # no bb.* entry to add into
+        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora_scale=4.0)
+        grads = grad_buffer(params, frozen=True)  # no bb.* entry to add into
         gimg = bb.autoencode_backward(np.ones_like(out), params, cfg, cache, grads)
-        assert sorted(grads) == ["lora.enc0.q.A", "lora.enc0.q.B"]
+        assert list(grads) == list(lora)
         assert np.any(gimg != 0.0)  # input gradient still flows
-        assert np.any(grads["lora.enc0.q.A"] != 0.0) and np.any(grads["lora.enc0.q.B"] != 0.0)
+        assert all(np.any(g != 0.0) for g in grads.values())
 
     def test_zero_upstream_zero_grads(self):
         cfg = toy_config(frozen=False)

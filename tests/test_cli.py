@@ -351,12 +351,18 @@ class TestTrainEvalForecast:
         "synth_period=0", "synth_noise_std=-1", "synth_length=10", "eval_stride=-3",
         "seed=-1", "synth_seed=-1", "workers=0", "workers=-3", "image_size=0",
         "synth_amplitude=inf", "synth_amplitude=nan", "synth_amplitude=1,inf", "synth_kind=foo",
-        "test_frac=nan", "test_frac=1.0 train_frac=0.5 val_frac=-0.5", *CONFIG_SETTINGS])
+        "test_frac=nan", "test_frac=1.0 train_frac=0.5 val_frac=-0.5", "patience=-1",
+        "periodicity=0", "align_const=2", "patch_size=7", "n_heads=3", "dropout=1.5",
+        *CONFIG_SETTINGS])
     def test_out_of_range_setting_exit_2(self, tmp_path, capsys, setting):
+        """The message names the key and the value it rejects."""
         settings = setting.split()
         rc = main(["train", *desk_args(*settings), "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert settings[-1].split("=")[0] in capsys.readouterr().err
+        key, value = settings[-1].split("=")
+        err = capsys.readouterr().err
+        assert key in err
+        assert all(part in err for part in value.split(","))  # a list prints its elements
 
     @pytest.mark.parametrize("setting", CONFIG_SETTINGS)
     def test_config_setting_exit_2_before_reading_data(self, tmp_path, capsys, setting):
@@ -449,11 +455,16 @@ class TestTrainEvalForecast:
 
 
 class TestGradcheckCommand:
-    def test_pass_exit_0(self, tmp_path):
+    def test_pass_exit_0(self, tmp_path, capsys):
         rc = main(["gradcheck", "--component", "tga", "--out", str(tmp_path / "g")])
         assert rc == 0
         rep = json.loads((tmp_path / "g" / "gradcheck.json").read_text())
         assert rep["passed"]
+        tga = rep["groups"]["tga"]
+        assert sorted(tga) == ["bound", "kink_redraws", "max_raw_rel_gap", "max_rel_err", "passed"]
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == (f"  tga: max rel err {tga['max_rel_err']:.3e} (bound 1e-04), raw gap "
+                        f"{tga['max_raw_rel_gap']:.3e}, kink redraws {tga['kink_redraws']} pass")
 
     def test_out_naming_a_file_exit_2(self, tmp_path):
         (tmp_path / "g").write_text("")

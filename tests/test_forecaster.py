@@ -1,4 +1,7 @@
 import copy
+import hashlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +24,21 @@ def desk_model(seed=0, **kw):
                           sma=SmaConfig(lam=kw.pop("lam", 0.05)),
                           lora_rank=2, lora_alpha=8.0, lora_dropout=0.0, **kw)
     return fc.ForecastModel(mcfg, seed=seed)
+
+
+def drop_lora_paths(monkeypatch):
+    """Run every autoencode without the low-rank paths, as a model without
+    LoRA would."""
+    real = fc.bb.autoencode
+    monkeypatch.setattr(fc.bb, "autoencode",
+                        lambda *args, **kw: real(*args, **{**kw, "lora_scale": None}))
+
+
+def randomize_lora_B(model, rng):
+    """A zero LoRA B would zero every A gradient: draw each B from N(0, 0.1)."""
+    for k, v in model.params.items():
+        if k.startswith("lora.") and k.endswith(".B"):
+            v[...] = rng.normal(0.0, 0.1, size=v.shape)
 
 
 def toy_windows(n_windows=6, T=48, H=16, n_vars=1, seed=0):
@@ -218,13 +236,12 @@ class TestForward:
             fc.ModelConfig(render=rspec, backbone=bcfg)
         fc.ModelConfig(render=rspec, backbone=bcfg, use_sma=False)
 
-    def test_lora_b_zero_end_to_end_bitwise(self):
+    def test_lora_b_zero_end_to_end_bitwise(self, monkeypatch):
         model = desk_model()
         w = toy_windows(1)[0]
         with_lora = model.forward(w)
-        base = copy.deepcopy(model)
-        base.lora = {}
-        without = base.forward(w)
+        drop_lora_paths(monkeypatch)
+        without = model.forward(w)
         assert np.array_equal(with_lora.prediction, without.prediction)
 
 
@@ -235,7 +252,7 @@ class TestTrainSwitch:
     def test_eval_mode_draws_nothing_from_a_given_rng(self):
         model = desk_model()  # the aligner's dropout would draw in train mode
         w = toy_windows(1)[0]
-        stats = model.enhancer.bn_running_mean.copy()
+        stats = model.params["sma.bn_running_mean"].copy()
         r = np.random.default_rng(5)
         state = copy.deepcopy(r.bit_generator.state)
         loss, _, _ = model.loss_and_grads(w, rng=r, train=False)
@@ -243,7 +260,7 @@ class TestTrainSwitch:
         assert r.bit_generator.state == state
         assert loss == model.loss_and_grads(w, train=False)[0]
         assert np.array_equal(out.prediction, model.forward(w).prediction)
-        assert np.array_equal(model.enhancer.bn_running_mean, stats)
+        assert np.array_equal(model.params["sma.bn_running_mean"], stats)
 
     @pytest.mark.parametrize("call", [lambda m, w: m.loss_and_grads(w),
                                       lambda m, w: m.forward(w, train=True)],
@@ -278,10 +295,7 @@ class TestFrozenGradients:
         mcfg = fc.ModelConfig(render=rspec, backbone=bcfg, sma=SmaConfig(lam=0.05),
                               lora_rank=2, lora_alpha=8.0, lora_dropout=0.2)
         model = fc.ForecastModel(mcfg, seed=5)
-        rng = np.random.default_rng(6)
-        for factors in model.lora.values():
-            for f in factors.values():
-                f.B[...] = rng.normal(0.0, 0.1, size=f.B.shape)
+        randomize_lora_B(model, np.random.default_rng(6))
         return model
 
     def test_adapter_grads_bitwise_equal_to_unfrozen(self):
@@ -469,8 +483,17 @@ class TestGradcheck:
             return results[-1]
 
         monkeypatch.setattr(fc, "directional_error", recording)
-        assert fc.gradcheck("sma", seed=128)["passed"]
+        report = fc.gradcheck("sma", seed=128)
+        assert report["passed"]
         assert None in results and results[-1] is not None
+        assert report["groups"]["sma"]["kink_redraws"] == results.count(None) > 0
+
+    def test_reports_the_gap_under_the_rounding_floor(self):
+        """Each group reports its largest raw gap, before the rounding floor
+        is taken off, and how many directions it drew again."""
+        for group, r in fc.gradcheck("all", seed=0)["groups"].items():
+            assert math.isfinite(r["max_raw_rel_gap"]) and r["max_raw_rel_gap"] >= r["max_rel_err"]
+            assert isinstance(r["kink_redraws"], int) and r["kink_redraws"] >= 0, group
 
     @pytest.mark.parametrize("group, site", [
         *((g, "loss_and_grads") for g in GROUPS),
@@ -502,6 +525,8 @@ class TestGradcheck:
         for group in GROUPS:
             report = fc.gradcheck(group, seed=0, inject_fault=True)
             assert not report["passed"], group
+            r = report["groups"][group]
+            assert r["max_raw_rel_gap"] > r["bound"], group
 
     def test_unknown_component(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -541,12 +566,30 @@ class TestCheckpoint:
         for k in ("sma.bn_running_mean", "sma.bn_running_var"):
             assert np.array_equal(model.state_tensors()[k], saved[k])
 
+    def test_layout_is_pinned(self):
+        """The names, order and shapes of the checkpoint's tensors, for the
+        gradcheck-size model: a rename or reorder fails here, so checkpoints
+        written before it keep loading."""
+        size = dict(image_height=8, image_width=12, patch_size=4)
+        model = fc.ForecastModel(fc.ModelConfig(
+            render=RenderSpec(periodicity=4, align_const=1.0, **size), lora_rank=2,
+            backbone=BackboneConfig(**size, d_model=8, n_heads=2, e_layers=2, d_layers=1,
+                                    d_ff=16, frozen=False)))
+        state = model.state_tensors()
+        layout = "".join(f"{k} {tuple(v.shape)}\n" for k, v in state.items())
+        assert len(state) == 80
+        assert hashlib.sha256(layout.encode()).hexdigest() == \
+            "16b5fb1a2ce373569f78e4e0c2605c5af8fe3c315e58ccb4dd5f540a62f9d304"
+        runs = [group for group, _ in itertools.groupby(map(fc.param_group, state))]
+        assert runs == ["backbone", "sma", "tga", "lora", "beta", "sma"]
+        assert list(state)[-2:] == ["sma.bn_running_mean", "sma.bn_running_var"]
+
     def test_load_shape_mismatch(self, tmp_path):
         model = desk_model(seed=11)
         path = tmp_path / "m.ntf"
         model.save(path)
         other = desk_model(seed=0)
-        other.bb_params["head.b"] = np.zeros(5)
+        other.params["bb.head.b"] = np.zeros(5)
         with pytest.raises(ValueError):
             other.load(path)
 

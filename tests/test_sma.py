@@ -5,7 +5,7 @@ import pytest
 
 from foldcast import sma, spectral
 from foldcast.forecaster import AdamState, TrainConfig, adam_step
-from foldcast.sma import EnhancerParams, SmaConfig
+from foldcast.sma import SmaConfig
 from tests.test_spectral import dft2_oracle
 
 
@@ -15,6 +15,19 @@ def enhanced_image(img, p):
     F = sma.rfft2(img)
     A_enh, _ = sma.enhancer_forward(np.abs(F), p)
     return sma.irfft2(A_enh * np.exp(1j * np.angle(F)))
+
+
+def trainable(p):
+    """The names of the aligner's trainable tensors in `p`."""
+    return [k for k in p if k not in sma.BUFFERS]
+
+
+def param_grads(backward, g, cache, p):
+    """The gradients `backward` (sma_backward or enhancer_backward) adds into
+    a zeroed buffer of the aligner's trainable tensors."""
+    grads = {k: np.zeros_like(p[k]) for k in trainable(p)}
+    backward(g, cache, p, grads)
+    return grads
 
 
 def output_phase_error(img, out):
@@ -92,17 +105,17 @@ class TestHalfSpectrum:
 class TestEnhancer:
     def test_all_zero_params(self):
         p = sma.init_enhancer(np.random.default_rng(0), channels=3)
-        p.conv1_w[:] = 0
-        p.conv2_w[:] = 0
+        p["sma.conv1_w"][:] = 0
+        p["sma.conv2_w"][:] = 0
         A = np.random.default_rng(1).uniform(0, 2, size=(6, 5))
         out, _ = sma.enhancer_forward(A, p)
         assert np.all(out == 0.0)
 
     def test_bias_only_constant(self):
         p = sma.init_enhancer(np.random.default_rng(0), channels=3)
-        p.conv1_w[:] = 0
-        p.conv2_w[:] = 0
-        p.conv2_b[:] = 1.75
+        p["sma.conv1_w"][:] = 0
+        p["sma.conv2_w"][:] = 0
+        p["sma.conv2_b"][:] = 1.75
         A = np.random.default_rng(1).uniform(0, 2, size=(6, 5))
         out, _ = sma.enhancer_forward(A, p)
         assert np.all(out == 1.75)
@@ -110,23 +123,24 @@ class TestEnhancer:
     def test_matches_conv_oracle(self):
         rng = np.random.default_rng(7)
         p = sma.init_enhancer(rng, channels=4)
-        p.bn_running_mean = rng.normal(size=4) * 0.1
-        p.bn_running_var = rng.uniform(0.5, 1.5, size=4)
+        p["sma.bn_running_mean"] = rng.normal(size=4) * 0.1
+        p["sma.bn_running_var"] = rng.uniform(0.5, 1.5, size=4)
         A = rng.uniform(0, 2, size=(6, 6))
         out, _ = sma.enhancer_forward(A, p)
-        h1 = conv_oracle(A[None], p.conv1_w, p.conv1_b)
-        inv = 1.0 / np.sqrt(p.bn_running_var + sma._BN_EPS)
-        h2 = p.bn_gamma[:, None, None] * (h1 - p.bn_running_mean[:, None, None]) * inv[:, None, None] + p.bn_beta[:, None, None]
+        q = {k.removeprefix("sma."): v for k, v in p.items()}
+        h1 = conv_oracle(A[None], q["conv1_w"], q["conv1_b"])
+        inv = 1.0 / np.sqrt(q["bn_running_var"] + sma._BN_EPS)
+        h2 = q["bn_gamma"][:, None, None] * (h1 - q["bn_running_mean"][:, None, None]) * inv[:, None, None] + q["bn_beta"][:, None, None]
         h3 = np.maximum(h2, 0.0)
-        expect = conv_oracle(h3, p.conv2_w, p.conv2_b)[0]
+        expect = conv_oracle(h3, q["conv2_w"], q["conv2_b"])[0]
         assert np.abs(out - expect).max() < 1e-10
 
     def test_train_updates_running_stats(self):
         rng = np.random.default_rng(8)
-        p = sma.init_enhancer(rng, channels=2, dropout_rate=0.0)
-        before = p.bn_running_mean.copy()
-        sma.enhancer_forward(rng.uniform(0, 1, size=(5, 5)), p, rng=rng)
-        assert not np.array_equal(p.bn_running_mean, before)
+        p = sma.init_enhancer(rng, channels=2)
+        before = p["sma.bn_running_mean"].copy()
+        sma.enhancer_forward(rng.uniform(0, 1, size=(5, 5)), p, rng=rng, dropout_rate=0.0)
+        assert not np.array_equal(p["sma.bn_running_mean"], before)
 
 
 class TestAligner:
@@ -141,7 +155,7 @@ class TestAligner:
 
     def test_lam_zero_zero_param_grads(self):
         _, cache = sma.sma_forward(self.img, self.p, SmaConfig(lam=0.0))
-        grads = sma.sma_backward(np.ones((8, 8)), cache, self.p)
+        grads = param_grads(sma.sma_backward, np.ones((8, 8)), cache, self.p)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_lam_one_equals_enhanced(self):
@@ -187,7 +201,7 @@ class TestAligner:
 
     def test_zero_upstream_zero_grads(self):
         _, cache = sma.sma_forward(self.img, self.p, SmaConfig(lam=0.5))
-        grads = sma.sma_backward(np.zeros((8, 8)), cache, self.p)
+        grads = param_grads(sma.sma_backward, np.zeros((8, 8)), cache, self.p)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_train_cache_holds_one_channel_stack(self):
@@ -247,12 +261,11 @@ class TestGradients:
 
         q = copy.deepcopy(p)
         _, cache = sma.sma_forward(img, q, cfg, draws())
-        grads = sma.sma_backward(gout, cache, q)
+        grads = param_grads(sma.sma_backward, gout, cache, q)
         worst = 0.0
         pick = np.random.default_rng(3)
-        for key in p.grad_keys():
-            arr = getattr(p, key)
-            flat = arr.reshape(-1)
+        for key in trainable(p):
+            flat = p[key].reshape(-1)
             gflat = grads[key].reshape(-1)
             for ix in pick.choice(flat.size, size=min(8, flat.size), replace=False):
                 fd = central_diff(loss, flat, ix)
@@ -267,7 +280,7 @@ class TestSpectralShift:
         measured power-spectrum slope of the blended image."""
         rng = np.random.default_rng(12)
         img = spectral.synth_power_law_image(1.5, 64, 64, seed=4)
-        p = sma.init_enhancer(np.random.default_rng(5), channels=4, dropout_rate=0.0)
+        p = sma.init_enhancer(np.random.default_rng(5), channels=4)
         cfg = SmaConfig(lam=0.05)
 
         F = sma.rfft2(img)
@@ -279,15 +292,12 @@ class TestSpectralShift:
         boost = 1.0 + 9.0 * np.exp(-((r / 6.0) ** 2))
         target = A0 * boost
 
-        names = list(p.grad_keys())
-        params = {k: getattr(p, k) for k in names}
-        state = AdamState.init(params, names)
+        state = AdamState.init(p, trainable(p))
         tcfg = TrainConfig(lr=3e-3, batch_size=1, epochs=1)
         for _ in range(200):
             A_enh, cache = sma.enhancer_forward(A0, p)
             gA = A_enh - target
-            grads = sma.enhancer_backward(gA, cache, p)
-            adam_step(params, grads, state, tcfg)
+            adam_step(p, param_grads(sma.enhancer_backward, gA, cache, p), state, tcfg)
 
         out, _ = sma.sma_forward(img, p, cfg)
         before = spectral.pss_of_image(img).alpha
