@@ -121,17 +121,16 @@ def lora_project(x: np.ndarray, params: dict, w: str, b: str, lora: str | None =
     return y, cache
 
 
-def lora_project_backward(g: np.ndarray, params: dict, cache, grads, base) -> np.ndarray:
+def lora_project_backward(g: np.ndarray, params: dict, cache, grads) -> np.ndarray:
     """Input gradient of `lora_project`, given g of its output.
 
-    The factor gradients are added into `grads` and the base weight and bias
-    gradients into `base`, under the names the forward read; a frozen base
-    passes `base=None` and they are not formed.  Every gradient sums over the
-    leading axes.
+    Every gradient is added into `grads` under the name the forward read and
+    sums over the leading axes.  The weight and bias gradients are formed
+    exactly when `grads` holds the weight's name; the factor pair always trains.
     """
-    if base is not None:
-        base[cache["w"]] += fold_rows(g).T @ fold_rows(cache["x"])
-        base[cache["b"]] += fold_rows(g).sum(axis=0)
+    if cache["w"] in grads:
+        grads[cache["w"]] += fold_rows(g).T @ fold_rows(cache["x"])
+        grads[cache["b"]] += fold_rows(g).sum(axis=0)
     dx = g @ params[cache["w"]]
     lora = cache["lora"]
     if lora is not None:

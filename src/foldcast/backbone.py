@@ -50,8 +50,9 @@ the whole model's `ForecastModel.params`, under their checkpoint names:
 `tga.W_proj`/`tga.w_fusion` for the adapters (the dict also holds the
 aligner's `sma.*` tensors and `fuse.beta`).  Each backward adds its
 gradients into one flat buffer, `grads`, under the very key its forward
-read.  A frozen backbone forms no `bb.*` gradient, and the helpers receive
-its base-weight buffer as None.  The on-disk format ("NTF1") is a
+read, and forms a tensor's gradient exactly when `grads` holds its name (a
+layer tests its weight's and adds its bias's alongside): a frozen model's
+buffer holds no `bb.*` key.  The on-disk format ("NTF1") is a
 little-endian named-tensor container with bit-exact round trips.
 """
 
@@ -217,12 +218,12 @@ def _layernorm(x, params, name):
     return out, {"xhat": xhat, "invstd": invstd, "g": g, "name": name}
 
 
-def _layernorm_backward(gr, cache, base):
-    """Input gradient; adds the gain/bias gradients to `base` unless it is None."""
+def _layernorm_backward(gr, cache, grads):
+    """Input gradient; adds the gain/bias gradients when `grads` holds the gain."""
     xhat, invstd, g, name = cache["xhat"], cache["invstd"], cache["g"], cache["name"]
-    if base is not None:
-        base[f"{name}.g"] += fold_rows(gr * xhat).sum(axis=0)
-        base[f"{name}.b"] += fold_rows(gr).sum(axis=0)
+    if f"{name}.g" in grads:
+        grads[f"{name}.g"] += fold_rows(gr * xhat).sum(axis=0)
+        grads[f"{name}.b"] += fold_rows(gr).sum(axis=0)
     gg = gr * g
     mg = gg.mean(axis=-1, keepdims=True)
     mgx = (gg * xhat).mean(axis=-1, keepdims=True)
@@ -318,13 +319,13 @@ def _attn_forward(x, params, prefix, cfg, rows, lora_scale=None, rng=None, lora_
     return out, cache
 
 
-def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
+def _attn_backward(gr, params, prefix, cfg, cache, grads):
     key = f"bb.{prefix}.attn."
     if cache["drop_o"] is not None:
         gr = gr * cache["drop_o"]
-    if base is not None:
-        base[key + "wo"] += fold_rows(gr).T @ fold_rows(cache["merged"])
-        base[key + "bo"] += fold_rows(gr).sum(axis=0)
+    if key + "wo" in grads:
+        grads[key + "wo"] += fold_rows(gr).T @ fold_rows(cache["merged"])
+        grads[key + "bo"] += fold_rows(gr).sum(axis=0)
     gmerged = gr @ params[key + "wo"]
     gctx = _split_heads(gmerged, cfg.n_heads)
     probs, q, k, v = cache["probs"], cache["qh"], cache["kh"], cache["vh"]
@@ -336,7 +337,7 @@ def _attn_backward(gr, params, prefix, cfg, cache, grads, base):
     gk = np.swapaxes(gscores, -1, -2) @ q
     gx = np.zeros_like(cache["x"])
     for name, gh in (("q", gq), ("k", gk), ("v", gv)):
-        dx = adapter.lora_project_backward(_merge_heads(gh), params, cache[name], grads, base)
+        dx = adapter.lora_project_backward(_merge_heads(gh), params, cache[name], grads)
         gx[..., cache["rows"] if name == "q" else slice(None), :] += dx
     return gx
 
@@ -363,25 +364,25 @@ def _mlp_forward(x, params, prefix, cfg, rng=None, keep_cache=True):
     return y, {"x": x, "h": h, "tanh_u": tanh_u, "drop_h": drop_h, "drop_y": drop_y}
 
 
-def _mlp_backward(gr, params, prefix, cache, base):
+def _mlp_backward(gr, params, prefix, cache, grads):
     key = f"bb.{prefix}.mlp."
     w1, w2 = params[key + "w1"], params[key + "w2"]
     if cache["drop_y"] is not None:
         gr = gr * cache["drop_y"]
-    if base is not None:
+    if key + "w2" in grads:
         # the activation, recomputed with the forward's operations
         ad = 0.5 * cache["h"] * (1.0 + cache["tanh_u"])
         if cache["drop_h"] is not None:
             ad = ad * cache["drop_h"]
-        base[key + "w2"] += fold_rows(gr).T @ fold_rows(ad)
-        base[key + "b2"] += fold_rows(gr).sum(axis=0)
+        grads[key + "w2"] += fold_rows(gr).T @ fold_rows(ad)
+        grads[key + "b2"] += fold_rows(gr).sum(axis=0)
     gad = gr @ w2
     if cache["drop_h"] is not None:
         gad = gad * cache["drop_h"]
     gh = _gelu_backward(gad, cache["h"], cache["tanh_u"])
-    if base is not None:
-        base[key + "w1"] += fold_rows(gh).T @ fold_rows(cache["x"])
-        base[key + "b1"] += fold_rows(gh).sum(axis=0)
+    if key + "w1" in grads:
+        grads[key + "w1"] += fold_rows(gh).T @ fold_rows(cache["x"])
+        grads[key + "b1"] += fold_rows(gh).sum(axis=0)
     return gh @ w1
 
 
@@ -408,14 +409,12 @@ def _block_forward(
     return out, {"ln1": ln1, "attn": attn, "ln2": ln2, "mlp": mlp}
 
 
-def _block_backward(gr, params, prefix, cfg, cache, grads, base):
-    """Gradient wrt every input row, given that of the output rows.
-    `base` receives the block's base-weight gradients; None skips them
-    (frozen backbone).  LoRA gradients always flow into `grads`."""
-    gm = _mlp_backward(gr, params, prefix, cache["mlp"], base)
-    gx2 = _layernorm_backward(gm, cache["ln2"], base) + gr
-    ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads, base)
-    gx = _layernorm_backward(ga, cache["ln1"], base)
+def _block_backward(gr, params, prefix, cfg, cache, grads):
+    """Gradient wrt every input row, given that of the output rows."""
+    gm = _mlp_backward(gr, params, prefix, cache["mlp"], grads)
+    gx2 = _layernorm_backward(gm, cache["ln2"], grads) + gr
+    ga = _attn_backward(gx2, params, prefix, cfg, cache["attn"], grads)
+    gx = _layernorm_backward(ga, cache["ln1"], grads)
     gx[..., cache["attn"]["rows"], :] += gx2
     return gx
 
@@ -462,11 +461,10 @@ def encode(
     return x, caches if keep_cache else None
 
 
-def encode_backward(gr, params, cfg, caches, grads, base):
-    """Gradient wrt the encoder input; base-weight gradients go to `base`
-    unless it is None, LoRA gradients to `grads`."""
+def encode_backward(gr, params, cfg, caches, grads):
+    """Gradient wrt the encoder input."""
     for i in reversed(range(cfg.e_layers)):
-        gr = _block_backward(gr, params, f"enc{i}", cfg, caches[i], grads, base)
+        gr = _block_backward(gr, params, f"enc{i}", cfg, caches[i], grads)
     return gr
 
 
@@ -504,26 +502,27 @@ def decode_with_mask_tokens(
     return out, cache
 
 
-def decode_backward(gr, params, cfg, cache, base):
+def decode_backward(gr, params, cfg, cache, grads):
     """Gradient wrt the visible latents, given that of the decoded `out_idx`
-    patches; base-weight gradients go to `base` unless it is None."""
+    patches."""
     head_w, _ = _head(params)
-    if base is not None:
+    if "bb.head.w" in grads:
         # each channel block receives a third of the single-channel gradient
-        hw = base["bb.head.w"].reshape(3, -1, cfg.d_model)
+        hw = grads["bb.head.w"].reshape(3, -1, cfg.d_model)
         hw += fold_rows(gr).T @ fold_rows(cache["n"]) / 3.0
-        hb = base["bb.head.b"].reshape(3, -1)
+        hb = grads["bb.head.b"].reshape(3, -1)
         hb += fold_rows(gr).sum(axis=0) / 3.0
     gn = gr @ head_w
-    gx = _layernorm_backward(gn, cache["ln"], base)
+    gx = _layernorm_backward(gn, cache["ln"], grads)
     for i in reversed(range(cfg.d_layers)):
-        gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], None, base)
+        gx = _block_backward(gx, params, f"dec{i}", cfg, cache["blocks"][i], grads)
     L, D = cfg.n_patches, cfg.d_model
     vis_idx = cache["vis_idx"]
-    if base is not None:
-        base["bb.dec_pos"] += gx.reshape(-1, L, D).sum(axis=0)
+    if "bb.dec_pos" in grads:
+        grads["bb.dec_pos"] += gx.reshape(-1, L, D).sum(axis=0)
+    if "bb.mask_token" in grads:
         hidden = np.isin(np.arange(L), vis_idx, invert=True)  # the mask-token rows, in order
-        base["bb.mask_token"] += fold_rows(gx[..., hidden, :]).sum(axis=0)
+        grads["bb.mask_token"] += fold_rows(gx[..., hidden, :]).sum(axis=0)
     return gx[..., vis_idx, :]
 
 
@@ -574,25 +573,23 @@ def autoencode_backward(grad_image, params, cfg: BackboneConfig, cache, grads, i
     The exact adjoint of autoencode: `grad_image` is read only on the
     decoded `out_idx` patches, and the image gradient is non-zero only on the
     visible patches.  `grads` is the flat gradient buffer described in the
-    module docstring.  When cfg.frozen the base-weight gradients are never
-    formed and `grads` needs no `bb.*` entry; the adapters and the image
-    still receive theirs.  With `image_grad=False` the image gradient is not
-    formed and None comes back.
+    module docstring: a tensor whose name it does not hold gets no gradient,
+    and the adapters and the image still receive theirs.  With
+    `image_grad=False` the image gradient is not formed and None comes back.
     """
-    base = None if cfg.frozen else grads
     vis_idx = cache["dec"]["vis_idx"]
     gp = patchify(grad_image, cfg.patch_size)[..., cache["dec"]["out_idx"], :]
-    glat = decode_backward(gp, params, cfg, cache["dec"], base)
-    gvis = encode_backward(glat, params, cfg, cache["enc"], grads, base)
-    if base is not None:
-        base["bb.enc_pos"][vis_idx] += gvis.reshape(-1, *gvis.shape[-2:]).sum(axis=0)
+    glat = decode_backward(gp, params, cfg, cache["dec"], grads)
+    gvis = encode_backward(glat, params, cfg, cache["enc"], grads)
+    if "bb.enc_pos" in grads:
+        grads["bb.enc_pos"][vis_idx] += gvis.reshape(-1, *gvis.shape[-2:]).sum(axis=0)
     if cache["tga"] is not None:
         adapter.tga_backward(gvis, cache["tga"], grads)
-    if base is not None:
+    if "bb.patch_embed.w" in grads:
         # every channel block saw the same single-channel patches
-        pw = base["bb.patch_embed.w"].reshape(cfg.d_model, 3, -1)
+        pw = grads["bb.patch_embed.w"].reshape(cfg.d_model, 3, -1)
         pw += (fold_rows(gvis).T @ fold_rows(cache["patches"]))[:, None, :]
-        base["bb.patch_embed.b"] += fold_rows(gvis).sum(axis=0)
+        grads["bb.patch_embed.b"] += fold_rows(gvis).sum(axis=0)
     if not image_grad:
         return None
     gpatches = np.zeros((*gvis.shape[:-2], cfg.n_patches, cache["patches"].shape[-1]))

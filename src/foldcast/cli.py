@@ -117,6 +117,8 @@ def _pss_images(args, cfg: dict):
         images = ((p.stem, p, spectral.load_grayscale_image(p, size, size)) for p in paths)
     elif args.text:
         text = Path(args.text).read_text(encoding="utf-8", errors="replace")
+        if not text:
+            raise ValueError(f"{args.text}: text must be non-empty")
         chunk = size * size
         n = max(min(cfg["pss_samples"], len(text) // chunk), 1)
         images = (
@@ -263,7 +265,8 @@ def cmd_gradcheck(cfg: dict, args) -> int:
     for name, r in report["groups"].items():
         status = "pass" if r["passed"] else "FAIL"
         print(f"  {name}: max rel err {r['max_rel_err']:.3e} (bound {r['bound']:.0e}), raw gap "
-              f"{r['max_raw_rel_gap']:.3e}, kink redraws {r['kink_redraws']} {status}")
+              f"{r['max_raw_rel_gap']:.3e} ({r['worst_tensor']}), "
+              f"kink redraws {r['kink_redraws']} {status}")
     if not report["passed"]:
         print("gradcheck FAILED")
         return 1

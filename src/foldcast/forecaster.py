@@ -181,11 +181,8 @@ class ForecastModel:
         """Flat name -> array of every parameter, the buffers left out (shared storage)."""
         return {k: v for k, v in self.params.items() if k not in sma.BUFFERS}
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        """Parameters plus non-trainable buffers, for checkpointing."""
-        return dict(self.params)
-
     def trainable_names(self) -> list[str]:
+        """The tensors that train, in `params` order: the keys of every `grads` buffer."""
         cfg = self.cfg
         off = {"backbone": cfg.backbone.frozen, "sma": not cfg.use_sma, "tga": not cfg.use_tga,
                "lora": False, "beta": cfg.fixed_beta is not None}
@@ -203,14 +200,14 @@ class ForecastModel:
         return clamp_beta(float(self.beta_raw[0]))
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.state_tensors().items()}
+        return {k: v.copy() for k, v in self.params.items()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in self.state_tensors().items():
+        for k, v in self.params.items():
             v[...] = snap[k]
 
     def save(self, path) -> None:
-        bb.save_weights(path, self.state_tensors())
+        bb.save_weights(path, self.params)
 
     def load(self, path) -> None:
         """Read a checkpoint written by `save` into this model's arrays.
@@ -218,7 +215,7 @@ class ForecastModel:
         The names and shapes must match the model's exactly; a checkpoint
         that does not leaves the model untouched.
         """
-        bb.read_weights(path, out=self.state_tensors())
+        bb.read_weights(path, out=self.params)
 
     # -- forward / backward ----------------------------------------------
 
@@ -569,9 +566,10 @@ def gradcheck(component: str = "all", seed: int = 0, inject_fault: bool = False)
     of `loss_and_grads` along a random unit direction on that tensor with a
     central difference of the loss (`directional_error`); a direction whose
     step crosses a ReLU kink is drawn again.  A group's `max_rel_err` is its
-    tensors' largest error and `max_raw_rel_gap` their largest gap before the
-    rounding floor is taken off; `kink_redraws` counts the directions drawn
-    again.  Returns {"groups": {name: {"max_rel_err", "max_raw_rel_gap",
+    tensors' largest error, `max_raw_rel_gap` their largest gap before the
+    rounding floor is taken off and `worst_tensor` the first tensor with that
+    gap; `kink_redraws` counts the directions drawn again.  Returns
+    {"groups": {name: {"max_rel_err", "max_raw_rel_gap", "worst_tensor",
     "kink_redraws", "bound", "passed"}}, "passed"}.  `inject_fault` scales
     the checked gradients by 1.1 to prove the check can fail.
     """
@@ -592,7 +590,8 @@ def gradcheck(component: str = "all", seed: int = 0, inject_fault: bool = False)
     series = [data.synth_series("sinusoid_mix", 28, 4, noise_std=0.1, seed=seed + v) for v in (0, 1)]
     windows = data.windows(data.Segment(np.hstack([s.values for s in series]), 0, 28), 16, 8, 4)
     _, grads, _ = model.loss_and_grads(*windows, train=False)
-    results = {g: {"max_rel_err": 0.0, "max_raw_rel_gap": 0.0, "kink_redraws": 0}
+    results = {g: {"max_rel_err": 0.0, "max_raw_rel_gap": 0.0, "worst_tensor": None,
+                   "kink_redraws": 0}
                for g in (GRADCHECK_BOUNDS if component == "all" else (component,))}
     for i, name in enumerate(model.trainable_names()):
         r = results.get(param_group(name))
@@ -608,7 +607,8 @@ def gradcheck(component: str = "all", seed: int = 0, inject_fault: bool = False)
                 break
             r["kink_redraws"] += 1
         r["max_rel_err"] = max(r["max_rel_err"], found[0])
-        r["max_raw_rel_gap"] = max(r["max_raw_rel_gap"], found[1])
+        if r["worst_tensor"] is None or found[1] > r["max_raw_rel_gap"]:
+            r.update(max_raw_rel_gap=found[1], worst_tensor=name)
     for g, r in results.items():
         r.update(bound=GRADCHECK_BOUNDS[g], passed=bool(r["max_rel_err"] < GRADCHECK_BOUNDS[g]))
     return {"groups": results, "passed": all(r["passed"] for r in results.values())}

@@ -125,7 +125,7 @@ def projection(rng, D, r, B=None):
 def project_grads(g, p, cache):
     """The input gradient of `lora_project` and every gradient it adds."""
     grads = {k: np.zeros_like(v) for k, v in p.items()}
-    dx = adapter.lora_project_backward(g, p, cache, grads, grads)
+    dx = adapter.lora_project_backward(g, p, cache, grads)
     return dx, grads
 
 

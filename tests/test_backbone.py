@@ -346,6 +346,40 @@ class TestFrozen:
         assert np.any(gimg != 0.0)  # input gradient still flows
         assert all(np.any(g != 0.0) for g in grads.values())
 
+    @staticmethod
+    def adapted_backward(cfg, base=True):
+        """The gradients and image gradient of a train-mode backward of a toy
+        model with both adapters, into a zeroed buffer of its tensors, the
+        `bb.*` ones left out without `base`."""
+        rng = np.random.default_rng(26)
+        params = bb.init_backbone(cfg, rng)
+        params.update(adapter.init_tga(rng, cfg.d_model))
+        lora = adapter.init_lora(rng, cfg.d_model, 2, cfg.e_layers)
+        params.update((k, rng.normal(0.0, 0.1, size=v.shape) if k.endswith(".B") else v)
+                      for k, v in lora.items())
+        img = rng.normal(size=(2, 32, 32))
+        out, cache = bb.autoencode(img, params, cfg, vis_cols=2, out_idx=ALL, lora_scale=4.0,
+                                   tga=True, rng=np.random.default_rng(27), lora_drop=0.2)
+        grads = {k: np.zeros_like(v) for k, v in params.items() if base or not k.startswith("bb.")}
+        gimg = bb.autoencode_backward(np.sin(out), params, cfg, cache, grads)
+        return grads, gimg
+
+    def test_a_buffer_holding_the_base_weights_gets_their_gradients_when_frozen(self):
+        """The buffer, not the config's `frozen`, decides what a backward forms."""
+        grads, gimg = self.adapted_backward(toy_config(dropout=0.1))
+        frozen, frozen_gimg = self.adapted_backward(toy_config(dropout=0.1, frozen=True))
+        assert list(frozen) == list(grads) and any(k.startswith("bb.") for k in grads)
+        assert all(np.array_equal(frozen[k], g) for k, g in grads.items())
+        assert np.array_equal(frozen_gimg, gimg)
+        assert all(np.any(g != 0.0) for k, g in grads.items() if not k.endswith("attn.bk"))
+
+    def test_a_buffer_without_the_base_weights_gets_the_same_adapter_gradients(self):
+        grads, gimg = self.adapted_backward(toy_config(dropout=0.1))
+        part, part_gimg = self.adapted_backward(toy_config(dropout=0.1), base=False)
+        assert sorted({k.split(".")[0] for k in part}) == ["lora", "tga"]
+        assert all(np.array_equal(g, grads[k]) for k, g in part.items())
+        assert np.array_equal(part_gimg, gimg)
+
     def test_zero_upstream_zero_grads(self):
         cfg = toy_config(frozen=False)
         params = bb.init_backbone(cfg, np.random.default_rng(24))
@@ -385,19 +419,19 @@ class TestNamedTensorFile:
     # read_weights(out=...) before it writes any array
     def test_unknown_name_rejected_with_list(self, tmp_path):
         path = tmp_path / "m.ntf"
-        bb.save_weights(path, {**desk_model().state_tensors(), "mystery": np.zeros(2)})
+        bb.save_weights(path, {**desk_model().params, "mystery": np.zeros(2)})
         with pytest.raises(ValueError, match=re.escape(f"{path}: unknown tensor names: ['mystery']")):
             desk_model().load(path)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         path = tmp_path / "m.ntf"
-        bb.save_weights(path, {**desk_model().state_tensors(), "bb.head.b": np.zeros(5)})
+        bb.save_weights(path, {**desk_model().params, "bb.head.b": np.zeros(5)})
         with pytest.raises(ValueError, match=re.escape(f"{path}: tensor 'bb.head.b' has shape")):
             desk_model().load(path)
 
     def test_missing_name_rejected(self, tmp_path):
         path = tmp_path / "m.ntf"
-        tensors = desk_model().state_tensors()
+        tensors = dict(desk_model().params)
         del tensors["tga.w_fusion"]
         bb.save_weights(path, tensors)
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing tensor names: ['tga.w_fusion']")):
@@ -461,13 +495,13 @@ class TestNamedTensorFile:
 
     def test_rejected_load_leaves_model_untouched(self, tmp_path):
         path = tmp_path / "m.ntf"
-        tensors = desk_model(seed=5).state_tensors()
+        tensors = desk_model(seed=5).params
         bb.save_weights(path, {**tensors, "bb.head.b": np.zeros(5)})
         model = desk_model(seed=6)
         before = model.snapshot()
         with pytest.raises(ValueError, match="has shape"):
             model.load(path)
-        assert all(np.array_equal(v, before[k]) for k, v in model.state_tensors().items())
+        assert all(np.array_equal(v, before[k]) for k, v in model.params.items())
 
 
 class TestVisibleIndices:

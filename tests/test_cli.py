@@ -241,6 +241,13 @@ class TestPss:
         assert rc == 0
         assert (out / "pss_summary.json").exists()
 
+    def test_empty_text_file_exit_2_naming_the_file(self, tmp_path, capsys):
+        txt = tmp_path / "empty.txt"
+        txt.write_text("")
+        rc = main(["pss", "-o", "image_size=32", "--text", str(txt), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert f"{txt}: text must be non-empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", [[], ["--images", "{dir}"], ["--text", "{dir}/t.txt"]])
     def test_no_samples_exit_2(self, tmp_path, capsys, mode):
         (tmp_path / "t.txt").write_text("abc")
@@ -461,10 +468,13 @@ class TestGradcheckCommand:
         rep = json.loads((tmp_path / "g" / "gradcheck.json").read_text())
         assert rep["passed"]
         tga = rep["groups"]["tga"]
-        assert sorted(tga) == ["bound", "kink_redraws", "max_raw_rel_gap", "max_rel_err", "passed"]
+        assert sorted(tga) == ["bound", "kink_redraws", "max_raw_rel_gap", "max_rel_err", "passed",
+                               "worst_tensor"]
+        assert tga["worst_tensor"] in ("tga.W_proj", "tga.w_fusion")
         line = capsys.readouterr().out.splitlines()[0]
         assert line == (f"  tga: max rel err {tga['max_rel_err']:.3e} (bound 1e-04), raw gap "
-                        f"{tga['max_raw_rel_gap']:.3e}, kink redraws {tga['kink_redraws']} pass")
+                        f"{tga['max_raw_rel_gap']:.3e} ({tga['worst_tensor']}), "
+                        f"kink redraws {tga['kink_redraws']} pass")
 
     def test_out_naming_a_file_exit_2(self, tmp_path):
         (tmp_path / "g").write_text("")

@@ -488,12 +488,27 @@ class TestGradcheck:
         assert None in results and results[-1] is not None
         assert report["groups"]["sma"]["kink_redraws"] == results.count(None) > 0
 
-    def test_reports_the_gap_under_the_rounding_floor(self):
+    def test_reports_the_gap_under_the_rounding_floor(self, monkeypatch):
         """Each group reports its largest raw gap, before the rounding floor
-        is taken off, and how many directions it drew again."""
+        is taken off, the tensor with that gap, and how many directions it
+        drew again."""
+        real, gaps = fc.directional_error, {}
+
+        def recording(model, windows, grads, direction, h):
+            found = real(model, windows, grads, direction, h)
+            if found is not None:  # a step across a kink is drawn again
+                gaps[next(iter(direction))] = found[1]
+            return found
+
+        monkeypatch.setattr(fc, "directional_error", recording)
         for group, r in fc.gradcheck("all", seed=0)["groups"].items():
             assert math.isfinite(r["max_raw_rel_gap"]) and r["max_raw_rel_gap"] >= r["max_rel_err"]
             assert isinstance(r["kink_redraws"], int) and r["kink_redraws"] >= 0, group
+            mine = {n: gap for n, gap in gaps.items() if fc.param_group(n) == group}
+            assert r["worst_tensor"] == max(mine, key=mine.get), group
+            assert r["max_raw_rel_gap"] == mine[r["worst_tensor"]], group
+        # a key bias's gradient is zero in exact arithmetic, so its raw gap is all round-off
+        assert gaps["bb.enc0.attn.bk"] == max(gaps.values())
 
     @pytest.mark.parametrize("group, site", [
         *((g, "loss_and_grads") for g in GROUPS),
@@ -552,19 +567,19 @@ class TestCheckpoint:
 
     def test_state_held_across_a_train_step_stays_the_models(self, tmp_path):
         """A train step updates the running statistics in place, so a
-        state_tensors() dict taken before it still reads into the model."""
+        dict of the model's arrays taken before it still reads into the model."""
         model = desk_model(seed=11)
         path = tmp_path / "m.ntf"
         model.save(path)
         saved = model.snapshot()
-        held = model.state_tensors()
+        held = dict(model.params)
         model.loss_and_grads(*toy_windows(2), rng=np.random.default_rng(0))
         for k in ("sma.bn_running_mean", "sma.bn_running_var"):
-            assert held[k] is model.state_tensors()[k]
+            assert held[k] is model.params[k]
             assert not np.array_equal(held[k], saved[k])
         bb.read_weights(path, out=held)
         for k in ("sma.bn_running_mean", "sma.bn_running_var"):
-            assert np.array_equal(model.state_tensors()[k], saved[k])
+            assert np.array_equal(model.params[k], saved[k])
 
     def test_layout_is_pinned(self):
         """The names, order and shapes of the checkpoint's tensors, for the
@@ -575,7 +590,7 @@ class TestCheckpoint:
             render=RenderSpec(periodicity=4, align_const=1.0, **size), lora_rank=2,
             backbone=BackboneConfig(**size, d_model=8, n_heads=2, e_layers=2, d_layers=1,
                                     d_ff=16, frozen=False)))
-        state = model.state_tensors()
+        state = model.params
         layout = "".join(f"{k} {tuple(v.shape)}\n" for k, v in state.items())
         assert len(state) == 80
         assert hashlib.sha256(layout.encode()).hexdigest() == \

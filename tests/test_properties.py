@@ -773,4 +773,4 @@ VALID_NTF = valid_checkpoint()
 @example(flips=[(28, 8)], cut=None)  # the first tensor's first dimension
 def test_read_weights_raises_only_value_errors_naming_the_file(flips, cut):
     read_damaged("m.ntf", damaged(VALID_NTF, flips, cut),
-                 lambda path: bb.read_weights(path, out=desk_model().state_tensors()))
+                 lambda path: bb.read_weights(path, out=desk_model().params))
